@@ -59,5 +59,6 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}"
 ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}" -L 'ledger|failpoint|fuzz|server'
 
 echo "verify: OK"
-echo "optional: scripts/bench.sh runs the *ParallelScaling benchmarks"
-echo "and writes BENCH_pr3.json (1-thread vs N-thread wall times)."
+echo "optional: the end-to-end benchmark (workloads in BENCHMARK.json):"
+echo "  python3 perfbench/run.py --workload <w> --seed <n> --seconds 15 [--trace 1]"
+echo "  python3 perfbench/run.py compare RESULTS [RESULTS_B]"

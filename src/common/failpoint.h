@@ -113,11 +113,17 @@ void HitData(const char* site, std::string* data);
 #define PCLEAN_FAILPOINT_DATA(site, buf) \
   ::privateclean::failpoint::HitData((site), (buf))
 #else
+// Compiled out: the arguments are named but never evaluated (sizeof is
+// unevaluated), so a parameter used only by a site is not unused.
 #define PCLEAN_FAILPOINT(site, detail) \
   do {                                 \
+    (void)sizeof(site);                \
+    (void)sizeof(detail);              \
   } while (false)
 #define PCLEAN_FAILPOINT_DATA(site, buf) \
   do {                                   \
+    (void)sizeof(site);                  \
+    (void)sizeof(buf);                   \
   } while (false)
 #endif
 

@@ -36,17 +36,19 @@ Result<ConjunctiveScanStats> ScanConjunctive(const Table& table,
           const size_t batch = std::min(kVectorBatchRows, end - b);
           pred_a.EvalBatch(b, batch, mask_a);
           pred_b.EvalBatch(b, batch, mask_b);
+          // Masks are 0/1 bytes: three sums give all four quadrants.
+          size_t sum_a = 0;
+          size_t sum_b = 0;
+          size_t sum_ab = 0;
           for (size_t i = 0; i < batch; ++i) {
-            if (mask_a[i] && mask_b[i]) {
-              ++part.count_tt;
-            } else if (mask_a[i]) {
-              ++part.count_tf;
-            } else if (mask_b[i]) {
-              ++part.count_ft;
-            } else {
-              ++part.count_ff;
-            }
+            sum_a += mask_a[i];
+            sum_b += mask_b[i];
+            sum_ab += mask_a[i] & mask_b[i];
           }
+          part.count_tt += sum_ab;
+          part.count_tf += sum_a - sum_ab;
+          part.count_ft += sum_b - sum_ab;
+          part.count_ff += batch - (sum_a + sum_b - sum_ab);
         }
         return Status::OK();
       }));

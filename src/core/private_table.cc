@@ -91,12 +91,16 @@ Result<PrivateTable> PrivateTable::FromPrivateRelation(
 }
 
 Status PrivateTable::Clean(const Cleaner& cleaner) {
+  // Cleaning changes the dirty->clean mapping, and a ValueTransform can
+  // rewrite a numeric column. Dropped up front, so a cleaner that fails
+  // part-way leaves no stale entry either.
+  graph_cache_.clear();
+  moments_cache_.clear();
   PCLEAN_RETURN_NOT_OK(cleaner.Apply(&relation_));
   if (auto extracted = cleaner.extracted_attribute(); extracted.has_value()) {
     PCLEAN_RETURN_NOT_OK(provenance_.RegisterDerivedAttribute(
         extracted->name, extracted->provenance_anchor));
   }
-  graph_cache_.clear();  // Cleaning changes the dirty->clean mapping.
   return Status::OK();
 }
 
@@ -117,6 +121,36 @@ Result<ProvenanceGraph> PrivateTable::ProvenanceFor(
   PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
                           CachedGraphFor(attribute, exec));
   return *graph;  // Copy: callers own their snapshot.
+}
+
+Result<NumericMoments> PrivateTable::CachedMomentsFor(
+    const std::string& numeric_attribute, const ExecutionOptions& exec) const {
+  if (auto it = moments_cache_.find(numeric_attribute);
+      it != moments_cache_.end()) {
+    return it->second;
+  }
+  PCLEAN_ASSIGN_OR_RETURN(
+      NumericMoments moments,
+      ComputeNumericMoments(relation_, numeric_attribute, exec));
+  moments_cache_.emplace(numeric_attribute, moments);
+  return moments;
+}
+
+Status PrivateTable::WarmCaches(const ExecutionOptions& exec) const {
+  // Every attribute a read-only query can reach: a graph per discrete
+  // attribute (predicates, GROUP BY), moments per numeric-typed column
+  // (SUM/AVG — ComputeNumericMoments accepts any non-string column).
+  const Schema& schema = relation_.schema();
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    const Field& field = schema.field(i);
+    if (field.kind == AttributeKind::kDiscrete) {
+      PCLEAN_RETURN_NOT_OK(CachedGraphFor(field.name, exec).status());
+    }
+    if (field.type != ValueType::kString) {
+      PCLEAN_RETURN_NOT_OK(CachedMomentsFor(field.name, exec).status());
+    }
+  }
+  return Status::OK();
 }
 
 Status PrivateTable::Clean(const CleaningPipeline& pipeline) {
@@ -182,7 +216,16 @@ Result<EstimationInputs> PrivateTable::InputsForPredicate(
 Result<QueryScanStats> PrivateTable::Scan(const Predicate& predicate,
                                           const std::string& numeric_attribute,
                                           const ExecutionOptions& exec) const {
-  return ScanWithPredicate(relation_, predicate, numeric_attribute, exec);
+  PCLEAN_ASSIGN_OR_RETURN(
+      QueryScanStats stats,
+      ScanPredicateSums(relation_, predicate, numeric_attribute, exec));
+  if (!numeric_attribute.empty()) {
+    PCLEAN_ASSIGN_OR_RETURN(NumericMoments moments,
+                            CachedMomentsFor(numeric_attribute, exec));
+    stats.numeric_mean = moments.mean;
+    stats.numeric_variance = moments.variance;
+  }
+  return stats;
 }
 
 Result<QueryResult> PrivateTable::Count(const Predicate& predicate,

@@ -198,6 +198,13 @@ class PrivateTable {
   Result<ProvenanceGraph> ProvenanceFor(const std::string& attribute,
                                         const ExecutionOptions& exec = {}) const;
 
+  /// Builds every lazily cached per-attribute state now: the provenance
+  /// graph of each discrete attribute and the moments (μ_p, σ_p²) of
+  /// each numeric column. Afterwards no read-only query fills a cache,
+  /// so concurrent queries on one instance are safe until the next
+  /// Clean(). The server calls this when it opens a release.
+  Status WarmCaches(const ExecutionOptions& exec = {}) const;
+
   /// Typed rejection for corrected estimators keyed on a Laplace-noised
   /// numeric attribute: no transition matrix exists, so no bias
   /// correction is possible. OK when `attr` is not a numeric attribute.
@@ -229,16 +236,25 @@ class PrivateTable {
   /// Returns the (possibly cached) provenance graph for `attribute`.
   /// Graphs cost O(S) to build, so they are cached between queries and
   /// invalidated by Clean(). PrivateTable is not thread-safe: concurrent
-  /// queries on one instance would race on this cache. (Intra-query
-  /// parallelism via QueryOptions::exec is fine — the scan shards never
-  /// touch the cache.)
+  /// queries on one instance would race on this cache unless WarmCaches()
+  /// filled it first. (Intra-query parallelism via QueryOptions::exec is
+  /// fine — the scan shards never touch the cache.)
   Result<const ProvenanceGraph*> CachedGraphFor(
       const std::string& attribute, const ExecutionOptions& exec = {}) const;
+
+  /// Returns the (possibly cached) whole-column moments of
+  /// `numeric_attribute` for the SUM/AVG intervals. Same lifecycle as
+  /// the graph cache: built on first use or by WarmCaches(), dropped by
+  /// Clean() — a ValueTransform can rewrite a numeric column.
+  Result<NumericMoments> CachedMomentsFor(
+      const std::string& numeric_attribute,
+      const ExecutionOptions& exec = {}) const;
 
   Table relation_;
   PrivateRelationMetadata metadata_;
   ProvenanceManager provenance_;
   mutable std::unordered_map<std::string, ProvenanceGraph> graph_cache_;
+  mutable std::unordered_map<std::string, NumericMoments> moments_cache_;
 };
 
 }  // namespace privateclean

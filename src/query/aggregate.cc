@@ -244,19 +244,60 @@ Result<double> ExecuteAggregate(const Table& table,
 
 namespace {
 
-/// Per-shard partial of QueryScanStats, merged in shard index order so
-/// the floating-point result depends only on the shard layout (a
-/// function of the row count), never on the thread count.
+/// Per-shard partial of the predicate-dependent QueryScanStats, merged
+/// in shard index order so the floating-point sums depend only on the
+/// shard layout (a function of the row count), never on the thread
+/// count.
 struct ScanPartial {
   size_t matching_rows = 0;
   double matching_sum = 0.0;
   double complement_sum = 0.0;
-  RunningMoments moments;
 };
+
+/// Adds the non-null values of rows [begin, begin+count) to the matching
+/// or the complement sum per `mask`, in row order. A NULL row adds
+/// nothing: a sum that starts at +0.0 is never -0.0, so adding +0.0
+/// could not change it.
+template <typename T>
+void AddBatchSums(const T* data, const uint8_t* validity, size_t begin,
+                  size_t count, const uint8_t* mask, ScanPartial* part) {
+  for (size_t i = 0; i < count; ++i) {
+    const size_t r = begin + i;
+    if (validity[r] == 0) continue;
+    const double x = static_cast<double>(data[r]);
+    if (mask[i]) {
+      part->matching_sum += x;
+    } else {
+      part->complement_sum += x;
+    }
+  }
+}
 
 }  // namespace
 
-Result<QueryScanStats> ScanWithPredicate(const Table& table,
+Result<NumericMoments> ComputeNumericMoments(
+    const Table& table, const std::string& numeric_attribute,
+    const ExecutionOptions& exec) {
+  PCLEAN_RETURN_NOT_OK(ValidateNumericAttribute(table, numeric_attribute));
+  PCLEAN_ASSIGN_OR_RETURN(const Column* col,
+                          table.ColumnByName(numeric_attribute));
+  const size_t shards = ShardCountForRows(table.num_rows());
+  std::vector<RunningMoments> partials(shards);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      table.num_rows(), shards, exec,
+      [&](size_t shard, size_t begin, size_t end) -> Status {
+        RunningMoments& part = partials[shard];
+        for (size_t r = begin; r < end; ++r) {
+          if (!col->IsNull(r)) part.Add(col->NumericAt(r));
+        }
+        return Status::OK();
+      }));
+  RunningMoments moments;
+  for (const RunningMoments& part : partials) moments.Merge(part);
+  return NumericMoments{moments.Mean(), moments.PopulationVariance()};
+}
+
+Result<QueryScanStats> ScanPredicateSums(const Table& table,
                                          const Predicate& predicate,
                                          const std::string& numeric_attribute,
                                          const ExecutionOptions& exec) {
@@ -285,35 +326,43 @@ Result<QueryScanStats> ScanWithPredicate(const Table& table,
         for (size_t b = begin; b < end; b += kVectorBatchRows) {
           const size_t batch = std::min(kVectorBatchRows, end - b);
           compiled.EvalBatch(b, batch, mask);
+          for (size_t i = 0; i < batch; ++i) part.matching_rows += mask[i];
           // Row order within the shard is unchanged from the row-loop
-          // engine, so moments and sums accumulate bit-identically.
-          for (size_t i = 0; i < batch; ++i) {
-            const size_t r = b + i;
-            double x = 0.0;
-            if (numeric != nullptr && !numeric->IsNull(r)) {
-              x = numeric->NumericAt(r);
-              part.moments.Add(x);
-            }
-            if (mask[i]) {
-              ++part.matching_rows;
-              part.matching_sum += x;
-            } else {
-              part.complement_sum += x;
-            }
+          // engine, so the sums accumulate bit-identically.
+          if (numeric == nullptr) continue;
+          if (numeric->type() == ValueType::kInt64) {
+            AddBatchSums(numeric->ints().data(), numeric->validity().data(),
+                         b, batch, mask, &part);
+          } else {
+            AddBatchSums(numeric->doubles().data(),
+                         numeric->validity().data(), b, batch, mask, &part);
           }
         }
         return Status::OK();
       }));
 
-  RunningMoments moments;
   for (const ScanPartial& part : partials) {
     stats.matching_rows += part.matching_rows;
     stats.matching_sum += part.matching_sum;
     stats.complement_sum += part.complement_sum;
-    moments.Merge(part.moments);
   }
-  stats.numeric_mean = moments.Mean();
-  stats.numeric_variance = moments.PopulationVariance();
+  return stats;
+}
+
+Result<QueryScanStats> ScanWithPredicate(const Table& table,
+                                         const Predicate& predicate,
+                                         const std::string& numeric_attribute,
+                                         const ExecutionOptions& exec) {
+  PCLEAN_ASSIGN_OR_RETURN(
+      QueryScanStats stats,
+      ScanPredicateSums(table, predicate, numeric_attribute, exec));
+  if (!numeric_attribute.empty()) {
+    PCLEAN_ASSIGN_OR_RETURN(
+        NumericMoments moments,
+        ComputeNumericMoments(table, numeric_attribute, exec));
+    stats.numeric_mean = moments.mean;
+    stats.numeric_variance = moments.variance;
+  }
   return stats;
 }
 

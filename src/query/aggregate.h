@@ -82,6 +82,23 @@ Result<double> ExecuteAggregate(const Table& table,
                                 const CompiledPredicate& predicate,
                                 const ExecutionOptions& exec = {});
 
+/// Moments of a numeric attribute over every non-null row of the
+/// relation: the μ_p and σ_p² of the SUM/AVG confidence intervals (§5.5).
+/// They do not depend on the predicate, so PrivateTable computes them
+/// once per table state and caches them.
+struct NumericMoments {
+  double mean = 0.0;      ///< μ_p
+  double variance = 0.0;  ///< σ_p² (population)
+};
+
+/// Computes NumericMoments of `numeric_attribute` in the shard layout of
+/// ScanWithPredicate: Welford moments per shard in row order, merged in
+/// shard index order, so the result is identical at every thread count.
+/// InvalidArgument / NotFound when the attribute is not a numeric column.
+Result<NumericMoments> ComputeNumericMoments(
+    const Table& table, const std::string& numeric_attribute,
+    const ExecutionOptions& exec = {});
+
 /// One-pass scan producing everything the PrivateClean estimators need
 /// (Section 5): the nominal count and sums under the predicate and its
 /// complement, plus moments of the numeric attribute over the whole
@@ -104,6 +121,16 @@ struct QueryScanStats {
 /// a fixed table the result is identical at every thread count (the shard
 /// layout depends only on the row count).
 Result<QueryScanStats> ScanWithPredicate(const Table& table,
+                                         const Predicate& predicate,
+                                         const std::string& numeric_attribute,
+                                         const ExecutionOptions& exec = {});
+
+/// The row pass of ScanWithPredicate: only the predicate-dependent
+/// fields (total_rows, matching_rows, matching_sum, complement_sum).
+/// numeric_mean and numeric_variance are left 0 — ScanWithPredicate
+/// fills them from ComputeNumericMoments, PrivateTable from its cache of
+/// the same.
+Result<QueryScanStats> ScanPredicateSums(const Table& table,
                                          const Predicate& predicate,
                                          const std::string& numeric_attribute,
                                          const ExecutionOptions& exec = {});

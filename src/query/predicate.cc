@@ -1,5 +1,6 @@
 #include "query/predicate.h"
 
+#include "query/sql_expr.h"
 #include "query/vectorized.h"
 
 namespace privateclean {
@@ -112,6 +113,7 @@ Predicate Predicate::Negate() const {
 bool Predicate::MatchesIgnoringNegation(const Value& v) const {
   if (mode_ == Mode::kIn) return values_.count(v) > 0;
   if (mode_ == Mode::kCompare) return ComparesTrue(compare_op_, v, compare_bound_);
+  if (mode_ == Mode::kTree) return SqlExprMatches(*tree_, v);
   return fn_(v);
 }
 
@@ -122,9 +124,9 @@ bool Predicate::Matches(const Value& v) const {
 Result<std::vector<uint8_t>> Predicate::Evaluate(
     const Table& table, const ExecutionOptions& exec) const {
   // One engine for every mask: compile (string columns get the
-  // dictionary match-table gather, numeric columns typed kernels or a
-  // memoized boxed loop) and run batched through the deterministic
-  // shards. See query/vectorized.h.
+  // dictionary match-table gather, numeric columns typed kernels, or a
+  // memoized boxed loop for a caller's UDF) and run batched through the
+  // deterministic shards. See query/vectorized.h.
   PCLEAN_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(attribute_));
   PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate compiled,
                           CompiledPredicate::Compile(table, *this));

@@ -19,6 +19,8 @@ namespace privateclean {
 /// to Equals / Equals().Negate().
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
+struct SqlExpr;
+
 /// SQL spelling: "=", "!=", "<", "<=", ">", ">=".
 const char* CompareOpToString(CompareOp op);
 
@@ -41,6 +43,8 @@ bool ComparesTrue(CompareOp op, const Value& v, const Value& bound);
 ///   Predicate::IsNotNull("sensor_id")
 ///   Predicate::Udf("country", [](const Value& v) { return IsEurope(v); })
 /// plus `Negate()` for complements (used by the SUM estimator, §5.5).
+/// CollapseSingleAttribute (query/sql_expr.h) builds one from a
+/// single-attribute WHERE tree.
 class Predicate {
  public:
   /// d == value. A null `value` matches null entries.
@@ -101,8 +105,15 @@ class Predicate {
   CompareOp comparison_op() const { return compare_op_; }
   const Value& comparison_bound() const { return compare_bound_; }
 
+  /// The single-attribute WHERE tree this predicate was collapsed from
+  /// (CollapseSingleAttribute, query/sql_expr.h), before negation;
+  /// nullptr for every other form.
+  const SqlExpr* tree() const { return tree_.get(); }
+
  private:
-  enum class Mode { kIn, kCompare, kUdf };
+  enum class Mode { kIn, kCompare, kUdf, kTree };
+
+  friend Result<Predicate> CollapseSingleAttribute(const SqlExpr& expr);
 
   Predicate(std::string attribute, Mode mode)
       : attribute_(std::move(attribute)), mode_(mode) {}
@@ -116,6 +127,7 @@ class Predicate {
   CompareOp compare_op_ = CompareOp::kEq;
   Value compare_bound_;
   std::function<bool(const Value&)> fn_;
+  std::shared_ptr<const SqlExpr> tree_;
 };
 
 }  // namespace privateclean

@@ -126,10 +126,9 @@ Result<Predicate> CollapseSingleAttribute(const SqlExpr& expr) {
       expr.children.front().kind == SqlExpr::Kind::kCondition) {
     return SqlConditionToPredicate(expr.children.front().condition).Negate();
   }
-  auto tree = std::make_shared<const SqlExpr>(expr);
-  return Predicate::Udf(attrs.front(), [tree](const Value& v) {
-    return SqlExprMatches(*tree, v);
-  });
+  Predicate p(attrs.front(), Predicate::Mode::kTree);
+  p.tree_ = std::make_shared<const SqlExpr>(expr);
+  return p;
 }
 
 }  // namespace privateclean

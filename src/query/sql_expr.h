@@ -59,7 +59,9 @@ Predicate SqlConditionToPredicate(const SqlCondition& cond);
 
 /// Collapses a tree referencing exactly one attribute to an equivalent
 /// Predicate: leaves (and NOT-of-leaf) map to their native Predicate
-/// forms; general trees become a Udf over SqlExprMatches. This is what
+/// forms; a general tree is kept as the predicate's tree() —
+/// Matches evaluates it with SqlExprMatches, and CompiledPredicate
+/// compiles it to the same typed kernels as a WHERE tree. This is what
 /// routes every single-attribute WHERE — range predicates included —
 /// through the bias-corrected estimators via Predicate::MatchingValues.
 /// InvalidArgument if the tree references zero or several attributes.

@@ -18,7 +18,8 @@ struct CompiledPredicate::Node {
     kDoubleCompare, ///< Typed ordering compare over double data.
     kIntIn,         ///< Typed membership over int64 data.
     kDoubleIn,      ///< Typed membership over double data.
-    kBoxed,         ///< Per-row boxed Matches with a per-batch memo.
+    kBoxed,         ///< Caller UDF on a numeric column: per-row boxed
+                    ///< Matches with a per-batch memo.
     kNot,
     kAnd,
     kOr,
@@ -144,6 +145,16 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
     return CompiledPredicate(std::move(node));
   }
 
+  if (const SqlExpr* tree = predicate.tree(); tree != nullptr) {
+    // A collapsed WHERE tree compiles to the same typed kernels as the
+    // tree itself; negation wraps it in a NOT node.
+    PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate compiled, Compile(table, *tree));
+    if (!predicate.negated()) return compiled;
+    node->kind = Node::Kind::kNot;
+    node->children.push_back(std::move(compiled.root_));
+    return CompiledPredicate(std::move(node));
+  }
+
   const bool is_int = col->type() == ValueType::kInt64;
   node->validity = col->validity().data();
   node->negate = predicate.negated();
@@ -200,8 +211,8 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
     }
     return CompiledPredicate(std::move(node));
   }
-  // UDF over a numeric column: boxed per-row kernel. Matches() includes
-  // the negation, so the node applies none.
+  // Caller-written UDF over a numeric column: boxed per-row kernel.
+  // Matches() includes the negation, so the node applies none.
   node->kind = Node::Kind::kBoxed;
   node->negate = false;
   node->column = col;

@@ -30,10 +30,13 @@ inline constexpr size_t kVectorBatchRows = 1024;
 /// Compilation picks a per-column kernel:
 ///  - string columns: a code-indexed match table over the dictionary
 ///    (one boxed Matches call per *distinct* value; the row kernel is an
-///    integer gather). This covers every predicate form, UDFs included.
+///    integer gather). This covers every predicate form, UDFs and
+///    collapsed trees included.
 ///  - numeric columns: typed comparison / membership loops over the raw
-///    int64/double arrays with the validity vector; UDFs fall back to a
-///    boxed per-row kernel with a per-batch memo.
+///    int64/double arrays with the validity vector. A predicate collapsed
+///    from a WHERE tree (Predicate::tree()) compiles that tree, under a
+///    NOT node when negated. Only a caller-written Predicate::Udf falls
+///    back to a boxed per-row kernel with a per-batch memo.
 ///  - SqlExpr trees: AND/OR/NOT combine child masks bytewise.
 ///
 /// A CompiledPredicate borrows column storage from the table it was

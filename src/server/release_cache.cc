@@ -1,7 +1,6 @@
 #include "server/release_cache.h"
 
 #include "core/release.h"
-#include "table/schema.h"
 
 namespace privateclean {
 namespace server {
@@ -17,16 +16,10 @@ Result<std::shared_ptr<const OpenedRelease>> ReleaseCache::Acquire(
     if (auto shared = it->second.lock()) return shared;
   }
   PCLEAN_ASSIGN_OR_RETURN(PrivateTable table, OpenRelease(dir, exec_));
-  // Eagerly build the provenance graph of every discrete attribute.
-  // PrivateTable caches graphs lazily under no lock, so a shared table
-  // must have every graph a read-only query can reach built before the
-  // first concurrent session touches it.
-  const Schema& schema = table.relation().schema();
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    const Field& field = schema.field(i);
-    if (field.kind != AttributeKind::kDiscrete) continue;
-    PCLEAN_RETURN_NOT_OK(table.ProvenanceFor(field.name, exec_).status());
-  }
+  // PrivateTable fills its caches lazily under no lock, so a shared
+  // table must have every entry a read-only query can reach built before
+  // the first concurrent session touches it.
+  PCLEAN_RETURN_NOT_OK(table.WarmCaches(exec_));
   std::string relation = table.metadata().relation_name;
   auto shared = std::make_shared<const OpenedRelease>(dir, std::move(table),
                                                       std::move(relation));

@@ -14,10 +14,13 @@ namespace server {
 
 /// One release opened for serving: the analyst-side PrivateTable plus
 /// the identity a session binds to. Immutable once constructed — the
-/// server never cleans or mutates a shared table, and the provenance
-/// graph of every discrete attribute is built eagerly at open time, so
-/// concurrent read-only queries on the one instance never race on the
-/// table's lazy graph cache.
+/// server never cleans or mutates a shared table, and
+/// PrivateTable::WarmCaches runs at open time: it builds the provenance
+/// graph of every discrete attribute and the moments (μ_p, σ_p²) of
+/// every numeric column, which SUM/AVG would otherwise compute on first
+/// use. Concurrent read-only queries on the one instance therefore only
+/// read the table's caches and never race on filling them; the cache
+/// entries live until the table does (only Clean() drops them).
 struct OpenedRelease {
   std::string dir;
   PrivateTable table;
@@ -43,8 +46,8 @@ struct OpenedRelease {
 /// Thread-safe; Acquire may be called concurrently.
 class ReleaseCache {
  public:
-  /// `exec` shards the open-time CSV parse and the eager provenance
-  /// builds; the resulting table is identical at every thread count.
+  /// `exec` shards the open-time CSV parse and the cache warm-up; the
+  /// resulting table is identical at every thread count.
   explicit ReleaseCache(const ExecutionOptions& exec = {}) : exec_(exec) {}
 
   /// Opens (or shares) the release at `dir`. Typed failures are exactly

@@ -225,6 +225,42 @@ TEST(PrivateTableTest, GraphCacheInvalidatedByCleaning) {
   EXPECT_DOUBLE_EQ(pt.Count(pred)->estimate, after.estimate);
 }
 
+TEST(PrivateTableTest, CleanDropsCachedNumericMoments) {
+  // SUM/AVG intervals read μ_p and σ_p² of the summed column from a
+  // per-table cache. A ValueTransform may rewrite a numeric-typed
+  // discrete column; after one rescales the summed column, SUM and AVG
+  // must equal a fresh table's over the cleaned relation. Stale moments
+  // would keep the old, narrower interval.
+  Schema schema = *Schema::Make(
+      {Field::Discrete("major"), Field::Discrete("rating", ValueType::kInt64)});
+  TableBuilder b(schema);
+  for (int i = 0; i < 600; ++i) {
+    b.Row({Value(i % 3 == 0 ? "EECS" : "Math"), Value(int64_t{1 + i % 5})});
+  }
+  Rng rng(57);
+  PrivateTable pt = *PrivateTable::Create(
+      *b.Finish(), GrrParams::Uniform(0.2, 0.5), GrrOptions{}, rng);
+  Predicate pred = Predicate::Equals("major", "EECS");
+  QueryResult sum_before = *pt.Sum("rating", pred);
+  ASSERT_TRUE(pt.Avg("rating", pred).ok());
+  ASSERT_TRUE(pt.Clean(ValueTransform("rating", [](const Value& v) {
+                  return v.is_null() ? v : Value(v.AsInt64() * 10);
+                })).ok());
+  PrivateTable fresh =
+      *PrivateTable::FromPrivateRelation(pt.relation().Clone(), pt.metadata());
+  QueryResult sum = *pt.Sum("rating", pred);
+  QueryResult fresh_sum = *fresh.Sum("rating", pred);
+  EXPECT_EQ(sum.estimate, fresh_sum.estimate);
+  EXPECT_EQ(sum.ci.lo, fresh_sum.ci.lo);
+  EXPECT_EQ(sum.ci.hi, fresh_sum.ci.hi);
+  EXPECT_GT(sum.ci.Width(), sum_before.ci.Width());
+  QueryResult avg = *pt.Avg("rating", pred);
+  QueryResult fresh_avg = *fresh.Avg("rating", pred);
+  EXPECT_EQ(avg.estimate, fresh_avg.estimate);
+  EXPECT_EQ(avg.ci.lo, fresh_avg.ci.lo);
+  EXPECT_EQ(avg.ci.hi, fresh_avg.ci.hi);
+}
+
 TEST(PrivateTableTest, ProvenanceForExposesGraph) {
   PrivateTable pt = MakePrivate(0.2, 0.5, 23);
   ProvenanceGraph g = *pt.ProvenanceFor("major");

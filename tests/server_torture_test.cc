@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "common/string_util.h"
 #include "core/admission.h"
 #include "core/release.h"
+#include "core/sql_execution.h"
 #include "datagen/synthetic.h"
 #include "privacy/grr.h"
 #include "privacy/ledger.h"
@@ -45,7 +48,10 @@
 //  - a framing fault (bit flip on a received payload) kills exactly the
 //    session it hit, with a typed DataLoss, and nobody else;
 //  - drain answers what is queued, says GOODBYE, and unlinks the socket;
-//    idle sessions are timed out with a GOODBYE of their own.
+//    idle sessions are timed out with a GOODBYE of their own;
+//  - sessions racing their first SUM/AVG on a fresh server only read the
+//    caches warmed at release open, and answer byte-identically to a
+//    local query.
 
 namespace privateclean {
 namespace {
@@ -315,6 +321,59 @@ TEST_F(ServerTortureTest, ConcurrentSameTenantChargesAdmitExactlyK) {
   EXPECT_EQ(admitted.load(), kAdmissible);
   EXPECT_EQ(rejected.load(), 8 * 3 - kAdmissible);
   EXPECT_NEAR(Spent("team"), kAdmissible * cost, 1e-6);
+}
+
+TEST_F(ServerTortureTest, FirstSumAndAvgRacingOnAFreshServerMatchLocal) {
+  // SUM/AVG intervals read the numeric column's moments from the shared
+  // table's cache. On a freshly started server no query has run, so
+  // sessions whose first SUM/AVG arrives at the same moment must find
+  // that cache warmed at release open, never fill it themselves (the
+  // TSan pass of the `server` label checks this), and each must print
+  // exactly what a local query prints.
+  const std::vector<std::string> sqls = {
+      "SELECT sum(value) FROM r WHERE category = 'c1'",
+      "SELECT avg(value) FROM r WHERE category = 'c2'",
+      "SELECT sum(value) FROM r WHERE category IN ('c3', 'c4')",
+      "SELECT avg(value) FROM r WHERE NOT category = 'c0'",
+  };
+  PrivateTable local = *OpenRelease(release_dir_);
+  std::vector<std::string> expected;
+  for (const std::string& sql : sqls) {
+    SqlResultSet rs = *ExecuteSqlQuery(local, sql);
+    std::ostringstream text;
+    RenderSqlResultText(rs, /*direct=*/false, QueryOptions().confidence,
+                        text);
+    expected.push_back(text.str());
+  }
+
+  constexpr size_t kSessions = 8;
+  std::vector<Result<std::string>> replies(kSessions,
+                                           Status::Internal("not run"));
+  {
+    Server srv = *Server::Start(BaseOptions(NewSocketPath(), false));
+    std::latch connected(kSessions);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&, i] {
+        auto client = Client::Connect(srv.socket_path());
+        connected.arrive_and_wait();
+        if (!client.ok()) {
+          replies[i] = client.status();
+          return;
+        }
+        replies[i] = client->Query(sqls[i % sqls.size()]);
+        (void)client->Bye();
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_TRUE(srv.Drain().ok());
+  }
+  for (size_t i = 0; i < kSessions; ++i) {
+    SCOPED_TRACE("session " + std::to_string(i) + ": " +
+                 sqls[i % sqls.size()]);
+    ASSERT_TRUE(replies[i].ok()) << replies[i].status().ToString();
+    EXPECT_EQ(*replies[i], expected[i % sqls.size()]);
+  }
 }
 
 #ifdef PCLEAN_BINARY

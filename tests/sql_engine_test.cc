@@ -113,10 +113,41 @@ size_t CountMask(const std::vector<uint8_t>& mask) {
   return n;
 }
 
+// WHERE trees, parsed from SQL so the battery also covers the planner's
+// retained-tree representation: single- and multi-attribute AND/OR/NOT
+// mask combination, ranges, IN, IS NULL.
+std::vector<std::string> TreeBattery() {
+  return {
+      "age >= 30 AND age < 60",
+      "city = 'Boston' OR city = 'Austin'",
+      "NOT (age < 25 OR age > 80)",
+      "city = 'Boston' AND score >= 5.0",
+      "(age >= 30 AND age < 60) OR (city = 'Chicago' AND score < 2.5)",
+      "NOT (city = 'Detroit' AND age >= 40)",
+      "city IS NULL OR score IS NULL",
+      "city IS NOT NULL AND city != ''",
+      "age IN (20, 30, 40) AND score IS NOT NULL",
+      "NOT city = 'Boston' AND NOT city = 'Austin' AND age <= 50",
+      "score > 2.5 AND score <= 7.5 AND city >= 'B' AND city < 'D'",
+      "score >= 2.5 AND score < 7.5",
+      "score IS NULL OR score > 9.0",
+      "NOT (score < 1.0 OR score IS NULL)",
+      "age IN (20, 30, 40) OR age >= 85",
+      "age > 20.5 AND NOT age IN (30, 31)",
+  };
+}
+
+Result<SqlExpr> ParseWhere(const std::string& condition) {
+  PCLEAN_ASSIGN_OR_RETURN(
+      ParsedSql parsed,
+      ParseSql("SELECT count(1) FROM t WHERE " + condition));
+  return *parsed.where;
+}
+
 // The predicate battery: every kernel the compiler can pick — string
 // dictionary match tables (equals/in/null/udf/negate), typed int64 and
 // double comparison loops for every operator, membership over numerics,
-// and UDF fallback on a numeric column.
+// collapsed single-attribute trees, and UDF fallback on a numeric column.
 std::vector<Predicate> PredicateBattery() {
   std::vector<Predicate> battery;
   battery.push_back(Predicate::Equals("city", Value("Boston")));
@@ -152,33 +183,18 @@ std::vector<Predicate> PredicateBattery() {
   battery.push_back(Predicate::Udf("score", [](const Value& v) {
     return !v.is_null() && std::fmod(v.AsDouble(), 1.0) < 0.25;
   }));
+  // Every single-attribute WHERE tree in the form the scans receive it:
+  // collapsed to one Predicate (the tree's typed kernels on a numeric
+  // column, the match table on a string one), plain and negated, so
+  // NULL rows under negation are pinned too.
+  for (const std::string& condition : TreeBattery()) {
+    SqlExpr expr = *ParseWhere(condition);
+    if (SqlExprAttributes(expr).size() != 1) continue;
+    Predicate collapsed = *CollapseSingleAttribute(expr);
+    battery.push_back(collapsed);
+    battery.push_back(collapsed.Negate());
+  }
   return battery;
-}
-
-// WHERE trees, parsed from SQL so the battery also covers the planner's
-// retained-tree representation: multi-attribute AND/OR/NOT mask
-// combination, ranges, IN, IS NULL.
-std::vector<std::string> TreeBattery() {
-  return {
-      "age >= 30 AND age < 60",
-      "city = 'Boston' OR city = 'Austin'",
-      "NOT (age < 25 OR age > 80)",
-      "city = 'Boston' AND score >= 5.0",
-      "(age >= 30 AND age < 60) OR (city = 'Chicago' AND score < 2.5)",
-      "NOT (city = 'Detroit' AND age >= 40)",
-      "city IS NULL OR score IS NULL",
-      "city IS NOT NULL AND city != ''",
-      "age IN (20, 30, 40) AND score IS NOT NULL",
-      "NOT city = 'Boston' AND NOT city = 'Austin' AND age <= 50",
-      "score > 2.5 AND score <= 7.5 AND city >= 'B' AND city < 'D'",
-  };
-}
-
-Result<SqlExpr> ParseWhere(const std::string& condition) {
-  PCLEAN_ASSIGN_OR_RETURN(
-      ParsedSql parsed,
-      ParseSql("SELECT count(1) FROM t WHERE " + condition));
-  return *parsed.where;
 }
 
 // ---------------------------------------------------------------------------
@@ -252,10 +268,7 @@ TEST(SqlEngineDifferentialTest, AggregatesMatchBoxedRowLoop) {
 
 TEST(SqlEngineDeterminismTest, MasksAreBitIdenticalAcrossThreadCounts) {
   const Table& table = SharedTable();
-  for (const std::string& condition : TreeBattery()) {
-    SCOPED_TRACE("WHERE " + condition);
-    CompiledPredicate compiled =
-        *CompiledPredicate::Compile(table, *ParseWhere(condition));
+  auto expect_thread_independent = [&](const CompiledPredicate& compiled) {
     ExecutionOptions one;
     one.num_threads = 1;
     std::vector<uint8_t> baseline =
@@ -269,6 +282,17 @@ TEST(SqlEngineDeterminismTest, MasksAreBitIdenticalAcrossThreadCounts) {
                 std::memcmp(mask.data(), baseline.data(), baseline.size()))
           << "thread count " << threads << " changed the mask";
     }
+  };
+  for (const std::string& condition : TreeBattery()) {
+    SCOPED_TRACE("WHERE " + condition);
+    expect_thread_independent(
+        *CompiledPredicate::Compile(table, *ParseWhere(condition)));
+  }
+  size_t index = 0;
+  for (const Predicate& pred : PredicateBattery()) {
+    SCOPED_TRACE("predicate #" + std::to_string(index++) + " on " +
+                 pred.attribute());
+    expect_thread_independent(*CompiledPredicate::Compile(table, pred));
   }
 }
 
