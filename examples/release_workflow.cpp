@@ -1,8 +1,9 @@
 // The full provider -> analyst handoff through a release directory.
 //
 // The provider privatizes a dirty relation under a total epsilon budget
-// and writes a self-contained release (data.csv + mechanism metadata +
-// randomization-time domains). A separate analyst process — simulated
+// and writes a self-contained release (binary column payloads, the
+// mechanism metadata in the MANIFEST, randomization-time domains). A
+// separate analyst process — simulated
 // here by forgetting everything except the directory path — opens the
 // release cold, cleans it, and queries it with corrected estimates.
 // Everything in the release is a public parameter of the mechanism, so

@@ -20,20 +20,37 @@ namespace io {
 
 namespace {
 
-/// Byte-at-a-time CRC32C table for the reflected Castagnoli polynomial.
-const std::array<uint32_t, 256>& Crc32cTable() {
-  static const std::array<uint32_t, 256>* table = [] {
-    auto* t = new std::array<uint32_t, 256>();
+/// Slicing-by-8 tables for the reflected Castagnoli polynomial:
+/// table[0] is the byte-at-a-time table, and table[k][b] is the CRC of
+/// byte b followed by k zero bytes, so eight lookups advance 8 bytes.
+using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32cTables& Tables() {
+  static const Crc32cTables* tables = [] {
+    auto* t = new Crc32cTables();
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
       }
-      (*t)[i] = crc;
+      (*t)[0][i] = crc;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        const uint32_t prev = (*t)[k - 1][i];
+        (*t)[k][i] = (prev >> 8) ^ (*t)[0][prev & 0xFF];
+      }
     }
     return t;
   }();
-  return *table;
+  return *tables;
+}
+
+/// Little-endian u32 at `p`, assembled bytewise so the kernel is the
+/// same on every host.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 std::string ErrnoMessage() {
@@ -51,10 +68,19 @@ struct Fd {
 }  // namespace
 
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
-  const auto& table = Crc32cTable();
+  const Crc32cTables& t = Tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   crc = ~crc;
-  for (unsigned char c : data) {
-    crc = table[(crc ^ c) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -12,9 +12,9 @@ namespace privateclean {
 namespace io {
 
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), the checksum
-/// used by the release MANIFEST. Software table implementation; the
-/// release files are small enough that hardware CRC is not worth a
-/// dependency.
+/// of release payloads, WAL frames and wire frames. Portable
+/// slicing-by-8 table kernel (eight lookups per 8 input bytes), with no
+/// CPU dispatch.
 uint32_t Crc32c(std::string_view data);
 /// Incremental form: extends `crc` (a previous Crc32c result) with more
 /// bytes, so a file can be checksummed in chunks.

@@ -3,17 +3,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <charconv>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <map>
-#include <tuple>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/io_util.h"
-#include "common/string_util.h"
-#include "table/csv.h"
-#include "table/dictionary.h"
-#include "table/table_builder.h"
 
 namespace privateclean {
 
@@ -21,36 +20,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Payloads hold the in-memory bytes of codes and values, which are the
+// format's little-endian encoding only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "release payloads are little-endian");
+
 constexpr char kManifestFile[] = "MANIFEST";
-constexpr char kDataFile[] = "data.csv";
-constexpr char kMetaFile[] = "meta.csv";
 /// First line of every MANIFEST; anything else is not a release manifest.
 constexpr char kManifestMagic[] = "%PCLEAN-RELEASE";
-constexpr int kFormatVersion = 2;
-/// All release files encode NULL distinctly from the empty string.
-/// data.csv historically used the writer's default (empty unquoted
-/// field), which conflated a NULL string entry with "" on read; both
-/// sides now pass the same literal. Reads stay backward compatible:
-/// unquoted empty fields still parse as NULL under any null literal.
-constexpr char kNullLiteral[] = "\\N";
-
-CsvOptions ReleaseCsvOptions(const ExecutionOptions& exec = {}) {
-  CsvOptions options;
-  options.null_literal = kNullLiteral;
-  options.exec = exec;
-  return options;
-}
-
-/// Read-side options: pin parse errors to the file inside the release
-/// and treat a missing final newline as truncation (every release file
-/// ends with '\n' as written, so a torn tail is always detectable even
-/// without the MANIFEST).
-CsvOptions ReleaseReadOptions(CsvOptions base, const std::string& dir,
-                              const std::string& name) {
-  base.error_context = dir + "/" + name;
-  base.require_trailing_newline = true;
-  return base;
-}
 
 /// Fault-injection hook that leaves cleanup to the caller (the
 /// PCLEAN_FAILPOINT macro returns directly, which would skip rollback).
@@ -64,212 +41,383 @@ Status HitSite(const char* site, const std::string& detail) {
 #endif
 }
 
-Result<Schema> MetaSchema() {
-  return Schema::Make(
-      {Field::Discrete("attribute"), Field::Discrete("kind"),
-       Field::Discrete("type"),
-       Field::Numerical("param", ValueType::kDouble),
-       Field::Numerical("sensitivity", ValueType::kDouble),
-       Field::Numerical("domain_size", ValueType::kInt64)});
+std::string ColumnFileName(size_t index) {
+  return "column_" + std::to_string(index) + ".bin";
 }
 
 std::string DomainFileName(size_t index) {
-  return "domain_" + std::to_string(index) + ".csv";
+  return "domain_" + std::to_string(index) + ".bin";
 }
 
-/// Dictionary file for the i-th discrete attribute (same counter as
-/// DomainFileName): the writer's interned string values in code order.
-/// Additive to format v2 — releases written before dictionary files
-/// simply lack the entries, and readers skip the rebind.
-std::string DictFileName(size_t index) {
-  return "dict_" + std::to_string(index) + ".csv";
+/// Bytes per row: string codes take the narrowest width whose range
+/// holds every code of an `entries`-entry dictionary; int64 and double
+/// values take 8.
+size_t RowWidth(ValueType type, size_t entries) {
+  if (type != ValueType::kString) return 8;
+  return entries <= 0x100 ? 1 : entries <= 0x10000 ? 2 : 4;
 }
 
-std::string TypeName(ValueType type) { return ValueTypeToString(type); }
+size_t BitmapBytes(size_t rows) { return (rows + 7) / 8; }
 
-Result<ValueType> TypeFromName(const std::string& name) {
-  if (name == "int64") return ValueType::kInt64;
-  if (name == "double") return ValueType::kDouble;
-  if (name == "string") return ValueType::kString;
-  return Status::IOError("unknown type '" + name + "' in release metadata");
+size_t PayloadBytes(size_t rows, size_t width) {
+  return BitmapBytes(rows) + rows * width;
 }
 
-/// An ordered list of (file name, rendered bytes) — the entire release
-/// payload held in memory, so validation failures never touch disk and
-/// the MANIFEST can checksum exactly what will be written.
+/// Runs `fn(begin_row, end_row)` over `rows` rows in non-empty shards
+/// that start on a bitmap byte, so concurrent shards never share one.
+/// The layout depends on `rows` alone.
+Status ForEachRowShard(size_t rows, const ExecutionOptions& exec,
+                       const std::function<Status(size_t, size_t)>& fn) {
+  if (rows == 0) return Status::OK();
+  return ParallelFor(BitmapBytes(rows), ShardCountForRows(rows), exec,
+                     [&](size_t, size_t begin, size_t end) {
+                       return fn(begin * 8, std::min(end * 8, rows));
+                     });
+}
+
+template <typename Out, typename In>
+void EncodeRows(const In* in, const uint8_t* valid, size_t begin, size_t end,
+                uint8_t* out) {
+  for (size_t r = begin; r < end; ++r) {
+    if (!valid[r]) continue;
+    const Out v = static_cast<Out>(in[r]);
+    std::memcpy(out + r * sizeof(Out), &v, sizeof(Out));
+  }
+}
+
+/// Appends `column`'s payload: the validity bitmap, then every row's
+/// value at `width` bytes, zeros for NULL rows.
+Status AppendPayload(const Column& column, size_t width,
+                     const ExecutionOptions& exec, std::string* out) {
+  const size_t rows = column.size();
+  const size_t base = out->size();
+  out->resize(base + PayloadBytes(rows, width));
+  auto* bitmap = reinterpret_cast<uint8_t*>(out->data() + base);
+  uint8_t* values = bitmap + BitmapBytes(rows);
+  const uint8_t* valid = column.validity().data();
+  return ForEachRowShard(rows, exec, [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      bitmap[r / 8] |= static_cast<uint8_t>((valid[r] != 0) << (r % 8));
+    }
+    const uint32_t* codes = column.codes().data();
+    if (column.type() == ValueType::kInt64) {
+      EncodeRows<int64_t>(column.ints().data(), valid, begin, end, values);
+    } else if (column.type() == ValueType::kDouble) {
+      EncodeRows<double>(column.doubles().data(), valid, begin, end, values);
+    } else if (width == 1) {
+      EncodeRows<uint8_t>(codes, valid, begin, end, values);
+    } else if (width == 2) {
+      EncodeRows<uint16_t>(codes, valid, begin, end, values);
+    } else {
+      EncodeRows<uint32_t>(codes, valid, begin, end, values);
+    }
+    return Status::OK();
+  });
+}
+
+/// Decodes codes of type `Code`; false when a valid row's code is not
+/// below `entries`. NULL rows get kNullCode.
+template <typename Code>
+bool DecodeCodes(const uint8_t* in, const uint8_t* valid, size_t begin,
+                 size_t end, uint32_t entries, uint32_t* codes) {
+  bool in_range = true;
+  for (size_t r = begin; r < end; ++r) {
+    Code code;
+    std::memcpy(&code, in + r * sizeof(Code), sizeof(Code));
+    codes[r] = valid[r] ? code : kNullCode;
+    in_range &= !valid[r] || code < entries;
+  }
+  return in_range;
+}
+
+/// Decodes a payload of `rows` rows at `width` bytes into the empty
+/// `column`, whose dictionary already holds every entry a code may name.
+Status DecodePayload(std::string_view bytes, size_t rows, size_t width,
+                     const std::string& path, const ExecutionOptions& exec,
+                     Column* column) {
+  if (rows > bytes.size() || bytes.size() != PayloadBytes(rows, width)) {
+    return Status::DataLoss("'" + path + "' holds " +
+                            std::to_string(bytes.size()) +
+                            " bytes, not a validity bitmap and " +
+                            std::to_string(rows) + " values of " +
+                            std::to_string(width) + " bytes");
+  }
+  const auto* bitmap = reinterpret_cast<const uint8_t*>(bytes.data());
+  const uint8_t* values = bitmap + BitmapBytes(rows);
+  const ValueType type = column->type();
+  column->mutable_validity()->resize(rows);
+  column->mutable_ints()->resize(type == ValueType::kInt64 ? rows : 0);
+  column->mutable_doubles()->resize(type == ValueType::kDouble ? rows : 0);
+  column->mutable_codes()->resize(type == ValueType::kString ? rows : 0);
+  uint8_t* valid = column->mutable_validity()->data();
+  uint32_t* codes = column->mutable_codes()->data();
+  auto* eight = reinterpret_cast<uint8_t*>(
+      type == ValueType::kInt64
+          ? static_cast<void*>(column->mutable_ints()->data())
+          : static_cast<void*>(column->mutable_doubles()->data()));
+  const auto entries = static_cast<uint32_t>(column->dictionary().size());
+  PCLEAN_RETURN_NOT_OK(ForEachRowShard(rows, exec, [&](size_t begin,
+                                                       size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      valid[r] = (bitmap[r / 8] >> (r % 8)) & 1;
+    }
+    bool in_range = true;
+    if (type != ValueType::kString) {
+      // int64 and double values copy as bytes; NULL rows get zeros, the
+      // placeholder of both.
+      std::memcpy(eight + begin * 8, values + begin * 8, (end - begin) * 8);
+      for (size_t r = begin; r < end; ++r) {
+        if (!valid[r]) std::memset(eight + r * 8, 0, 8);
+      }
+    } else if (width == 1) {
+      in_range = DecodeCodes<uint8_t>(values, valid, begin, end, entries, codes);
+    } else if (width == 2) {
+      in_range = DecodeCodes<uint16_t>(values, valid, begin, end, entries, codes);
+    } else {
+      in_range = DecodeCodes<uint32_t>(values, valid, begin, end, entries, codes);
+    }
+    for (size_t r = begin; r < end && !in_range; ++r) {
+      if (valid[r] && codes[r] >= entries) {
+        return Status::DataLoss("'" + path + "' row " + std::to_string(r) +
+                                " holds code " + std::to_string(codes[r]) +
+                                " but the dictionary has " +
+                                std::to_string(entries) + " entries");
+      }
+    }
+    return Status::OK();
+  }));
+  column->RecomputeNullCount();
+  return Status::OK();
+}
+
+void AppendU32(std::string* out, size_t value) {
+  const auto v = static_cast<uint32_t>(value);
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Appends the dictionary section of a domain file: the entry count,
+/// then each entry as its byte length and bytes.
+void AppendDictionary(const StringDictionary& dict, std::string* out) {
+  AppendU32(out, dict.size());
+  for (std::string_view entry : dict.values()) {
+    AppendU32(out, entry.size());
+    out->append(entry);
+  }
+}
+
+bool TakeU32(std::string_view* bytes, uint32_t* value) {
+  if (bytes->size() < sizeof(*value)) return false;
+  std::memcpy(value, bytes->data(), sizeof(*value));
+  bytes->remove_prefix(sizeof(*value));
+  return true;
+}
+
+/// Parses the dictionary section at the front of `*bytes` (the layout
+/// AppendDictionary writes) and leaves the rest of the file in `*bytes`.
+Status ParseDictionary(std::string_view* bytes, const std::string& path,
+                       std::vector<std::string_view>* entries) {
+  uint32_t count = 0;
+  if (!TakeU32(bytes, &count) || count > bytes->size() / sizeof(count)) {
+    return Status::DataLoss("'" + path +
+                            "': dictionary entry count overruns the file");
+  }
+  entries->reserve(count);
+  for (uint32_t j = 0; j < count; ++j) {
+    uint32_t length = 0;
+    if (!TakeU32(bytes, &length) || length > bytes->size()) {
+      return Status::DataLoss("'" + path + "': dictionary entry " +
+                              std::to_string(j) + " overruns the file");
+    }
+    entries->push_back(bytes->substr(0, length));
+    bytes->remove_prefix(length);
+  }
+  return Status::OK();
+}
+
+/// An empty column of `type` whose dictionary holds `entries[0, count)`
+/// in code order; an entry that repeats an earlier one is DataLoss.
+Result<Column> ColumnWithDictionary(ValueType type,
+                                    const std::vector<std::string_view>& entries,
+                                    size_t count, const std::string& path) {
+  PCLEAN_ASSIGN_OR_RETURN(Column column, Column::Make(type));
+  for (size_t j = 0; j < count; ++j) {
+    if (column.InternString(entries[j]) != j) {
+      return Status::DataLoss("'" + path + "': dictionary entry " +
+                              std::to_string(j) + " repeats an earlier entry");
+    }
+  }
+  return column;
+}
+
+/// The domain as a column of its values. A string domain's dictionary
+/// starts with `column`'s entries in code order, so equal strings share
+/// a code, and appends the domain values the column never interned.
+Result<Column> DomainColumn(const Field& field, const Column& column,
+                            const Domain& domain) {
+  PCLEAN_ASSIGN_OR_RETURN(Column out, Column::Make(field.type));
+  for (std::string_view entry : column.dictionary().values()) {
+    out.InternString(entry);
+  }
+  for (const Value& v : domain.values()) {
+    Status appended = out.AppendValue(v);
+    if (!appended.ok()) {
+      return Status::InvalidArgument("domain of '" + field.name +
+                                     "': " + appended.message());
+    }
+  }
+  return out;
+}
+
+std::string DoubleBitsHex(double v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, std::bit_cast<uint64_t>(v));
+  return buf;
+}
+
+/// Strict parse of all of `text` as an unsigned number in `base`.
+bool ParseCount(std::string_view text, uint64_t* v, int base = 10) {
+  auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), *v, base);
+  return !text.empty() && ec == std::errc() && end == text.data() + text.size();
+}
+
+bool ParseDoubleBitsHex(std::string_view hex, double* v) {
+  uint64_t bits = 0;
+  if (hex.size() != 16 || !ParseCount(hex, &bits, 16)) return false;
+  *v = std::bit_cast<double>(bits);
+  return true;
+}
+
+/// (file name, rendered bytes) of the whole release, held in memory so
+/// validation failures never touch disk and the MANIFEST checksums
+/// exactly what will be written.
 using RenderedFiles = std::vector<std::pair<std::string, std::string>>;
 
-/// Renders every payload file of the release (everything except the
-/// MANIFEST itself). Pure validation + serialization; no I/O.
-Result<RenderedFiles> RenderReleaseFiles(
-    const Table& private_relation, const PrivateRelationMetadata& metadata,
-    const ExecutionOptions& exec) {
-  RenderedFiles files;
-  files.emplace_back(kDataFile,
-                     TableToCsv(private_relation, ReleaseCsvOptions(exec)));
+/// One `column:` line: the attribute and its mechanism parameters.
+struct ManifestColumn {
+  Field field;
+  double param = 0.0;        ///< p (discrete) or b (numeric)
+  double sensitivity = 0.0;  ///< numeric only
+  uint64_t domain_size = 0;  ///< discrete only: N
+  uint64_t entries = 0;      ///< string only: the column's dictionary size
+};
 
-  // meta.csv: one row per attribute, in schema order so the analyst can
-  // reconstruct the schema exactly.
-  PCLEAN_ASSIGN_OR_RETURN(Schema meta_schema, MetaSchema());
-  TableBuilder meta(meta_schema);
-  const Schema& schema = private_relation.schema();
-  size_t domain_index = 0;
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    const Field& field = schema.field(i);
-    if (field.kind == AttributeKind::kDiscrete) {
-      auto it = metadata.discrete.find(field.name);
-      if (it == metadata.discrete.end()) {
-        return Status::InvalidArgument(
-            "metadata missing discrete attribute '" + field.name + "'");
-      }
-      meta.Row({Value(field.name), Value("discrete"),
-                Value(TypeName(field.type)), Value(it->second.p),
-                Value::Null(),
-                Value(static_cast<int64_t>(it->second.domain.size()))});
-      // Domain file: one typed column with the attribute's name.
-      PCLEAN_ASSIGN_OR_RETURN(
-          Schema domain_schema,
-          Schema::Make({Field::Discrete(field.name, field.type)}));
-      TableBuilder domain_table(domain_schema);
-      for (const Value& v : it->second.domain.values()) {
-        domain_table.Row({v});
-      }
-      PCLEAN_ASSIGN_OR_RETURN(Table dt, domain_table.Finish());
-      files.emplace_back(DomainFileName(domain_index),
-                         TableToCsv(dt, ReleaseCsvOptions()));
-      // Dictionary file: the column's interned values in code order, so
-      // a reader reconstructs the writer's exact code assignment (and
-      // with it, byte-identical downstream query behavior).
-      if (field.type == ValueType::kString) {
-        const StringDictionary& dict = private_relation.column(i).dictionary();
-        PCLEAN_ASSIGN_OR_RETURN(
-            Schema dict_schema,
-            Schema::Make({Field::Discrete(field.name, ValueType::kString)}));
-        TableBuilder dict_table(dict_schema);
-        for (uint32_t code = 0; code < dict.size(); ++code) {
-          dict_table.Row({Value(std::string(dict.At(code)))});
-        }
-        PCLEAN_ASSIGN_OR_RETURN(Table dict_t, dict_table.Finish());
-        files.emplace_back(DictFileName(domain_index),
-                           TableToCsv(dict_t, ReleaseCsvOptions()));
-      }
-      ++domain_index;
-    } else {
+/// Renders every payload file of the release (everything except the
+/// MANIFEST itself) and the `column:` lines that describe them. Pure
+/// validation + serialization; no I/O.
+Status RenderReleaseFiles(const Table& relation,
+                          const PrivateRelationMetadata& metadata,
+                          const ExecutionOptions& exec, RenderedFiles* files,
+                          std::vector<ManifestColumn>* columns) {
+  for (size_t i = 0; i < relation.num_columns(); ++i) {
+    const Field& field = relation.schema().field(i);
+    const Column& column = relation.column(i);
+    ManifestColumn line{field};
+    const Domain* domain = nullptr;
+    if (field.kind == AttributeKind::kNumerical) {
       auto it = metadata.numeric.find(field.name);
       if (it == metadata.numeric.end()) {
         return Status::InvalidArgument(
             "metadata missing numerical attribute '" + field.name + "'");
       }
-      meta.Row({Value(field.name), Value("numeric"),
-                Value(TypeName(field.type)), Value(it->second.b),
-                Value(it->second.sensitivity), Value::Null()});
+      line.param = it->second.b;
+      line.sensitivity = it->second.sensitivity;
+    } else {
+      auto it = metadata.discrete.find(field.name);
+      if (it == metadata.discrete.end()) {
+        return Status::InvalidArgument(
+            "metadata missing discrete attribute '" + field.name + "'");
+      }
+      line.param = it->second.p;
+      domain = &it->second.domain;
+      line.domain_size = domain->size();
+      line.entries = column.dictionary().size();
     }
+    files->emplace_back(ColumnFileName(i), std::string());
+    PCLEAN_RETURN_NOT_OK(AppendPayload(column,
+                                       RowWidth(field.type, line.entries),
+                                       exec, &files->back().second));
+    columns->push_back(line);
+    if (domain == nullptr) continue;
+    PCLEAN_ASSIGN_OR_RETURN(Column values,
+                            DomainColumn(field, column, *domain));
+    std::string bytes;
+    if (field.type == ValueType::kString) {
+      AppendDictionary(values.dictionary(), &bytes);
+    }
+    PCLEAN_RETURN_NOT_OK(AppendPayload(
+        values, RowWidth(field.type, values.dictionary().size()), {}, &bytes));
+    files->emplace_back(DomainFileName(i), std::move(bytes));
   }
-  PCLEAN_ASSIGN_OR_RETURN(Table meta_table, meta.Finish());
-  // meta.csv keeps the default CSV options for byte compatibility with
-  // v1 releases (its nulls render as empty fields).
-  files.emplace_back(kMetaFile, TableToCsv(meta_table, CsvOptions{}));
-  return files;
+  return Status::OK();
 }
 
 /// Names in the MANIFEST's relation/column lines are free text in a
 /// line-oriented format, so line-breaking bytes are backslash-escaped
 /// ("\n", "\r", "\\"); everything else (spaces, commas, quotes) passes
 /// through untouched.
-std::string EscapeManifestName(const std::string& name) {
+std::string EscapeManifestName(std::string_view name) {
   std::string out;
-  out.reserve(name.size());
   for (char c : name) {
-    switch (c) {
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        out += c;
+    if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else {
+      if (c == '\\') out += '\\';
+      out += c;
     }
   }
   return out;
 }
 
-Result<std::string> UnescapeManifestName(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+/// Inverts EscapeManifestName; false on a dangling or unknown escape.
+bool UnescapeManifestName(std::string_view text, std::string* out) {
   for (size_t i = 0; i < text.size(); ++i) {
     if (text[i] != '\\') {
-      out += text[i];
-      continue;
-    }
-    if (i + 1 >= text.size()) {
-      return Status::DataLoss("dangling escape in manifest name '" + text +
-                              "'");
-    }
-    switch (text[++i]) {
-      case 'n':
-        out += '\n';
-        break;
-      case 'r':
-        out += '\r';
-        break;
-      case '\\':
-        out += '\\';
-        break;
-      default:
-        return Status::DataLoss("unknown escape '\\" +
-                                std::string(1, text[i]) +
-                                "' in manifest name '" + text + "'");
+      *out += text[i];
+    } else if (++i < text.size() && (text[i] == 'n' || text[i] == 'r' ||
+                                     text[i] == '\\')) {
+      *out += text[i] == 'n' ? '\n' : text[i] == 'r' ? '\r' : '\\';
+    } else {
+      return false;
     }
   }
-  return out;
+  return true;
 }
 
 /// Renders the MANIFEST: magic, version, relation size, the mechanism
-/// the relation was randomized under, the SQL relation name, the schema
-/// ("column: <kind> <type> <name>" in schema order), one line per
+/// the relation was randomized under, the SQL relation name, one
+/// `column:` line per attribute in schema order, one `file:` line per
 /// payload file ("file: <crc32c> <bytes> <name>"), and a trailing
 /// self-checksum over everything above it.
 std::string RenderManifest(uint64_t rows, const MechanismSpec& mechanism,
                            const std::string& relation_name,
-                           const Schema& schema, const RenderedFiles& files) {
+                           const std::vector<ManifestColumn>& columns,
+                           const RenderedFiles& files) {
   std::string out = kManifestMagic;
-  out += "\nversion: ";
-  out += std::to_string(kFormatVersion);
-  out += "\nrows: ";
-  out += std::to_string(rows);
-  out += "\nmechanism: ";
-  out += RenderMechanismSpec(mechanism);
-  out += "\nrelation: ";
-  out += EscapeManifestName(relation_name);
-  out += '\n';
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    const Field& field = schema.field(i);
+  out += "\nversion: " + std::to_string(kReleaseFormatVersion);
+  out += "\nrows: " + std::to_string(rows);
+  out += "\nmechanism: " + RenderMechanismSpec(mechanism);
+  out += "\nrelation: " + EscapeManifestName(relation_name) + "\n";
+  for (const ManifestColumn& c : columns) {
+    // "column: <kind> <type> <param> <sensitivity> <domain> <entries>
+    // <name>" — the name last, since it may hold spaces.
     out += "column: ";
-    out += field.kind == AttributeKind::kDiscrete ? "discrete" : "numeric";
-    out += ' ';
-    out += TypeName(field.type);
-    out += ' ';
-    out += EscapeManifestName(field.name);  // last: names may have spaces
-    out += '\n';
+    out += c.field.kind == AttributeKind::kDiscrete ? "discrete " : "numeric ";
+    out += ValueTypeToString(c.field.type);
+    out += ' ' + DoubleBitsHex(c.param) + ' ' + DoubleBitsHex(c.sensitivity);
+    out += ' ' + std::to_string(c.domain_size) + ' ' +
+           std::to_string(c.entries) + ' ';
+    out += EscapeManifestName(c.field.name) + '\n';
   }
   for (const auto& [name, content] : files) {
-    out += "file: ";
-    out += io::Crc32cToHex(io::Crc32c(content));
-    out += ' ';
-    out += std::to_string(content.size());
-    out += ' ';
-    out += name;
-    out += '\n';
+    out += "file: " + io::Crc32cToHex(io::Crc32c(content)) + ' ' +
+           std::to_string(content.size()) + ' ' + name + '\n';
   }
   // Self-checksum covers every byte above the trailer line.
   const uint32_t self_crc = io::Crc32c(out);
-  out += "manifest_crc: ";
-  out += io::Crc32cToHex(self_crc);
-  out += '\n';
+  out += "manifest_crc: " + io::Crc32cToHex(self_crc) + '\n';
   return out;
 }
 
@@ -279,35 +427,59 @@ struct ManifestEntry {
   uint32_t crc = 0;
 };
 
-/// One `column:` schema line: the writer's view of a data.csv column,
-/// cross-checked against meta.csv before the data parse.
-struct ManifestColumn {
-  std::string kind;  ///< "discrete" | "numeric"
-  std::string type;  ///< TypeName() spelling
-  std::string name;
-};
-
 struct Manifest {
   uint64_t rows = 0;
-  /// Defaults to the paper's GRR: a v2 manifest written before the
-  /// mechanism zoo has no `mechanism:` line, and every such release was
-  /// randomized by the only mechanism that existed then.
   MechanismSpec mechanism;
-  /// The SQL name this release answers to in FROM clauses. Manifests
-  /// written before the `relation:` line default to "r", the paper's
-  /// private view R — the name every such release was queried under.
-  std::string relation_name = "r";
-  /// Schema carried by `column:` lines; empty for manifests written
-  /// before the section existed (the legacy path skips the check).
+  /// The SQL name this release answers to in FROM clauses.
+  std::string relation_name;
   std::vector<ManifestColumn> columns;
+  Schema schema;  ///< the columns' fields, validated
   std::vector<ManifestEntry> files;
 };
 
-/// Parses and self-verifies a MANIFEST. Any structural damage —
-/// including a failed self-checksum — is DataLoss naming `path`; a
-/// version this reader does not know is FailedPrecondition.
-Result<Manifest> ParseManifest(const std::string& text,
-                               const std::string& path) {
+/// Splits the first `n` space-separated fields off `body` into
+/// `fields`; the remainder — which may itself hold spaces — becomes the
+/// last element. False when fewer fields exist or the remainder is empty.
+bool SplitFields(std::string_view body, size_t n,
+                 std::vector<std::string_view>* fields) {
+  fields->clear();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t space = body.find(' ');
+    if (space == std::string_view::npos) return false;
+    fields->push_back(body.substr(0, space));
+    body.remove_prefix(space + 1);
+  }
+  fields->push_back(body);
+  return !body.empty();
+}
+
+/// Parses the body of a `column:` line; false on any malformed field.
+bool ParseColumnLine(std::string_view body, ManifestColumn* column) {
+  std::vector<std::string_view> f;
+  if (!SplitFields(body, 6, &f) || (f[0] != "discrete" && f[0] != "numeric")) {
+    return false;
+  }
+  column->field.kind = f[0] == "discrete" ? AttributeKind::kDiscrete
+                                          : AttributeKind::kNumerical;
+  column->field.type = ValueType::kNull;
+  for (ValueType type :
+       {ValueType::kInt64, ValueType::kDouble, ValueType::kString}) {
+    if (f[1] == ValueTypeToString(type)) column->field.type = type;
+  }
+  return column->field.type != ValueType::kNull &&
+         ParseDoubleBitsHex(f[2], &column->param) &&
+         ParseDoubleBitsHex(f[3], &column->sensitivity) &&
+         ParseCount(f[4], &column->domain_size) &&
+         ParseCount(f[5], &column->entries) &&
+         UnescapeManifestName(f[6], &column->field.name);
+}
+
+/// Parses and self-verifies the MANIFEST of the release in `dir`. Any
+/// structural damage — including a failed self-checksum, a missing line,
+/// or a file list that does not match the schema — is DataLoss naming
+/// the file; a version this reader does not know is FailedPrecondition.
+Result<Manifest> ParseManifest(const std::string& text, const std::string& dir) {
+  const std::string path = dir + "/" + kManifestFile;
   const std::string magic_line = std::string(kManifestMagic) + "\n";
   if (text.compare(0, magic_line.size(), magic_line) != 0) {
     return Status::DataLoss("'" + path +
@@ -343,30 +515,34 @@ Result<Manifest> ParseManifest(const std::string& text,
 
   // Body lines between the magic and the trailer.
   Manifest manifest;
-  bool saw_version = false;
-  bool saw_rows = false;
+  bool saw_version = false, saw_rows = false, saw_mechanism = false,
+       saw_relation = false;
+  std::vector<std::string_view> fields;
   size_t pos = magic_line.size();
   size_t line_no = 2;  // 1-based; the magic was line 1
   while (pos < trailer) {
     size_t eol = text.find('\n', pos);
     if (eol == std::string::npos || eol > trailer) eol = trailer;
-    std::string line = text.substr(pos, eol - pos);
+    const std::string line = text.substr(pos, eol - pos);
     pos = eol + 1;
     auto loc = [&] { return "'" + path + "' line " + std::to_string(line_no); };
     ++line_no;
     if (line.rfind("version: ", 0) == 0) {
-      PCLEAN_ASSIGN_OR_RETURN(int64_t v, ParseInt64(line.substr(9)));
-      if (v != kFormatVersion) {
+      uint64_t v = 0;
+      if (!ParseCount(std::string_view(line).substr(9), &v)) {
+        return Status::DataLoss(loc() + ": malformed version");
+      }
+      if (v != kReleaseFormatVersion) {
         return Status::FailedPrecondition(
             "'" + path + "' declares release format version " +
             std::to_string(v) + "; this reader supports version " +
-            std::to_string(kFormatVersion));
+            std::to_string(kReleaseFormatVersion));
       }
       saw_version = true;
     } else if (line.rfind("rows: ", 0) == 0) {
-      PCLEAN_ASSIGN_OR_RETURN(int64_t v, ParseInt64(line.substr(6)));
-      if (v < 0) return Status::DataLoss(loc() + ": negative row count");
-      manifest.rows = static_cast<uint64_t>(v);
+      if (!ParseCount(std::string_view(line).substr(6), &manifest.rows)) {
+        return Status::DataLoss(loc() + ": malformed row count");
+      }
       saw_rows = true;
     } else if (line.rfind("mechanism: ", 0) == 0) {
       PCLEAN_FAILPOINT("release.mechanism.parse", path);
@@ -385,78 +561,89 @@ Result<Manifest> ParseManifest(const std::string& text,
         return Status::DataLoss(loc() + ": " + valid.message());
       }
       manifest.mechanism = std::move(spec).ValueOrDie();
+      saw_mechanism = true;
     } else if (line.rfind("relation: ", 0) == 0) {
-      auto name = UnescapeManifestName(line.substr(10));
-      if (!name.ok()) {
-        return Status::DataLoss(loc() + ": " + name.status().message());
+      if (!UnescapeManifestName(std::string_view(line).substr(10),
+                                &manifest.relation_name) ||
+          manifest.relation_name.empty()) {
+        return Status::DataLoss(loc() + ": malformed relation name");
       }
-      manifest.relation_name = std::move(name).ValueOrDie();
-      if (manifest.relation_name.empty()) {
-        return Status::DataLoss(loc() + ": empty relation name");
-      }
+      saw_relation = true;
     } else if (line.rfind("column: ", 0) == 0) {
-      // "column: <kind> <type> <name>" — name last, may contain spaces.
-      const std::string body = line.substr(8);
-      const size_t sp1 = body.find(' ');
-      const size_t sp2 =
-          sp1 == std::string::npos ? std::string::npos : body.find(' ', sp1 + 1);
-      if (sp2 == std::string::npos || sp2 + 1 >= body.size()) {
+      ManifestColumn column;
+      if (!ParseColumnLine(std::string_view(line).substr(8), &column)) {
         return Status::DataLoss(loc() + ": malformed column entry '" + line +
                                 "'");
-      }
-      ManifestColumn column;
-      column.kind = body.substr(0, sp1);
-      column.type = body.substr(sp1 + 1, sp2 - sp1 - 1);
-      auto name = UnescapeManifestName(body.substr(sp2 + 1));
-      if (!name.ok()) {
-        return Status::DataLoss(loc() + ": " + name.status().message());
-      }
-      column.name = std::move(name).ValueOrDie();
-      if (column.kind != "discrete" && column.kind != "numeric") {
-        return Status::DataLoss(loc() + ": unknown column kind '" +
-                                column.kind + "'");
       }
       manifest.columns.push_back(std::move(column));
     } else if (line.rfind("file: ", 0) == 0) {
       // "file: <crc8hex> <bytes> <name>"
-      const std::string body = line.substr(6);
-      const size_t sp1 = body.find(' ');
-      const size_t sp2 =
-          sp1 == std::string::npos ? std::string::npos : body.find(' ', sp1 + 1);
-      if (sp2 == std::string::npos || sp2 + 1 >= body.size()) {
+      ManifestEntry entry;
+      if (!SplitFields(std::string_view(line).substr(6), 2, &fields) ||
+          !ParseCount(fields[1], &entry.bytes)) {
         return Status::DataLoss(loc() + ": malformed file entry '" + line +
                                 "'");
       }
-      ManifestEntry entry;
-      auto crc = io::Crc32cFromHex(std::string_view(body).substr(0, sp1));
+      auto crc = io::Crc32cFromHex(fields[0]);
       if (!crc.ok()) {
         return Status::DataLoss(loc() + ": " + crc.status().message());
       }
       entry.crc = crc.ValueOrDie();
-      auto bytes = ParseInt64(body.substr(sp1 + 1, sp2 - sp1 - 1));
-      if (!bytes.ok() || bytes.ValueOrDie() < 0) {
-        return Status::DataLoss(loc() + ": malformed byte length in '" +
-                                line + "'");
-      }
-      entry.bytes = static_cast<uint64_t>(bytes.ValueOrDie());
-      entry.name = body.substr(sp2 + 1);
-      if (entry.name.empty() || entry.name.find('/') != std::string::npos ||
-          entry.name == "..") {
-        return Status::DataLoss(loc() + ": invalid file name '" + entry.name +
-                                "'");
-      }
+      entry.name = std::string(fields[2]);
       manifest.files.push_back(std::move(entry));
     } else {
       return Status::DataLoss(loc() + ": unrecognized manifest line '" + line +
                               "'");
     }
   }
-  if (!saw_version || !saw_rows || manifest.files.empty()) {
+  if (!saw_version || !saw_rows || !saw_mechanism || !saw_relation ||
+      manifest.columns.empty()) {
     return Status::DataLoss("'" + path +
-                            "': manifest is missing version, rows, or file "
-                            "entries");
+                            "': manifest is missing its version, rows, "
+                            "mechanism, relation or column lines");
+  }
+  std::vector<Field> schema_fields;
+  for (const ManifestColumn& column : manifest.columns) {
+    schema_fields.push_back(column.field);
+  }
+  auto schema = Schema::Make(std::move(schema_fields));
+  if (!schema.ok()) {
+    return Status::DataLoss("'" + path + "': " + schema.status().message());
+  }
+  manifest.schema = std::move(schema).ValueOrDie();
+  // The payload files follow from the schema. The MANIFEST must list
+  // exactly those, in order, so no payload escapes its checksum.
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < manifest.columns.size(); ++i) {
+    expected.push_back(ColumnFileName(i));
+    if (manifest.columns[i].field.kind == AttributeKind::kDiscrete) {
+      expected.push_back(DomainFileName(i));
+    }
+  }
+  for (size_t f = 0; f < expected.size(); ++f) {
+    if (f >= manifest.files.size() || manifest.files[f].name != expected[f]) {
+      return Status::DataLoss("'" + dir + "/" + expected[f] +
+                              "' belongs to the release but the MANIFEST "
+                              "does not list it in place");
+    }
+  }
+  if (manifest.files.size() > expected.size()) {
+    return Status::DataLoss("'" + path + "' lists '" +
+                            manifest.files[expected.size()].name +
+                            "', which is not part of the release");
   }
   return manifest;
+}
+
+/// Reads and parses the MANIFEST of `dir`; a directory without one holds
+/// no release.
+Result<Manifest> LoadManifest(const std::string& dir) {
+  auto text = io::ReadFileWithRetry(dir + "/" + kManifestFile);
+  if (!text.ok() && text.status().IsNotFound()) {
+    return Status::NotFound("'" + dir + "' contains no release (no MANIFEST)");
+  }
+  if (!text.ok()) return text.status();
+  return ParseManifest(text.ValueOrDie(), dir);
 }
 
 /// Reads one MANIFEST-listed file and verifies its length and CRC32C.
@@ -493,177 +680,78 @@ Status FetchAndCheck(const std::string& dir, const ManifestEntry& entry,
   return Status::OK();
 }
 
-/// Provides the bytes of a named release file to the shared parser.
-/// v2 serves checksum-verified bytes already in memory; v1 reads from
-/// disk with retry.
-using FileFetcher = std::function<Result<std::string>(const std::string&)>;
-
-/// Parses meta.csv / domain files / data.csv into a LoadedRelease.
-/// Shared by the v1 and v2 read paths; `fetch` abstracts where verified
-/// bytes come from. `mechanism` is the manifest's declared family (the
-/// legacy-GRR default for v1 and pre-mechanism v2 releases); every
-/// discrete attribute's meta.csv `param` is bound through it, so a
-/// parameter the family rejects surfaces as DataLoss naming meta.csv.
-Result<LoadedRelease> ParseReleaseTables(
-    const FileFetcher& fetch, const std::string& dir,
-    const MechanismSpec& mechanism, const ExecutionOptions& exec,
-    const std::vector<ManifestColumn>* manifest_columns = nullptr) {
-  PCLEAN_ASSIGN_OR_RETURN(Schema meta_schema, MetaSchema());
-  PCLEAN_ASSIGN_OR_RETURN(std::string meta_text, fetch(kMetaFile));
-  PCLEAN_ASSIGN_OR_RETURN(
-      Table meta, CsvToTable(meta_text, meta_schema,
-                             ReleaseReadOptions(CsvOptions{}, dir, kMetaFile)));
-  if (meta.num_rows() == 0) {
-    return Status::DataLoss("'" + dir + "/" + kMetaFile +
-                            "': release metadata is empty");
-  }
-
-  // Reconstruct the data schema and the metadata maps.
-  std::vector<Field> fields;
+/// Binds verified release files (`files[f]` holds the bytes of the
+/// MANIFEST's f-th entry) into a fully decoded release, validating every
+/// field that came from disk.
+Result<LoadedRelease> BindRelease(const Manifest& manifest,
+                                  const std::vector<std::string>& files,
+                                  const std::string& dir,
+                                  const ExecutionOptions& exec) {
   LoadedRelease release;
-  size_t domain_index = 0;
-  /// String columns whose dictionary file should be applied after the
-  /// data parse: (column index, attribute name, dict file name).
-  std::vector<std::tuple<size_t, std::string, std::string>> dict_rebinds;
-  for (size_t r = 0; r < meta.num_rows(); ++r) {
-    std::string name(meta.column(0).StringAt(r));
-    std::string kind(meta.column(1).StringAt(r));
-    PCLEAN_ASSIGN_OR_RETURN(
-        ValueType type,
-        TypeFromName(std::string(meta.column(2).StringAt(r))));
-    if (meta.column(3).IsNull(r)) {
-      return Status::IOError("attribute '" + name +
-                             "' missing its mechanism parameter");
-    }
-    double param = meta.column(3).DoubleAt(r);
-    if (kind == "discrete") {
-      fields.push_back(Field{name, type, AttributeKind::kDiscrete});
-      if (type == ValueType::kString) {
-        dict_rebinds.emplace_back(fields.size() - 1, name,
-                                  DictFileName(domain_index));
-      }
-      PCLEAN_ASSIGN_OR_RETURN(
-          Schema domain_schema,
-          Schema::Make({Field::Discrete(name, type)}));
-      const std::string domain_file = DomainFileName(domain_index);
-      PCLEAN_ASSIGN_OR_RETURN(std::string domain_text, fetch(domain_file));
-      PCLEAN_ASSIGN_OR_RETURN(
-          Table domain_table,
-          CsvToTable(domain_text, domain_schema,
-                     ReleaseReadOptions(ReleaseCsvOptions(exec), dir,
-                                        domain_file)));
-      ++domain_index;
-      std::vector<Value> values;
-      values.reserve(domain_table.num_rows());
-      for (size_t i = 0; i < domain_table.num_rows(); ++i) {
-        values.push_back(domain_table.column(0).ValueAt(i));
-      }
-      Domain domain = Domain::FromValues(values);
-      if (!meta.column(5).IsNull(r) &&
-          domain.size() !=
-              static_cast<size_t>(meta.column(5).Int64At(r))) {
-        return Status::DataLoss(
-            "'" + dir + "/" + domain_file + "' holds " +
-            std::to_string(domain.size()) + " values but '" + name +
-            "' records a domain of " +
-            std::to_string(meta.column(5).Int64At(r)));
-      }
-      auto bound = MakeMechanism(mechanism, param);
-      if (!bound.ok()) {
-        return Status::DataLoss("'" + dir + "/" + kMetaFile +
-                                "': attribute '" + name + "': " +
-                                bound.status().message());
-      }
-      release.metadata.discrete.emplace(
-          name, DiscreteAttributeMeta{param, std::move(domain),
-                                      std::move(bound).ValueOrDie()});
-    } else if (kind == "numeric") {
-      if (type == ValueType::kString) {
-        return Status::IOError("numeric attribute '" + name +
-                               "' cannot be string-typed");
-      }
-      fields.push_back(Field{name, type, AttributeKind::kNumerical});
-      double sensitivity =
-          meta.column(4).IsNull(r) ? 0.0 : meta.column(4).DoubleAt(r);
-      release.metadata.numeric.emplace(
-          name, NumericAttributeMeta{param, sensitivity});
-    } else {
-      return Status::IOError("unknown attribute kind '" + kind + "'");
-    }
-  }
-  PCLEAN_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  // Cross-check the MANIFEST-carried schema against meta.csv BEFORE the
-  // data parse: a writer/reader disagreement about what data.csv holds
-  // must fail with the offending column named, not as a downstream
-  // coercion error on some row.
-  if (manifest_columns != nullptr && !manifest_columns->empty()) {
-    const std::vector<ManifestColumn>& expected = *manifest_columns;
-    if (expected.size() != schema.num_fields()) {
-      return Status::FailedPrecondition(
-          "'" + dir + "': MANIFEST declares " +
-          std::to_string(expected.size()) + " columns but meta.csv yields " +
-          std::to_string(schema.num_fields()));
-    }
-    for (size_t i = 0; i < schema.num_fields(); ++i) {
-      const Field& field = schema.field(i);
-      const ManifestColumn& want = expected[i];
-      const std::string got_kind =
-          field.kind == AttributeKind::kDiscrete ? "discrete" : "numeric";
-      if (field.name != want.name || got_kind != want.kind ||
-          TypeName(field.type) != want.type) {
-        return Status::FailedPrecondition(
-            "'" + dir + "': column " + std::to_string(i) +
-            " mismatch between MANIFEST and meta.csv: MANIFEST declares '" +
-            want.name + "' (" + want.kind + " " + want.type +
-            ") but meta.csv yields '" + field.name + "' (" + got_kind + " " +
-            TypeName(field.type) + ")");
-      }
-    }
-  }
-  PCLEAN_ASSIGN_OR_RETURN(std::string data_text, fetch(kDataFile));
-  PCLEAN_ASSIGN_OR_RETURN(
-      release.relation,
-      CsvToTable(data_text, schema,
-                 ReleaseReadOptions(ReleaseCsvOptions(exec), dir, kDataFile)));
-  // Restore each string column's dictionary code order from its dict
-  // file. Absent files (a v1 release, or a v2 release written before
-  // dictionary files existed) leave the parse-order dictionary in
-  // place; a present-but-inconsistent file is DataLoss.
-  for (const auto& [col_idx, attr_name, dict_file] : dict_rebinds) {
-    auto dict_text = fetch(dict_file);
-    if (!dict_text.ok()) {
-      if (dict_text.status().IsNotFound() || dict_text.status().IsDataLoss()) {
-        continue;  // Not part of this release.
-      }
-      return dict_text.status();
-    }
-    PCLEAN_ASSIGN_OR_RETURN(
-        Schema dict_schema,
-        Schema::Make({Field::Discrete(attr_name, ValueType::kString)}));
-    PCLEAN_ASSIGN_OR_RETURN(
-        Table dict_table,
-        CsvToTable(dict_text.ValueOrDie(), dict_schema,
-                   ReleaseReadOptions(ReleaseCsvOptions(exec), dir,
-                                      dict_file)));
+  PrivateRelationMetadata& metadata = release.metadata;
+  std::vector<Column> columns;
+  size_t f = 0;
+  for (const ManifestColumn& line : manifest.columns) {
+    const Field& field = line.field;
+    const std::string path = dir + "/" + manifest.files[f].name;
+    std::string_view payload = files[f++];
+    const bool discrete = field.kind == AttributeKind::kDiscrete;
+    const std::string domain_path =
+        discrete ? dir + "/" + manifest.files[f].name : path;
+    std::string_view domain_file = discrete ? files[f++] : std::string_view();
     std::vector<std::string_view> entries;
-    entries.reserve(dict_table.num_rows());
-    for (size_t i = 0; i < dict_table.num_rows(); ++i) {
-      if (dict_table.column(0).IsNull(i)) {
-        return Status::DataLoss("'" + dir + "/" + dict_file +
-                                "' row " + std::to_string(i) +
-                                ": dictionary entries cannot be NULL");
-      }
-      entries.push_back(dict_table.column(0).StringAt(i));
+    if (field.type == ValueType::kString) {
+      PCLEAN_RETURN_NOT_OK(
+          ParseDictionary(&domain_file, domain_path, &entries));
     }
-    Status rebind =
-        release.relation.mutable_column(col_idx)->RebindDictionary(entries);
-    if (!rebind.ok()) {
-      return Status::DataLoss("'" + dir + "/" + dict_file + "': " +
-                              rebind.message());
+    if (line.entries > entries.size()) {
+      return Status::DataLoss("'" + domain_path + "' holds " +
+                              std::to_string(entries.size()) +
+                              " dictionary entries but the MANIFEST gives '" +
+                              field.name + "' " + std::to_string(line.entries));
     }
+    PCLEAN_ASSIGN_OR_RETURN(
+        Column column,
+        ColumnWithDictionary(field.type, entries, line.entries, domain_path));
+    PCLEAN_RETURN_NOT_OK(DecodePayload(payload, manifest.rows,
+                                       RowWidth(field.type, line.entries),
+                                       path, exec, &column));
+    columns.push_back(std::move(column));
+    if (!discrete) {
+      metadata.numeric.emplace(
+          field.name, NumericAttributeMeta{line.param, line.sensitivity});
+      continue;
+    }
+    // The domain decodes like a column of N rows over the whole
+    // dictionary, the column's entries and the domain-only values.
+    PCLEAN_ASSIGN_OR_RETURN(
+        Column values,
+        ColumnWithDictionary(field.type, entries, entries.size(), domain_path));
+    PCLEAN_RETURN_NOT_OK(DecodePayload(domain_file, line.domain_size,
+                                       RowWidth(field.type, entries.size()),
+                                       domain_path, {}, &values));
+    std::vector<Value> boxed;
+    for (size_t j = 0; j < values.size(); ++j) boxed.push_back(values.ValueAt(j));
+    Domain domain = Domain::FromValues(boxed);
+    if (domain.size() != line.domain_size) {
+      return Status::DataLoss("'" + domain_path + "': the domain of '" +
+                              field.name + "' lists a value twice");
+    }
+    auto mechanism = MakeMechanism(manifest.mechanism, line.param);
+    if (!mechanism.ok()) {
+      return Status::DataLoss("'" + dir + "/" + kManifestFile +
+                              "': attribute '" + field.name + "': " +
+                              mechanism.status().message());
+    }
+    metadata.discrete.emplace(
+        field.name, DiscreteAttributeMeta{line.param, std::move(domain),
+                                          std::move(mechanism).ValueOrDie()});
   }
-  release.metadata.dataset_size = release.relation.num_rows();
-  release.metadata.mechanism_spec = mechanism;
+  PCLEAN_ASSIGN_OR_RETURN(release.relation,
+                          Table::Make(manifest.schema, std::move(columns)));
+  metadata.dataset_size = manifest.rows;
+  metadata.mechanism_spec = manifest.mechanism;
+  metadata.relation_name = manifest.relation_name;
   return release;
 }
 
@@ -688,15 +776,6 @@ struct RemoveOnFailure {
   }
 };
 
-/// True when `dir` may be replaced by an atomic swap: an empty
-/// directory, or one holding a release (manifest or pre-manifest).
-bool IsReplaceableDir(const std::string& dir) {
-  std::error_code ec;
-  if (fs::exists(dir + "/" + kManifestFile, ec)) return true;
-  if (fs::exists(dir + "/" + kMetaFile, ec)) return true;
-  return fs::is_empty(dir, ec) && !ec;
-}
-
 }  // namespace
 
 Status WriteRelease(const Table& private_relation,
@@ -707,18 +786,18 @@ Status WriteRelease(const Table& private_relation,
   // spec is validated before anything renders — an unknown family or a
   // malformed parameter block must never be persisted.
   PCLEAN_RETURN_NOT_OK(ValidateMechanismSpec(metadata.mechanism_spec));
-  PCLEAN_ASSIGN_OR_RETURN(
-      RenderedFiles files,
-      RenderReleaseFiles(private_relation, metadata, exec));
+  RenderedFiles files;
+  std::vector<ManifestColumn> columns;
+  PCLEAN_RETURN_NOT_OK(
+      RenderReleaseFiles(private_relation, metadata, exec, &files, &columns));
   PCLEAN_FAILPOINT("release.mechanism.render", dir);
-  // An unnamed relation publishes under "r", the paper's private view R
-  // — the name every pre-`relation:` release answered to.
+  // An unnamed relation publishes under "r", the paper's private view R.
   const std::string relation_name =
       metadata.relation_name.empty() ? "r" : metadata.relation_name;
   files.emplace_back(
       kManifestFile,
       RenderManifest(private_relation.num_rows(), metadata.mechanism_spec,
-                     relation_name, private_relation.schema(), files));
+                     relation_name, columns, files));
 
   const fs::path target(dir);
   const fs::path parent =
@@ -753,11 +832,13 @@ Status WriteRelease(const Table& private_relation,
       return Status::AlreadyExists("'" + dir +
                                    "' exists and is not a directory");
     }
-    if (!IsReplaceableDir(dir)) {
+    // Only a release (it has a MANIFEST) or an empty directory may be
+    // replaced by the swap.
+    if (!fs::exists(dir + "/" + kManifestFile, ec) && !fs::is_empty(dir, ec)) {
       return Status::AlreadyExists(
           "'" + dir +
-          "' exists and is not a release directory (no MANIFEST or "
-          "meta.csv); refusing to replace it");
+          "' exists and is not a release directory (no MANIFEST); refusing "
+          "to replace it");
     }
     const std::string backup = dir + ".old." + suffix;
     PCLEAN_RETURN_NOT_OK(HitSite("release.swap.backup", dir));
@@ -808,69 +889,14 @@ Status WriteRelease(const GrrOutput& grr, const std::string& dir,
 
 Result<LoadedRelease> ReadRelease(const std::string& dir,
                                   const ExecutionOptions& exec) {
-  const std::string manifest_path = dir + "/" + kManifestFile;
-  auto manifest_text = io::ReadFileWithRetry(manifest_path);
-  if (!manifest_text.ok()) {
-    if (!manifest_text.status().IsNotFound()) return manifest_text.status();
-    std::error_code ec;
-    if (!fs::exists(dir, ec)) {
-      return Status::NotFound("no release at '" + dir + "'");
-    }
-    if (!fs::exists(dir + "/" + kMetaFile, ec)) {
-      return Status::NotFound("'" + dir +
-                              "' contains no release (no MANIFEST or "
-                              "meta.csv)");
-    }
-    // Pre-manifest (v1) directory: loadable, but nothing to check the
-    // bytes against. v1 predates the mechanism zoo, so the family is
-    // the explicit legacy-GRR default.
-    FileFetcher from_disk = [&dir](const std::string& name) {
-      return io::ReadFileWithRetry(dir + "/" + name);
-    };
-    PCLEAN_ASSIGN_OR_RETURN(
-        LoadedRelease release,
-        ParseReleaseTables(from_disk, dir, MechanismSpec{}, exec));
-    release.format_version = 1;
-    release.verified = false;
-    release.metadata.relation_name = "r";
-    return release;
-  }
-
-  PCLEAN_ASSIGN_OR_RETURN(
-      Manifest manifest,
-      ParseManifest(manifest_text.ValueOrDie(), manifest_path));
-  // Read and checksum every listed file up front; parsing only ever
+  PCLEAN_ASSIGN_OR_RETURN(Manifest manifest, LoadManifest(dir));
+  // Read and checksum every listed file up front; decoding only ever
   // sees verified bytes.
-  std::map<std::string, std::string> verified;
-  for (const ManifestEntry& entry : manifest.files) {
-    std::string content;
-    PCLEAN_RETURN_NOT_OK(FetchAndCheck(dir, entry, &content));
-    verified.emplace(entry.name, std::move(content));
+  std::vector<std::string> files(manifest.files.size());
+  for (size_t f = 0; f < files.size(); ++f) {
+    PCLEAN_RETURN_NOT_OK(FetchAndCheck(dir, manifest.files[f], &files[f]));
   }
-  FileFetcher from_manifest =
-      [&verified, &dir](const std::string& name) -> Result<std::string> {
-    auto it = verified.find(name);
-    if (it == verified.end()) {
-      return Status::DataLoss("'" + dir + "/" + name +
-                              "' is referenced by the release but not "
-                              "listed in the MANIFEST");
-    }
-    return it->second;
-  };
-  PCLEAN_ASSIGN_OR_RETURN(
-      LoadedRelease release,
-      ParseReleaseTables(from_manifest, dir, manifest.mechanism, exec,
-                         &manifest.columns));
-  release.metadata.relation_name = manifest.relation_name;
-  if (release.relation.num_rows() != manifest.rows) {
-    return Status::DataLoss(
-        "'" + dir + "/" + kDataFile + "' parsed to " +
-        std::to_string(release.relation.num_rows()) +
-        " rows but the MANIFEST records " + std::to_string(manifest.rows));
-  }
-  release.format_version = kFormatVersion;
-  release.verified = true;
-  return release;
+  return BindRelease(manifest, files, dir, exec);
 }
 
 Result<PrivateTable> OpenRelease(const std::string& dir,
@@ -885,50 +911,21 @@ Result<PrivateTable> OpenRelease(const std::string& dir,
 }
 
 Result<ReleaseVerification> VerifyRelease(const std::string& dir) {
-  const std::string manifest_path = dir + "/" + kManifestFile;
-  auto manifest_text = io::ReadFileWithRetry(manifest_path);
-  if (!manifest_text.ok()) {
-    if (!manifest_text.status().IsNotFound()) return manifest_text.status();
-    std::error_code ec;
-    if (fs::exists(dir + "/" + kMetaFile, ec)) {
-      // Deliberately strict: falling back to "v1, fine" here would let
-      // a deleted MANIFEST silently downgrade a checksummed release.
-      return Status::FailedPrecondition(
-          "'" + dir +
-          "' is an unverified pre-manifest (v1) release: it has no "
-          "checksums to verify; rewrite it with WriteRelease to add a "
-          "MANIFEST");
-    }
-    if (!fs::exists(dir, ec)) {
-      return Status::NotFound("no release at '" + dir + "'");
-    }
-    return Status::NotFound("'" + dir +
-                            "' contains no release (no MANIFEST or "
-                            "meta.csv)");
-  }
-
-  PCLEAN_ASSIGN_OR_RETURN(
-      Manifest manifest,
-      ParseManifest(manifest_text.ValueOrDie(), manifest_path));
+  PCLEAN_ASSIGN_OR_RETURN(Manifest manifest, LoadManifest(dir));
   ReleaseVerification verification;
-  verification.format_version = kFormatVersion;
   verification.rows = manifest.rows;
-  for (const ManifestEntry& entry : manifest.files) {
-    std::string content;
-    ReleaseFileCheck check;
-    check.file = entry.name;
-    check.bytes = entry.bytes;
-    check.status = FetchAndCheck(dir, entry, &content);
-    if (verification.status.ok() && !check.status.ok()) {
-      verification.status = check.status;
-    }
+  std::vector<std::string> files(manifest.files.size());
+  for (size_t f = 0; f < files.size(); ++f) {
+    const ManifestEntry& entry = manifest.files[f];
+    ReleaseFileCheck check{entry.name, entry.bytes,
+                           FetchAndCheck(dir, entry, &files[f])};
+    if (verification.status.ok()) verification.status = check.status;
     verification.files.push_back(std::move(check));
   }
+  // Checksums passing still leaves semantic damage (a writer bug or a
+  // collision); decoding the verified bytes is the final gate.
   if (verification.status.ok()) {
-    // Checksums passing still leaves semantic damage (a writer bug or a
-    // collision); a full parse is the final gate.
-    auto loaded = ReadRelease(dir);
-    if (!loaded.ok()) verification.status = loaded.status();
+    verification.status = BindRelease(manifest, files, dir, {}).status();
   }
   return verification;
 }

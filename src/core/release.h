@@ -12,49 +12,57 @@
 namespace privateclean {
 
 /// Serialization of a private release — the actual provider→analyst
-/// handoff. A format-v2 release directory contains:
+/// handoff (layout in DESIGN.md §8). A format-v3 release directory holds:
 ///
-///   MANIFEST       magic, format version, relation size, and one line
-///                  per payload file with its byte length and CRC32C,
-///                  followed by a self-checksum of the manifest itself
-///   data.csv       the private relation V (RFC-4180 CSV)
-///   meta.csv       one row per attribute: name, kind, physical type,
-///                  mechanism parameter (p or b), sensitivity, domain
-///                  size; plus the relation size
-///   domain_<i>.csv the randomization-time domain of the i-th discrete
-///                  attribute (one typed column; nulls encoded as \N)
+///   MANIFEST        magic, version, relation size S, mechanism, relation
+///                   name, one `column:` line per attribute (kind, type,
+///                   parameter p or b and sensitivity as IEEE-754 bit
+///                   hex, domain size N, dictionary entries, name), one
+///                   `file:` line per payload with its length and
+///                   CRC32C, and a self-checksum
+///   column_<i>.bin  attribute i's rows: a validity bitmap, then S
+///                   little-endian values — string codes at the narrowest
+///                   width holding the dictionary (u8/u16/u32), int64 and
+///                   double values at 8 bytes
+///   domain_<i>.bin  discrete attribute i's dictionary (string only: the
+///                   column's entries in code order, then domain values
+///                   the column lacks) and its randomization-time domain
+///                   as an N-row payload
 ///
 /// Everything in the release is a public parameter of the mechanism —
 /// shipping it alongside V does not weaken ε-local differential privacy
 /// — and it is exactly what the analyst-side estimators need (p_i, b_i,
 /// the dirty domains fixing N, and S).
 ///
-/// Durability contract. WriteRelease renders every file in memory
-/// first, writes them into a temporary sibling directory with
-/// write+fsync, fsyncs that directory, and only then renames it over
-/// the target (backing up and restoring an existing release if the
-/// swap fails part-way). ReadRelease reads each payload file once,
-/// verifies its length and CRC32C against the MANIFEST before parsing,
-/// and maps damage to typed statuses:
+/// Durability contract. WriteRelease renders every file in memory,
+/// writes them into a temporary sibling directory with write+fsync,
+/// fsyncs it, and only then renames it over the target (backing up and
+/// restoring an existing release if the swap fails part-way). Opening a
+/// release is read → CRC → validate → bind: each file is read once and
+/// checked against its MANIFEST length and CRC32C before decoding, then
+/// every decoded field is validated. Failures are typed:
 ///
-///   NotFound           no release at that path (or a torn swap left
-///                      nothing behind)
-///   DataLoss           checksum/length mismatch, truncated record, or
-///                      a file the MANIFEST lists but the dir lacks
+///   NotFound           no release at that path (no MANIFEST, or a torn
+///                      swap left nothing behind)
+///   DataLoss           checksum/length mismatch, a listed file missing
+///                      or a payload unlisted, or decoded bytes that fail
+///                      validation — always naming the file
 ///   IOError            possibly-transient read failure (retried with
 ///                      bounded backoff before being returned)
-///   FailedPrecondition strict verification of a pre-manifest (v1)
-///                      release, which has no checksums to check
+///   FailedPrecondition a format version or mechanism family this reader
+///                      does not know
 ///   AlreadyExists      the target exists and is not a replaceable
 ///                      release directory
+
+/// The release format version this build writes and reads.
+inline constexpr int kReleaseFormatVersion = 3;
 
 /// Writes the release into `dir` atomically: on return the target is
 /// either the complete new release or (on error) its previous content.
 /// An existing release directory (or empty directory) at `dir` is
 /// replaced by atomic swap; anything else there fails with
-/// AlreadyExists. `exec` shards the CSV serialization of data.csv (see
-/// CsvOptions::exec); the bytes written are identical at every thread
-/// count.
+/// AlreadyExists. `exec` shards the payload encoding; the bytes written
+/// depend only on the relation and metadata, never on the thread count.
 Status WriteRelease(const Table& private_relation,
                     const PrivateRelationMetadata& metadata,
                     const std::string& dir, const ExecutionOptions& exec = {});
@@ -67,17 +75,11 @@ Status WriteRelease(const GrrOutput& grr, const std::string& dir,
 struct LoadedRelease {
   Table relation;
   PrivateRelationMetadata metadata;
-  /// 2 for manifest releases, 1 for pre-manifest directories.
-  int format_version = 2;
-  /// True iff every payload file was checked against MANIFEST checksums
-  /// before parsing. v1 releases load with `verified = false`.
-  bool verified = false;
 };
 
-/// Reads a release directory back, verifying MANIFEST checksums. v1
-/// directories (no MANIFEST, but a meta.csv) still load, flagged
-/// `verified = false`. `exec` shards the CSV cell typing of data.csv;
-/// the resulting Table is identical at every thread count.
+/// Reads a release directory back: every file is checked against the
+/// MANIFEST, then bound into a fully decoded Table. `exec` shards the
+/// payload decoding; the Table is identical at every thread count.
 Result<LoadedRelease> ReadRelease(const std::string& dir,
                                   const ExecutionOptions& exec = {});
 
@@ -95,23 +97,20 @@ struct ReleaseFileCheck {
   Status status;       ///< OK, or typed DataLoss/NotFound/IOError
 };
 
-/// Result of `VerifyRelease` on a manifest release.
+/// Result of `VerifyRelease`.
 struct ReleaseVerification {
-  int format_version = 2;
   uint64_t rows = 0;  ///< relation size recorded in the MANIFEST
   std::vector<ReleaseFileCheck> files;
-  /// OK iff every file check passed and the release parses; otherwise
-  /// the first failure, with its file named in the message.
+  /// OK iff every file check passed and the verified bytes decode;
+  /// otherwise the first failure, with its file named in the message.
   Status status;
 };
 
-/// Strict integrity check behind `pclean verify`. Unlike ReadRelease it
-/// does NOT accept v1 directories: a release without a MANIFEST cannot
-/// be verified and yields FailedPrecondition (otherwise deleting the
-/// MANIFEST would silently downgrade a checksummed release to an
-/// unchecked one). Returns an error Result when there is no manifest to
-/// check against (NotFound / DataLoss / FailedPrecondition); otherwise
-/// returns per-file outcomes plus an overall status.
+/// Integrity check behind `pclean verify`: reads and checksums every
+/// file once, reporting each, then decodes the verified bytes exactly as
+/// ReadRelease does. Returns an error Result when there is no manifest
+/// to check against (NotFound / DataLoss / FailedPrecondition);
+/// otherwise per-file outcomes plus an overall status.
 Result<ReleaseVerification> VerifyRelease(const std::string& dir);
 
 }  // namespace privateclean

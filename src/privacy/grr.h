@@ -22,7 +22,8 @@ namespace privateclean {
 /// distinct dirty values) and anchors the provenance graph's left-hand
 /// side (paper §6.2).
 struct DiscreteAttributeMeta {
-  /// The mechanism's stored per-attribute parameter (meta.csv `param`):
+  /// The mechanism's stored per-attribute parameter (the MANIFEST
+  /// `column:` line's parameter):
   /// the replacement probability for "grr", the target ε for "hlm", the
   /// inner randomization probability p0 for "sampling". Named `p` for
   /// continuity with the paper and the pre-mechanism-zoo layout.

@@ -19,7 +19,8 @@ namespace privateclean {
 /// MANIFEST (`mechanism: <name> [key=value ...]`). Per-attribute
 /// parameters — the paper's replacement probability p, HLM's per-column
 /// ε, sampling privacy's inner p0 — continue to live in
-/// DiscreteAttributeMeta::p / the meta.csv `param` column.
+/// DiscreteAttributeMeta::p / the parameter field of the MANIFEST's
+/// `column:` line.
 ///
 /// Registered families:
 ///   "grr"      — the paper's generalized randomized response (§4.2.1):
@@ -77,8 +78,8 @@ class Mechanism {
   /// Registry name ("grr", "hlm", "sampling").
   virtual const char* name() const = 0;
 
-  /// The per-attribute parameter exactly as persisted in meta.csv's
-  /// `param` column (grr: p, hlm: ε, sampling: inner p0).
+  /// The per-attribute parameter exactly as persisted in the MANIFEST's
+  /// `column:` line (grr: p, hlm: ε, sampling: inner p0).
   virtual double param() const = 0;
 
   /// The family spec this instance was built from (MANIFEST identity).

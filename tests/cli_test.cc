@@ -9,6 +9,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -18,6 +19,18 @@
 
 namespace privateclean {
 namespace {
+
+/// Every file of a release directory, by name.
+std::map<std::string, std::string> ReleaseBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    files[entry.path().filename().string()] = bytes.str();
+  }
+  return files;
+}
 
 class CliTest : public ::testing::Test {
  protected:
@@ -220,9 +233,9 @@ TEST_F(CliTest, VerifyReportsOkRelease) {
                  release_dir_, "--epsilon", "2.0", "--seed", "7"}),
             0);
   ASSERT_EQ(Run({"verify", release_dir_}), 0) << err_.str();
-  EXPECT_NE(out_.str().find("format: v2"), std::string::npos);
+  EXPECT_NE(out_.str().find("format: v3"), std::string::npos);
   EXPECT_NE(out_.str().find("rows: 500"), std::string::npos);
-  EXPECT_NE(out_.str().find("data.csv"), std::string::npos);
+  EXPECT_NE(out_.str().find("column_0.bin"), std::string::npos);
   EXPECT_NE(out_.str().find("verification: OK"), std::string::npos);
 }
 
@@ -238,7 +251,7 @@ TEST_F(CliTest, VerifyDetectsCorruption) {
   ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
                  release_dir_, "--epsilon", "2.0", "--seed", "7"}),
             0);
-  const std::string path = release_dir_ + "/data.csv";
+  const std::string path = release_dir_ + "/column_0.bin";
   std::stringstream bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -252,28 +265,12 @@ TEST_F(CliTest, VerifyDetectsCorruption) {
   }
   EXPECT_EQ(Run({"verify", release_dir_}), 1);
   EXPECT_NE(err_.str().find("Data loss"), std::string::npos) << err_.str();
-  EXPECT_NE(out_.str().find("data.csv"), std::string::npos);
+  EXPECT_NE(out_.str().find("column_0.bin"), std::string::npos);
 }
 
 TEST_F(CliTest, VerifyMissingReleaseFails) {
   EXPECT_EQ(Run({"verify", base_ + "/nope"}), 1);
   EXPECT_NE(err_.str().find("Not found"), std::string::npos) << err_.str();
-}
-
-TEST_F(CliTest, VerifyRefusesUncheckableV1Release) {
-  ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
-                 release_dir_, "--epsilon", "2.0", "--seed", "7"}),
-            0);
-  std::filesystem::remove(release_dir_ + "/MANIFEST");
-  EXPECT_EQ(Run({"verify", release_dir_}), 1);
-  EXPECT_NE(err_.str().find("Failed precondition"), std::string::npos)
-      << err_.str();
-  // The same v1 directory still queries fine — only strict verification
-  // refuses it.
-  EXPECT_EQ(Run({"query", "--release", release_dir_, "--sql",
-                 "SELECT count(1) FROM r"}),
-            0)
-      << err_.str();
 }
 
 TEST_F(CliTest, VerifyRequiresADirectory) {
@@ -297,12 +294,8 @@ TEST_F(CliTest, CsvSplitModesProduceIdenticalReleases) {
                  "4"}),
             0)
       << err_.str();
-  std::ifstream a(release_dir_ + "_serial/data.csv");
-  std::ifstream b(release_dir_ + "_spec/data.csv");
-  std::stringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
+  EXPECT_EQ(ReleaseBytes(release_dir_ + "_serial"),
+            ReleaseBytes(release_dir_ + "_spec"));
 }
 
 TEST_F(CliTest, CsvSplitRejectsUnknownMode) {
@@ -529,12 +522,29 @@ TEST_F(CliTest, DeterministicGivenSeed) {
                  release_dir_ + "_b", "--p", "0.2", "--b", "5.0", "--seed",
                  "42"}),
             0);
-  std::ifstream a(release_dir_ + "_a/data.csv");
-  std::ifstream b(release_dir_ + "_b/data.csv");
-  std::stringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
+  EXPECT_EQ(ReleaseBytes(release_dir_ + "_a"),
+            ReleaseBytes(release_dir_ + "_b"));
+}
+
+TEST_F(CliTest, ExportWritesTheRelationAsCsv) {
+  ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
+                 release_dir_, "--p", "0.2", "--b", "5.0", "--seed", "42"}),
+            0)
+      << err_.str();
+  const std::string csv = base_ + "/export.csv";
+  ASSERT_EQ(Run({"export", "--release", release_dir_, "--output", csv}), 0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("exported 500 rows"), std::string::npos);
+  // The relation as CSV: the header row, then one line per row.
+  std::ifstream in(csv);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header, "category,value");
+  size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, 500u);
+  EXPECT_EQ(Run({"export", "--release", base_ + "/nope", "--output", csv}), 1);
+  EXPECT_NE(err_.str().find("Not found"), std::string::npos) << err_.str();
 }
 
 }  // namespace

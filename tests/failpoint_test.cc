@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string_view>
 #include <vector>
 
 #include "common/io_util.h"
@@ -265,12 +266,47 @@ TEST_F(FailpointTest, HitsCountEveryVisitEvenWhenInactive) {
   EXPECT_EQ(failpoint::Hits("release.commit.rename"), 0u);
 }
 
+/// Bit-at-a-time CRC32C, the definition the table kernel must match.
+uint32_t BytewiseCrc32c(uint32_t crc, std::string_view data) {
+  crc = ~crc;
+  for (unsigned char c : data) {
+    crc ^= c;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
 TEST_F(FailpointTest, Crc32cMatchesKnownVectors) {
   // RFC 3720 test vectors for CRC32C (Castagnoli).
   EXPECT_EQ(io::Crc32c(""), 0x00000000u);
   EXPECT_EQ(io::Crc32c("123456789"), 0xE3069283u);
   std::string zeros(32, '\0');
   EXPECT_EQ(io::Crc32c(zeros), 0x8A9136AAu);
+  // Against the bytewise reference: every length 0-64 at every start
+  // offset 0-7 covers the 8-byte main loop, the byte tail and unaligned
+  // input; splitting each input at every point checks that Crc32cExtend
+  // chains across calls.
+  std::string buffer(64 + 8, '\0');
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<char>((i * 167 + 13) ^ (i >> 3));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::string_view data(buffer.data() + offset, length);
+      const uint32_t want = BytewiseCrc32c(0, data);
+      ASSERT_EQ(io::Crc32c(data), want)
+          << "offset " << offset << " length " << length;
+      for (size_t split = 0; split <= length; ++split) {
+        ASSERT_EQ(io::Crc32cExtend(io::Crc32c(data.substr(0, split)),
+                                   data.substr(split)),
+                  want)
+            << "offset " << offset << " length " << length << " split "
+            << split;
+      }
+    }
+  }
 }
 
 TEST_F(FailpointTest, Crc32cHexRoundTrips) {

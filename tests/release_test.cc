@@ -91,9 +91,9 @@ TEST_F(ReleaseTest, NullDomainValueSurvives) {
 }
 
 TEST_F(ReleaseTest, NullAndEmptyStringDistinctAfterRoundTrip) {
-  // data.csv is written with an explicit null literal, so a NULL string
-  // entry and the empty string stay distinct through a release round
-  // trip — including a value that collides with the literal itself.
+  // NULL lives in the validity bitmap, so a NULL string entry and the
+  // empty string stay distinct through a release round trip — including
+  // the `\N` literal CSV exports use for NULL, as a value.
   Schema s = *Schema::Make({Field::Discrete("tag"),
                             Field::Numerical("x", ValueType::kDouble)});
   TableBuilder b(s);
@@ -157,72 +157,58 @@ TEST_F(ReleaseTest, ReadMissingDirectoryFails) {
   auto r = ReadRelease(dir_ + "_nonexistent");
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsNotFound());
+  // Without its MANIFEST a directory holds no release either: nothing is
+  // left to check the payloads against, so neither reading nor
+  // verification loads them unchecked.
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+  std::filesystem::remove(dir_ + "/MANIFEST");
+  auto read = ReadRelease(dir_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsNotFound()) << read.status().ToString();
+  EXPECT_NE(read.status().message().find("contains no release"),
+            std::string::npos);
+  auto verification = VerifyRelease(dir_);
+  ASSERT_FALSE(verification.ok());
+  EXPECT_TRUE(verification.status().IsNotFound());
 }
 
 TEST_F(ReleaseTest, MissingDomainFileFails) {
   GrrOutput grr = MakeGrr();
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  std::filesystem::remove(dir_ + "/domain_0.csv");
+  std::filesystem::remove(dir_ + "/domain_0.bin");
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   // Listed in the MANIFEST but gone: unrecoverable, and the message
   // names the missing file.
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("domain_0.csv"), std::string::npos);
-}
-
-TEST_F(ReleaseTest, ReadIsVerifiedV2ByDefault) {
-  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  EXPECT_TRUE(std::filesystem::exists(dir_ + "/MANIFEST"));
-  LoadedRelease loaded = *ReadRelease(dir_);
-  EXPECT_EQ(loaded.format_version, 2);
-  EXPECT_TRUE(loaded.verified);
-}
-
-TEST_F(ReleaseTest, V1DirectoryLoadsUnverified) {
-  // A v1 release is exactly a v2 one without the MANIFEST.
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  std::filesystem::remove(dir_ + "/MANIFEST");
-  auto loaded = ReadRelease(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format_version, 1);
-  EXPECT_FALSE(loaded->verified);
-  EXPECT_EQ(loaded->relation.num_rows(), grr.table.num_rows());
-  // Strict verification refuses what it cannot check — otherwise
-  // deleting the MANIFEST would silently downgrade a checksummed
-  // release to an unchecked one.
-  auto verification = VerifyRelease(dir_);
-  ASSERT_FALSE(verification.ok());
-  EXPECT_TRUE(verification.status().IsFailedPrecondition())
-      << verification.status().ToString();
+  EXPECT_NE(r.status().message().find("domain_0.bin"), std::string::npos);
 }
 
 TEST_F(ReleaseTest, BitFlipInDataFileIsDataLossNamingTheFile) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  const std::string path = dir_ + "/data.csv";
+  const std::string path = dir_ + "/column_0.bin";
   std::string bytes = *io::ReadFileToString(path);
   bytes[bytes.size() / 3] ^= 0x40;
   ASSERT_TRUE(io::WriteFileDurable(path, bytes).ok());
-  // Re-writing data.csv alone desyncs it from the MANIFEST checksum.
+  // Re-writing a payload alone desyncs it from the MANIFEST checksum.
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("data.csv"), std::string::npos);
+  EXPECT_NE(r.status().message().find("column_0.bin"), std::string::npos);
   EXPECT_NE(r.status().message().find("checksum mismatch"),
             std::string::npos);
 }
 
 TEST_F(ReleaseTest, TruncatedDataFileIsDataLossWithByteCounts) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  const std::string path = dir_ + "/data.csv";
+  const std::string path = dir_ + "/column_2.bin";
   std::string bytes = *io::ReadFileToString(path);
   const size_t cut = bytes.size() / 2;
   ASSERT_TRUE(io::WriteFileDurable(path, bytes.substr(0, cut)).ok());
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("data.csv"), std::string::npos);
+  EXPECT_NE(r.status().message().find("column_2.bin"), std::string::npos);
   EXPECT_NE(r.status().message().find(std::to_string(cut)),
             std::string::npos);
 }
@@ -245,7 +231,6 @@ TEST_F(ReleaseTest, OverwriteSwapsAtomicallyToTheNewRelease) {
   ASSERT_TRUE(WriteRelease(first, dir_).ok());
   ASSERT_TRUE(WriteRelease(second, dir_).ok());
   LoadedRelease loaded = *ReadRelease(dir_);
-  EXPECT_TRUE(loaded.verified);
   ASSERT_EQ(loaded.relation.num_rows(), second.table.num_rows());
   bool any_diff = false;
   for (size_t r = 0; r < loaded.relation.num_rows() && !any_diff; ++r) {
@@ -307,58 +292,21 @@ TEST_F(ReleaseTest, WriteReplacesEmptyDirectory) {
   EXPECT_EQ(loaded.relation.num_rows(), grr.table.num_rows());
 }
 
-TEST_F(ReleaseTest, V1ParseErrorsCarryFileAndLineNumber) {
-  // Build a v1 release (no MANIFEST, so the CSV parse is the first line
-  // of defense) and plant a non-numeric cell in the numeric column.
-  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  std::filesystem::remove(dir_ + "/MANIFEST");
-  const std::string path = dir_ + "/data.csv";
-  std::string bytes = *io::ReadFileToString(path);
-  // Row 3 of the data (line 4: one header line + 3 data lines).
-  size_t pos = 0;
-  for (int newlines = 0; newlines < 3; ++newlines) {
-    pos = bytes.find('\n', pos) + 1;
-  }
-  size_t eol = bytes.find('\n', pos);
-  bytes.replace(pos, eol - pos, "EECS,1,not-a-number");
-  ASSERT_TRUE(io::WriteFileDurable(path, bytes).ok());
-  auto r = ReadRelease(dir_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("data.csv:4"), std::string::npos)
-      << r.status().ToString();
-  EXPECT_NE(r.status().message().find("score"), std::string::npos);
-}
-
-TEST_F(ReleaseTest, V1TruncatedFinalRecordIsDataLoss) {
-  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  std::filesystem::remove(dir_ + "/MANIFEST");
-  const std::string path = dir_ + "/data.csv";
-  std::string bytes = *io::ReadFileToString(path);
-  // Drop the final newline and half the last record — a classic torn
-  // tail that still parses as a "complete" record without the
-  // trailing-newline requirement.
-  ASSERT_TRUE(
-      io::WriteFileDurable(path, bytes.substr(0, bytes.size() - 4)).ok());
-  auto r = ReadRelease(dir_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("truncated"), std::string::npos);
-}
-
 TEST_F(ReleaseTest, VerifyReleaseReportsPerFileResults) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   auto ok_verification = VerifyRelease(dir_);
   ASSERT_TRUE(ok_verification.ok()) << ok_verification.status().ToString();
   EXPECT_TRUE(ok_verification->status.ok());
   EXPECT_EQ(ok_verification->rows, 200u);
-  ASSERT_GE(ok_verification->files.size(), 3u);  // data, meta, domains
+  // A payload per attribute, plus the two discrete attributes' domains.
+  ASSERT_EQ(ok_verification->files.size(), 5u);
   for (const ReleaseFileCheck& check : ok_verification->files) {
     EXPECT_TRUE(check.status.ok()) << check.file;
     EXPECT_GT(check.bytes, 0u) << check.file;
   }
 
   // Corrupt one domain file: its check fails, the others stay OK.
-  const std::string path = dir_ + "/domain_0.csv";
+  const std::string path = dir_ + "/domain_0.bin";
   std::string bytes = *io::ReadFileToString(path);
   bytes[0] ^= 0x02;
   ASSERT_TRUE(io::WriteFileDurable(path, bytes).ok());
@@ -367,7 +315,7 @@ TEST_F(ReleaseTest, VerifyReleaseReportsPerFileResults) {
   EXPECT_TRUE(verification->status.IsDataLoss());
   bool found = false;
   for (const ReleaseFileCheck& check : verification->files) {
-    if (check.file == "domain_0.csv") {
+    if (check.file == "domain_0.bin") {
       found = true;
       EXPECT_TRUE(check.status.IsDataLoss());
     } else {
@@ -396,9 +344,9 @@ TEST_F(ReleaseTest, FromPrivateRelationRejectsUncoveredAttribute) {
 
 /// Rewrites one payload file and patches the MANIFEST (file line and
 /// self-checksum) so the release stays checksum-consistent — simulating
-/// a writer that produced `content` for `name`. Pass an empty optional
-/// to delete the file and drop its manifest line entirely (simulating a
-/// release written before dictionary files existed).
+/// a writer that produced `content` for `name`, so only the decoder's
+/// own validation stands between the bytes and the analyst. Pass an
+/// empty optional to delete the file and drop its manifest line.
 void RewriteReleaseFile(const std::string& dir, const std::string& name,
                         const std::optional<std::string>& content) {
   if (content.has_value()) {
@@ -435,11 +383,19 @@ void RewriteReleaseFile(const std::string& dir, const std::string& name,
 TEST_F(ReleaseTest, DictionaryFilesAreWrittenAndManifestListed) {
   GrrOutput grr = MakeGrr();
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  // "major" is the only string-typed discrete field → exactly dict_0.
-  EXPECT_TRUE(std::filesystem::exists(dir_ + "/dict_0.csv"));
-  EXPECT_FALSE(std::filesystem::exists(dir_ + "/dict_1.csv"));
+  // Each discrete attribute has a domain file; only the string-typed
+  // "major" opens it with a dictionary (u32 count, then length-prefixed
+  // entries). int64 "section" holds just its 5-value domain payload:
+  // one bitmap byte and 8 bytes per value.
+  const std::string dict = *io::ReadFileToString(dir_ + "/domain_0.bin");
+  const size_t entries = grr.table.column(0).dictionary().size();
+  ASSERT_GE(dict.size(), 4u);
+  EXPECT_EQ(static_cast<unsigned char>(dict[0]), entries);
+  EXPECT_EQ(io::ReadFileToString(dir_ + "/domain_1.bin")->size(), 1u + 5 * 8);
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/domain_2.bin"));
   std::string manifest = *io::ReadFileToString(dir_ + "/MANIFEST");
-  EXPECT_NE(manifest.find(" dict_0.csv\n"), std::string::npos);
+  EXPECT_NE(manifest.find(" domain_0.bin\n"), std::string::npos);
+  EXPECT_NE(manifest.find(" domain_1.bin\n"), std::string::npos);
 }
 
 TEST_F(ReleaseTest, RoundTripRestoresWriterDictionaryCodeOrder) {
@@ -461,62 +417,60 @@ TEST_F(ReleaseTest, RoundTripRestoresWriterDictionaryCodeOrder) {
   }
 }
 
-TEST_F(ReleaseTest, ReleaseWithoutDictionaryFilesStillLoads) {
-  // A v2 release written before dictionary files existed: same layout,
-  // no dict_<i>.csv entries. The reader keeps its parse-order
-  // dictionary — values (not codes) are the compatibility contract.
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  RewriteReleaseFile(dir_, "dict_0.csv", std::nullopt);
-  auto loaded = ReadRelease(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->verified);
-  for (size_t r = 0; r < grr.table.num_rows(); ++r) {
-    EXPECT_EQ(loaded->relation.column(0).ValueAt(r),
-              grr.table.column(0).ValueAt(r))
-        << "row " << r;
-  }
-}
-
 TEST_F(ReleaseTest, DictionaryMissingUsedValueIsDataLoss) {
   GrrOutput grr = MakeGrr();
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  // A consistent-looking dictionary that does not cover the column's
-  // values: checksums pass, the semantic rebind must fail.
-  RewriteReleaseFile(dir_, "dict_0.csv",
-                     std::string("major\nnot_a_real_major\n"));
+  // A consistent-looking domain file whose dictionary has one entry,
+  // while the MANIFEST gives the column four: checksums pass, the bind
+  // must fail rather than leave codes naming missing entries.
+  const std::string entry = "not_a_real_major";
+  std::string file(4, '\0');
+  file[0] = 1;
+  file += std::string(1, static_cast<char>(entry.size())) +
+          std::string(3, '\0') + entry;
+  file += std::string(1 + 5, '\0');  // the 5-value domain, all NULL
+  RewriteReleaseFile(dir_, "domain_0.bin", file);
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("dict_0.csv"), std::string::npos);
+  EXPECT_NE(r.status().message().find("domain_0.bin"), std::string::npos);
+  EXPECT_NE(r.status().message().find("dictionary entries"),
+            std::string::npos);
 }
 
 TEST_F(ReleaseTest, NullEntryInDictionaryFileIsDataLoss) {
   GrrOutput grr = MakeGrr();
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  RewriteReleaseFile(dir_, "dict_0.csv", std::string("major\n\\N\n"));
+  // The domain of "major" is NULL then four majors, stored after the
+  // dictionary as one bitmap byte and five 1-byte codes. Clearing the
+  // second value's validity bit lists NULL twice.
+  std::string file = *io::ReadFileToString(dir_ + "/domain_0.bin");
+  ASSERT_EQ(file[file.size() - 6], 0x1E);
+  file[file.size() - 6] = 0x1C;
+  RewriteReleaseFile(dir_, "domain_0.bin", file);
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("NULL"), std::string::npos);
+  EXPECT_NE(r.status().message().find("domain_0.bin"), std::string::npos);
+  EXPECT_NE(r.status().message().find("twice"), std::string::npos);
 }
 
 TEST_F(ReleaseTest, BitFlipInDictionaryFileIsDataLossNamingTheFile) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  const std::string path = dir_ + "/dict_0.csv";
+  const std::string path = dir_ + "/domain_0.bin";
   std::string bytes = *io::ReadFileToString(path);
   bytes[bytes.size() / 2] ^= 0x20;
   ASSERT_TRUE(io::WriteFileDurable(path, bytes).ok());
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("dict_0.csv"), std::string::npos);
+  EXPECT_NE(r.status().message().find("domain_0.bin"), std::string::npos);
 }
 
 TEST_F(ReleaseTest, NullLiteralRowsRoundTripThroughDictionary) {
-  // MakeGrr's relation mixes NULL rows (written as \N) with quoted and
-  // empty-adjacent strings; after the round trip NULL and "" must stay
-  // distinct and the null count exact.
+  // MakeGrr's relation mixes NULL rows with strings holding commas and
+  // quotes; after the round trip the validity bits and the null count
+  // must be exact.
   GrrOutput grr = MakeGrr();
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
   LoadedRelease loaded = *ReadRelease(dir_);
@@ -550,12 +504,10 @@ GrrOutput MakeWithMechanism(const MechanismSpec& mechanism, double param,
   return *ApplyGrr(t, GrrParams::Uniform(param, 1.5), options, rng);
 }
 
-/// Replaces the MANIFEST's `mechanism:` line with `line` (or drops it
-/// when nullopt, simulating a release written before the mechanism zoo)
-/// and recomputes the self-checksum so only the mechanism entry is under
-/// test, not the CRC machinery.
-void PatchManifestMechanism(const std::string& dir,
-                            const std::optional<std::string>& line) {
+/// Replaces the MANIFEST's `mechanism:` line with `line` and recomputes
+/// the self-checksum so only the mechanism entry is under test, not the
+/// CRC machinery.
+void PatchManifestMechanism(const std::string& dir, const std::string& line) {
   std::string manifest = *io::ReadFileToString(dir + "/MANIFEST");
   size_t trailer = manifest.rfind("\nmanifest_crc: ");
   ASSERT_NE(trailer, std::string::npos);
@@ -570,7 +522,7 @@ void PatchManifestMechanism(const std::string& dir,
     pos = eol + 1;
     if (l.rfind("mechanism: ", 0) == 0) {
       replaced = true;
-      if (line.has_value()) out += *line + "\n";
+      out += line + "\n";
     } else {
       out += l + "\n";
     }
@@ -640,21 +592,6 @@ TEST_F(ReleaseTest, UnknownMechanismNameInManifestIsFailedPrecondition) {
   EXPECT_NE(r.status().message().find("staircase"), std::string::npos);
 }
 
-TEST_F(ReleaseTest, MissingMechanismLineLoadsAsLegacyGrr) {
-  // A v2 release written before the mechanism zoo: no mechanism line at
-  // all. The reader defaults to the paper's GRR explicitly.
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  PatchManifestMechanism(dir_, std::nullopt);
-  auto loaded = ReadRelease(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->verified);
-  EXPECT_EQ(loaded->metadata.mechanism_spec.name, "grr");
-  for (const auto& [name, meta] : loaded->metadata.discrete) {
-    EXPECT_STREQ((*MechanismFor(meta))->name(), "grr") << name;
-  }
-}
-
 TEST_F(ReleaseTest, CorruptMechanismParameterBlockIsDataLoss) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   PatchManifestMechanism(dir_, std::string("mechanism: sampling beta=zebra"));
@@ -674,16 +611,6 @@ TEST_F(ReleaseTest, KnownMechanismWithInfeasibleParametersIsDataLoss) {
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-}
-
-TEST_F(ReleaseTest, V1ReleaseLoadsWithLegacyGrrDefault) {
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  std::filesystem::remove(dir_ + "/MANIFEST");
-  auto loaded = ReadRelease(dir_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format_version, 1);
-  EXPECT_EQ(loaded->metadata.mechanism_spec.name, "grr");
 }
 
 TEST_F(ReleaseTest, EndToEndProviderAnalystSeparation) {
@@ -738,11 +665,17 @@ TEST_F(ReleaseTest, ManifestCarriesRelationNameAndSchema) {
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
   std::string manifest = *io::ReadFileToString(dir_ + "/MANIFEST");
   EXPECT_NE(manifest.find("relation: r\n"), std::string::npos);
-  EXPECT_NE(manifest.find("column: discrete string major\n"),
+  // kind, type, parameter and sensitivity as IEEE-754 bit hex (p = 0.2,
+  // b = 1.5, Δ = 9), domain size, dictionary entries, name.
+  EXPECT_NE(manifest.find("column: discrete string 3fc999999999999a "
+                          "0000000000000000 5 4 major\n"),
+            std::string::npos)
+      << manifest;
+  EXPECT_NE(manifest.find("column: discrete int64 3fc999999999999a "
+                          "0000000000000000 5 0 section\n"),
             std::string::npos);
-  EXPECT_NE(manifest.find("column: discrete int64 section\n"),
-            std::string::npos);
-  EXPECT_NE(manifest.find("column: numeric double score\n"),
+  EXPECT_NE(manifest.find("column: numeric double 3ff8000000000000 "
+                          "4022000000000000 0 0 score\n"),
             std::string::npos);
   LoadedRelease loaded = *ReadRelease(dir_);
   EXPECT_EQ(loaded.metadata.relation_name, "r");
@@ -779,58 +712,9 @@ TEST_F(ReleaseTest, DefaultReleaseRejectsUnknownFromRelation) {
   EXPECT_NE(bad.status().message().find("relation 'r'"), std::string::npos);
 }
 
-TEST_F(ReleaseTest, ManifestColumnTypeMismatchIsFailedPrecondition) {
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  PatchManifestLines(dir_, [](const std::string& line) {
-    if (line == "column: discrete string major") {
-      return std::optional<std::string>("column: discrete int64 major");
-    }
-    return std::optional<std::string>(line);
-  });
-  auto read = ReadRelease(dir_);
-  ASSERT_FALSE(read.ok());
-  EXPECT_TRUE(read.status().IsFailedPrecondition())
-      << read.status().ToString();
-  EXPECT_NE(read.status().message().find("'major'"), std::string::npos)
-      << read.status().message();
-  EXPECT_NE(read.status().message().find("meta.csv"), std::string::npos);
-}
-
-TEST_F(ReleaseTest, ManifestColumnNameMismatchIsFailedPrecondition) {
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  PatchManifestLines(dir_, [](const std::string& line) {
-    if (line == "column: numeric double score") {
-      return std::optional<std::string>("column: numeric double points");
-    }
-    return std::optional<std::string>(line);
-  });
-  auto read = ReadRelease(dir_);
-  ASSERT_FALSE(read.ok());
-  EXPECT_TRUE(read.status().IsFailedPrecondition());
-  EXPECT_NE(read.status().message().find("'points'"), std::string::npos)
-      << read.status().message();
-}
-
-TEST_F(ReleaseTest, ManifestColumnCountMismatchIsFailedPrecondition) {
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  PatchManifestLines(dir_, [](const std::string& line) {
-    if (line == "column: numeric double score") return std::optional<std::string>();
-    return std::optional<std::string>(line);
-  });
-  auto read = ReadRelease(dir_);
-  ASSERT_FALSE(read.ok());
-  EXPECT_TRUE(read.status().IsFailedPrecondition());
-  EXPECT_NE(read.status().message().find("declares 2 columns"),
-            std::string::npos)
-      << read.status().message();
-}
-
 TEST_F(ReleaseTest, LineBreakingColumnNamesAreEscapedInTheManifest) {
-  // meta.csv CSV-quotes hostile names; the line-oriented MANIFEST
-  // schema section must escape them instead of splitting the line.
+  // The line-oriented MANIFEST schema section must escape hostile names
+  // instead of splitting the line.
   Schema s = *Schema::Make({Field::Discrete("new\nline"),
                             Field::Numerical("back\\slash",
                                              ValueType::kDouble)});
@@ -845,32 +729,45 @@ TEST_F(ReleaseTest, LineBreakingColumnNamesAreEscapedInTheManifest) {
                             rng);
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
   std::string manifest = *io::ReadFileToString(dir_ + "/MANIFEST");
-  EXPECT_NE(manifest.find("column: discrete string new\\nline\n"),
-            std::string::npos)
-      << manifest;
-  EXPECT_NE(manifest.find("column: numeric double back\\\\slash\n"),
-            std::string::npos);
+  EXPECT_NE(manifest.find(" new\\nline\n"), std::string::npos) << manifest;
+  EXPECT_NE(manifest.find(" back\\\\slash\n"), std::string::npos);
   LoadedRelease loaded = *ReadRelease(dir_);
   EXPECT_EQ(loaded.relation.schema().field(0).name, "new\nline");
   EXPECT_EQ(loaded.relation.schema().field(1).name, "back\\slash");
 }
 
-TEST_F(ReleaseTest, ManifestWithoutSchemaSectionLoadsAsLegacy) {
-  GrrOutput grr = MakeGrr();
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  // A release written before the schema section: no relation/column
-  // lines at all. It loads with the default relation name and no
-  // schema cross-check.
+TEST_F(ReleaseTest, ManifestMissingRequiredLinesIsDataLoss) {
+  // Format v3 has no "written before X existed" defaults: a MANIFEST
+  // without its mechanism, relation or column lines is damaged.
+  for (const std::string prefix : {"mechanism: ", "relation: ", "column: "}) {
+    SCOPED_TRACE(prefix);
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+    PatchManifestLines(dir_, [&](const std::string& line) {
+      if (line.rfind(prefix, 0) == 0) return std::optional<std::string>();
+      return std::optional<std::string>(line);
+    });
+    auto read = ReadRelease(dir_);
+    ASSERT_FALSE(read.ok());
+    EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+    EXPECT_NE(read.status().message().find("MANIFEST"), std::string::npos);
+  }
+}
+
+TEST_F(ReleaseTest, OlderFormatVersionIsFailedPrecondition) {
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   PatchManifestLines(dir_, [](const std::string& line) {
-    if (line.rfind("relation: ", 0) == 0 ||
-        line.rfind("column: ", 0) == 0) {
-      return std::optional<std::string>();
-    }
+    if (line == "version: 3") return std::optional<std::string>("version: 2");
     return std::optional<std::string>(line);
   });
   auto read = ReadRelease(dir_);
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read->metadata.relation_name, "r");
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsFailedPrecondition())
+      << read.status().ToString();
+  EXPECT_NE(read.status().message().find(
+                "declares release format version 2; this reader supports "
+                "version 3"),
+            std::string::npos);
 }
 
 }  // namespace

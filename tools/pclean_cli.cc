@@ -131,6 +131,7 @@ void PrintUsage(std::ostream& out) {
          "         [--seed N] [--threads N] [--csv-split MODE]\n"
          "  pclean info --release release_dir\n"
          "  pclean verify release_dir\n"
+         "  pclean export --release release_dir --output data.csv\n"
          "  pclean query --release release_dir --sql \"SELECT ...\"\n"
          "         [--direct] [--confidence C] [--threads N]\n"
          "         [--bootstrap R] [--seed N] [--replace attr:from=to]...\n"
@@ -145,10 +146,11 @@ void PrintUsage(std::ostream& out) {
          "         [--pool-threads N] [--threads N] [--idle-timeout-ms N]\n"
          "         [--serve-for-ms N]\n"
          "\n"
-         "  verify checks every release file against the MANIFEST checksums\n"
-         "  and exits non-zero on any corruption (Data loss), a missing\n"
-         "  release (Not found), or an unverifiable pre-manifest release\n"
-         "  (Failed precondition).\n"
+         "  verify checks every release file against the MANIFEST checksums,\n"
+         "  decodes the verified bytes, and exits non-zero on any corruption\n"
+         "  (Data loss), a missing release (Not found), or a release format\n"
+         "  this build cannot read (Failed precondition).\n"
+         "  export writes the release's private relation as CSV, NULL as \\N.\n"
          "\n"
          "  --mechanism picks the discrete randomization family: grr\n"
          "  (paper generalized randomized response, the default), hlm\n"
@@ -301,7 +303,7 @@ Status RunVerify(const ParsedArgs& args, std::string dir, std::ostream& out) {
   PCLEAN_ASSIGN_OR_RETURN(ReleaseVerification verification,
                           VerifyRelease(dir));
   out << "release: " << dir << "\n";
-  out << "  format: v" << verification.format_version << "\n";
+  out << "  format: v" << kReleaseFormatVersion << "\n";
   out << "  rows: " << verification.rows << "\n";
   for (const ReleaseFileCheck& check : verification.files) {
     out << "  " << check.file << "  " << check.bytes << " bytes  "
@@ -309,6 +311,20 @@ Status RunVerify(const ParsedArgs& args, std::string dir, std::ostream& out) {
   }
   if (!verification.status.ok()) return verification.status;
   out << "verification: OK\n";
+  return Status::OK();
+}
+
+/// Writes the private relation as CSV: the interchange form of a
+/// release, with `\N` for NULL so NULL and the empty string stay apart.
+Status RunExport(const ParsedArgs& args, std::ostream& out) {
+  PCLEAN_ASSIGN_OR_RETURN(std::string dir, args.One("release"));
+  PCLEAN_ASSIGN_OR_RETURN(std::string output, args.One("output"));
+  PCLEAN_ASSIGN_OR_RETURN(LoadedRelease release, ReadRelease(dir));
+  CsvOptions options;
+  options.null_literal = "\\N";
+  PCLEAN_RETURN_NOT_OK(WriteCsvFile(release.relation, output, options));
+  out << "exported " << release.relation.num_rows() << " rows to " << output
+      << "\n";
   return Status::OK();
 }
 
@@ -624,6 +640,8 @@ int RunPcleanCli(const std::vector<std::string>& args, std::ostream& out,
     st = RunInfo(*parsed, out);
   } else if (command == "query") {
     st = RunQuery(*parsed, out);
+  } else if (command == "export") {
+    st = RunExport(*parsed, out);
   } else if (command == "verify") {
     st = RunVerify(*parsed, std::move(verify_dir), out);
   } else if (command == "budget") {

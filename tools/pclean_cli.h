@@ -25,9 +25,12 @@ namespace privateclean {
 ///
 ///   pclean verify <release_dir>
 ///       Checks every file of the release against its MANIFEST (byte
-///       length and CRC32C, plus a full parse) and reports per-file
-///       results. Exits non-zero on corruption, a missing release, or
-///       a pre-manifest (v1) release, which has no checksums to check.
+///       length and CRC32C), decodes the verified bytes, and reports
+///       per-file results. Exits non-zero on corruption, a missing
+///       release, or a format version this build cannot read.
+///
+///   pclean export --release release_dir --output data.csv
+///       Writes the private relation as CSV (NULL rendered as \N).
 ///
 ///   pclean query --release release_dir --sql "SELECT ..."
 ///          [--direct] [--confidence C] [--replace attr:from=to]...
