@@ -76,9 +76,9 @@ inline constexpr size_t kRowsPerShard = 16384;
 /// ceil(num_rows / kRowsPerShard), and at least 1.
 size_t ShardCountForRows(size_t num_rows);
 
-/// Bytes per chunk for byte-partitioned split loops (the speculative-split
-/// CSV record parser). Like kRowsPerShard, the chunk layout is a function
-/// of the byte count alone, never of the thread count.
+/// Bytes per chunk for byte-partitioned loops (CSV record framing). Like
+/// kRowsPerShard, the chunk layout is a function of the byte count alone,
+/// never of the thread count.
 inline constexpr size_t kBytesPerSplitChunk = 64 * 1024;
 
 /// Number of chunks for `num_bytes` bytes at `bytes_per_chunk` granularity

@@ -155,40 +155,6 @@ uint32_t Column::InternString(std::string_view v) {
   return dict_.Intern(v);
 }
 
-Status Column::RebindDictionary(
-    const std::vector<std::string_view>& entries) {
-  if (type_ != ValueType::kString) {
-    return Status::InvalidArgument(
-        "RebindDictionary requires a string column");
-  }
-  StringDictionary next;
-  for (std::string_view e : entries) {
-    uint32_t before = static_cast<uint32_t>(next.size());
-    if (next.Intern(e) != before) {
-      return Status::InvalidArgument(
-          "dictionary entries contain duplicate value '" + std::string(e) +
-          "'");
-    }
-  }
-  // Old code -> new code. Every string in use must survive the rebind.
-  std::vector<uint32_t> remap(dict_.size(), kNullCode);
-  for (uint32_t old = 0; old < dict_.size(); ++old) {
-    remap[old] = next.Find(dict_.At(old));
-  }
-  for (size_t r = 0; r < codes_.size(); ++r) {
-    if (codes_[r] == kNullCode) continue;
-    uint32_t mapped = remap[codes_[r]];
-    if (mapped == kNullCode) {
-      return Status::InvalidArgument(
-          "column value '" + std::string(dict_.At(codes_[r])) +
-          "' missing from replacement dictionary");
-    }
-    codes_[r] = mapped;
-  }
-  dict_ = std::move(next);
-  return Status::OK();
-}
-
 Column Column::SelectRows(const std::vector<size_t>& rows) const {
   Column out(type_);
   out.valid_.reserve(rows.size());

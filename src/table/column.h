@@ -87,13 +87,6 @@ class Column {
   /// before a sharded pass so the parallel kernels write plain codes.
   uint32_t InternString(std::string_view v);
 
-  /// Replaces the dictionary with `entries` (code order) and remaps the
-  /// code array. Every distinct string currently in the column must
-  /// appear in `entries` and `entries` must not contain duplicates;
-  /// InvalidArgument otherwise. Used by the release reader to restore
-  /// the writer's persisted dictionary order.
-  Status RebindDictionary(const std::vector<std::string_view>& entries);
-
   /// --- Raw access for fast scans ---------------------------------------
 
   const std::vector<int64_t>& ints() const { return ints_; }

@@ -1,6 +1,10 @@
 #include "table/csv.h"
 
+#include <algorithm>
 #include <cctype>
+#include <deque>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/io_util.h"
 #include "common/string_util.h"
@@ -12,7 +16,7 @@ namespace {
 
 bool NeedsQuoting(std::string_view field, const CsvOptions& options) {
   // Real values that would read back as NULL must be quoted: quoted
-  // fields are never NULL (see ParseCell), which keeps the empty string
+  // fields are never NULL (see IsNullCell), which keeps the empty string
   // and a literal null marker distinguishable from actual nulls.
   if (field.empty() || field == options.null_literal) return true;
   // Leading/trailing whitespace must be quoted: the reader trims
@@ -44,19 +48,14 @@ void AppendField(std::string* out, std::string_view field,
   out->push_back('"');
 }
 
-/// Internal aliases for the public raw-record types (table/csv.h): the
-/// field text plus whether it was quoted (quoted fields are never NULL),
-/// and the record plus the 1-based input line it starts on (a quoted
-/// field may span lines, so record index != line).
-using RawField = CsvRawField;
-using RawRecord = CsvRawRecord;
+/// Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
+/// Both parsers skip one at the very start, so it never becomes part of
+/// the first header name; anywhere else it is data. It holds no '\n', so
+/// line numbers are unaffected.
+constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
 
-/// A blank input line parses as a record with one unquoted empty field.
-/// For single-column schemas that is a legitimate NULL row; for wider
-/// schemas it is a blank line to skip.
-bool IsBlankRecord(const RawRecord& record) {
-  return record.fields.size() == 1 && !record.fields[0].quoted &&
-         record.fields[0].text.empty();
+size_t BodyStart(const std::string& text) {
+  return StartsWith(text, kUtf8Bom) ? kUtf8Bom.size() : 0;
 }
 
 /// Source-location prefix for parse errors: "<context>:<line>: ".
@@ -65,17 +64,389 @@ std::string Loc(const CsvOptions& options, size_t line) {
          ":" + std::to_string(line) + ": ";
 }
 
-/// Splits CSV text into records of fields, honoring quoting. With
-/// `options.require_trailing_newline`, input whose last record lacks a
-/// newline terminator (or whose quoting is still open) is DataLoss.
-///
-/// This is the single-pass reference parser; ParseRecordsSpeculative
-/// below must be byte-identical to it (records, line numbers, error
-/// statuses) — the differential fuzz suite enforces that.
-Result<std::vector<RawRecord>> ParseRecordsSerial(const std::string& text,
-                                                  const CsvOptions& options) {
-  std::vector<RawRecord> out;
-  RawRecord record;
+/// The 1-based input line of the byte at `offset`: one plus every '\n'
+/// before it, quoted ones included, so a record reports the line it
+/// starts on. Only error paths ask, so the reader counts instead of
+/// tracking lines.
+size_t LineAt(const std::string& text, size_t offset) {
+  return 1 + static_cast<size_t>(
+                 std::count(text.begin(), text.begin() + offset, '\n'));
+}
+
+constexpr const char* kUnterminatedQuote =
+    "unterminated quoted field at end of input (truncated file?)";
+
+// --- Record framing ----------------------------------------------------------
+//
+// Every '"' byte flips the quote state: outside a quoted field it opens
+// one, and inside it either closes the field or pairs with the next '"'
+// as an escape (two flips). So a '\n' ends a record exactly when an even
+// number of '"' bytes precede it in the body. Each byte chunk is scanned
+// once, in parallel, filing its '\n' offsets by the parity of the chunk's
+// own '"' count before them. A sequential O(chunks) pass then chains the
+// chunks' parities from the body start, which is outside quotes, and each
+// chunk contributes the '\n' list that matches its starting parity.
+// Chunk boundaries may fall anywhere, inside escape pairs and CRLFs too.
+
+/// Record boundaries of a CSV text. Record r spans [Begin(r), ends[r]):
+/// ends[r] is the offset of its terminating '\n', or the text size for a
+/// final record that has none.
+struct CsvFrame {
+  size_t start = 0;  ///< First body byte: 3 after a byte-order mark.
+  std::vector<size_t> ends;
+
+  size_t size() const { return ends.size(); }
+  size_t Begin(size_t r) const { return r == 0 ? start : ends[r - 1] + 1; }
+};
+
+/// One chunk's '\n' offsets, filed by the parity of the chunk's '"'
+/// bytes before each, and the parity of all of its '"' bytes.
+struct ChunkScan {
+  std::vector<size_t> newlines[2];
+  size_t quote_parity = 0;
+};
+
+ChunkScan ScanChunk(const std::string& text, size_t begin, size_t end) {
+  ChunkScan scan;
+  size_t parity = 0;
+  for (size_t i = begin; i < end; ++i) {
+    const char c = text[i];
+    if (c == '"') {
+      parity ^= 1;
+    } else if (c == '\n') {
+      scan.newlines[parity].push_back(i);
+    }
+  }
+  scan.quote_parity = parity;
+  return scan;
+}
+
+/// Frames `text` into records. Fails with InvalidArgument for a delimiter
+/// that would frame records itself, and with DataLoss when the input ends
+/// inside a quoted field.
+Result<CsvFrame> FrameRecords(const std::string& text,
+                              const CsvOptions& options) {
+  const char delimiter = options.delimiter;
+  if (delimiter == '"' || delimiter == '\n' || delimiter == '\r') {
+    return Status::InvalidArgument(
+        "CSV delimiter cannot be '\"', '\\n' or '\\r'");
+  }
+  CsvFrame frame;
+  frame.start = BodyStart(text);
+  const size_t body = text.size() - frame.start;
+  const size_t chunks = ChunkCountForBytes(body, options.split_chunk_bytes);
+  const size_t chunk_shards = ShardCountForCoarseItems(chunks);
+  std::vector<ChunkScan> scans(chunks);
+  // Chunk bodies never fail, so neither loop's status is ever an error.
+  Status scan_status = ParallelFor(
+      chunks, chunk_shards, options.exec,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t c = begin; c < end; ++c) {
+          const ShardRange bytes = ShardBounds(body, chunks, c);
+          scans[c] = ScanChunk(text, frame.start + bytes.begin,
+                               frame.start + bytes.end);
+        }
+        return Status::OK();
+      });
+  (void)scan_status;
+
+  std::vector<const std::vector<size_t>*> chosen(chunks);
+  std::vector<size_t> first_record(chunks);
+  size_t in_quotes = 0;
+  size_t records = 0;
+  for (size_t c = 0; c < chunks; ++c) {
+    chosen[c] = &scans[c].newlines[in_quotes];
+    first_record[c] = records;
+    records += chosen[c]->size();
+    in_quotes ^= scans[c].quote_parity;
+  }
+  frame.ends.resize(records);
+  Status fill_status = ParallelFor(
+      chunks, chunk_shards, options.exec,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t c = begin; c < end; ++c) {
+          std::copy(chosen[c]->begin(), chosen[c]->end(),
+                    frame.ends.begin() + first_record[c]);
+        }
+        return Status::OK();
+      });
+  (void)fill_status;
+
+  const size_t tail = frame.ends.empty() ? frame.start : frame.ends.back() + 1;
+  if (in_quotes != 0) {
+    return Status::DataLoss(Loc(options, LineAt(text, tail)) +
+                            kUnterminatedQuote);
+  }
+  // The bytes after the last terminator form a final record unless they
+  // are all '\r': an unquoted '\n' there would be a terminator, and a
+  // quoted one needs a '"' before it.
+  if (text.find_first_not_of('\r', tail) != std::string::npos) {
+    frame.ends.push_back(text.size());
+  }
+  return frame;
+}
+
+// --- Fields ------------------------------------------------------------------
+
+/// One field of a record as the reader sees it: quoted fields unescaped,
+/// unquoted ones trimmed. A raw field with no '"' and no '\r' byte (almost
+/// every field) is read in place: `text` views the input. Any other field
+/// is unescaped into the splitter's buffer, and `text` views that until
+/// the next Split.
+struct CsvField {
+  std::string_view text;
+  bool quoted = false;
+  bool in_place = true;
+};
+
+/// Splits records into fields. Reuses its field vector and unescape
+/// buffer across records, so one splitter serves one shard.
+class FieldSplitter {
+ public:
+  FieldSplitter(const std::string& text, char delimiter)
+      : text_(text), delimiter_(delimiter) {}
+
+  /// The fields of the record spanning [begin, end).
+  const std::vector<CsvField>& Split(size_t begin, size_t end) {
+    fields_.clear();
+    buffer_.clear();
+    // An unescaped field is never longer than its raw bytes, so this one
+    // reservation keeps every view into the buffer valid for the record.
+    if (buffer_.capacity() < end - begin) buffer_.reserve(end - begin);
+    size_t i = begin;
+    for (;;) {
+      size_t j = i;
+      while (j < end && text_[j] != delimiter_ && text_[j] != '"' &&
+             text_[j] != '\r') {
+        ++j;
+      }
+      if (j < end && text_[j] != delimiter_) {
+        j = Unescape(i, end);
+      } else {
+        fields_.push_back(CsvField{
+            TrimWhitespace(std::string_view(text_).substr(i, j - i))});
+      }
+      if (j == end) return fields_;
+      i = j + 1;
+    }
+  }
+
+ private:
+  /// Reads the field starting at `begin` by the reference parser's rules
+  /// into the buffer, and returns the offset of the delimiter that ends
+  /// it, or `end`. The record starts and ends outside quotes, so the
+  /// escape lookahead never needs a byte past `end`.
+  size_t Unescape(size_t begin, size_t end) {
+    const size_t from = buffer_.size();
+    bool in_quotes = false;
+    bool quoted = false;
+    size_t i = begin;
+    for (; i < end; ++i) {
+      const char c = text_[i];
+      if (in_quotes) {
+        if (c != '"') {
+          buffer_.push_back(c);
+        } else if (i + 1 < end && text_[i + 1] == '"') {
+          buffer_.push_back('"');
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else if (c == '"') {
+        in_quotes = quoted = true;
+      } else if (c == delimiter_) {
+        break;
+      } else if (c != '\r') {  // Unquoted '\r' is swallowed.
+        buffer_.push_back(c);
+      }
+    }
+    const std::string_view text(buffer_.data() + from, buffer_.size() - from);
+    fields_.push_back(
+        CsvField{quoted ? text : TrimWhitespace(text), quoted, false});
+    return i;
+  }
+
+  const std::string& text_;
+  const char delimiter_;
+  std::vector<CsvField> fields_;
+  std::string buffer_;
+};
+
+/// A blank input line splits into one unquoted empty field: a NULL row
+/// for a one-column relation, a line to skip otherwise.
+bool IsBlankRecord(const std::vector<CsvField>& fields) {
+  return fields.size() == 1 && !fields[0].quoted && fields[0].text.empty();
+}
+
+/// Quoted fields are never NULL; an unquoted empty field or the null
+/// literal is.
+bool IsNullCell(const CsvField& cell, const CsvOptions& options) {
+  return !cell.quoted &&
+         (cell.text.empty() || cell.text == options.null_literal);
+}
+
+// --- Typed column builders ---------------------------------------------------
+
+/// A shard's dictionary for one string column: local codes in
+/// first-appearance order. Keys view the input, or an owned copy of an
+/// unescaped value (the splitter reuses its buffer).
+class LocalDictionary {
+ public:
+  uint32_t Intern(const CsvField& cell) {
+    auto it = index_.find(cell.text);
+    if (it != index_.end()) return it->second;
+    const std::string_view key =
+        cell.in_place ? cell.text : owned_.emplace_back(cell.text);
+    const auto code = static_cast<uint32_t>(entries_.size());
+    index_.emplace(key, code);
+    entries_.push_back(key);
+    return code;
+  }
+
+  const std::vector<std::string_view>& entries() const { return entries_; }
+
+ private:
+  std::unordered_map<std::string_view, uint32_t> index_;
+  std::vector<std::string_view> entries_;
+  std::deque<std::string> owned_;  // Elements never move.
+};
+
+/// One shard's cells of one column, in row order: validity plus int64
+/// values, double values, or local dictionary codes (kNullCode for NULL).
+/// NULL rows hold the column's placeholder (0, 0.0 or kNullCode).
+struct ColumnBuilder {
+  std::vector<uint8_t> valid;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<uint32_t> codes;
+  LocalDictionary dict;
+};
+
+/// One shard's kept rows, one builder per schema column.
+struct ShardColumns {
+  size_t rows = 0;
+  std::vector<ColumnBuilder> columns;
+};
+
+/// Types one cell into `out`. Numeric parses are strict and fail with
+/// InvalidArgument.
+Status AppendCell(const CsvField& cell, ValueType type,
+                  const CsvOptions& options, ColumnBuilder* out) {
+  if (IsNullCell(cell, options)) {
+    if (type == ValueType::kInt64) out->ints.push_back(0);
+    if (type == ValueType::kDouble) out->doubles.push_back(0.0);
+    if (type == ValueType::kString) out->codes.push_back(kNullCode);
+    out->valid.push_back(0);
+    return Status::OK();
+  }
+  switch (type) {
+    case ValueType::kInt64: {
+      PCLEAN_ASSIGN_OR_RETURN(int64_t v, ParseInt64(cell.text));
+      out->ints.push_back(v);
+      break;
+    }
+    case ValueType::kDouble: {
+      PCLEAN_ASSIGN_OR_RETURN(double v, ParseDouble(cell.text));
+      out->doubles.push_back(v);
+      break;
+    }
+    case ValueType::kString:
+      out->codes.push_back(out->dict.Intern(cell));
+      break;
+    case ValueType::kNull:
+      return Status::Internal("field with null type");
+  }
+  out->valid.push_back(1);
+  return Status::OK();
+}
+
+/// Binds the shards' builders into a table. Each string column interns
+/// its shards' local entries in shard order, which reproduces the global
+/// first-appearance order; then every shard's rows are written, in
+/// parallel, at the shard's row offset (a prefix sum of kept rows).
+Result<Table> BindColumns(const Schema& schema,
+                          const std::vector<ShardColumns>& shards,
+                          const ExecutionOptions& exec) {
+  const size_t width = schema.num_fields();
+  std::vector<size_t> offset(shards.size() + 1, 0);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    offset[s + 1] = offset[s] + shards[s].rows;
+  }
+  const size_t rows = offset.back();
+  std::vector<Column> columns;
+  columns.reserve(width);
+  // remap[c][s][local code] = column c's code for shard s's entry.
+  std::vector<std::vector<std::vector<uint32_t>>> remap(width);
+  for (size_t c = 0; c < width; ++c) {
+    const ValueType type = schema.field(c).type;
+    PCLEAN_ASSIGN_OR_RETURN(Column column, Column::Make(type));
+    column.mutable_validity()->resize(rows);
+    if (type == ValueType::kInt64) column.mutable_ints()->resize(rows);
+    if (type == ValueType::kDouble) column.mutable_doubles()->resize(rows);
+    if (type == ValueType::kString) {
+      column.mutable_codes()->resize(rows);
+      remap[c].resize(shards.size());
+      for (size_t s = 0; s < shards.size(); ++s) {
+        for (std::string_view entry : shards[s].columns[c].dict.entries()) {
+          remap[c][s].push_back(column.InternString(entry));
+        }
+      }
+    }
+    columns.push_back(std::move(column));
+  }
+  // Shard bodies never fail; each writes its own disjoint row range.
+  Status st = ParallelFor(
+      shards.size(), shards.size(), exec,
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t s = begin; s < end; ++s) {
+          for (size_t c = 0; c < width; ++c) {
+            const ColumnBuilder& in = shards[s].columns[c];
+            Column& out = columns[c];
+            std::copy(in.valid.begin(), in.valid.end(),
+                      out.mutable_validity()->data() + offset[s]);
+            switch (out.type()) {
+              case ValueType::kInt64:
+                std::copy(in.ints.begin(), in.ints.end(),
+                          out.mutable_ints()->data() + offset[s]);
+                break;
+              case ValueType::kDouble:
+                std::copy(in.doubles.begin(), in.doubles.end(),
+                          out.mutable_doubles()->data() + offset[s]);
+                break;
+              default: {
+                const std::vector<uint32_t>& global = remap[c][s];
+                uint32_t* codes = out.mutable_codes()->data() + offset[s];
+                for (size_t i = 0; i < in.codes.size(); ++i) {
+                  codes[i] = in.codes[i] == kNullCode ? kNullCode
+                                                      : global[in.codes[i]];
+                }
+              }
+            }
+          }
+        }
+        return Status::OK();
+      });
+  (void)st;
+  for (Column& column : columns) column.RecomputeNullCount();
+  return Table::Make(schema, std::move(columns));
+}
+
+/// What one column's cells admit so far, on the int64 ⊂ double ⊂ string
+/// lattice. Shards merge by OR (any_value) and AND (all_*).
+struct TypeFlags {
+  bool any_value = false;
+  bool all_int = true;
+  bool all_double = true;
+
+  bool IsString() const { return !all_int && !all_double; }
+};
+
+}  // namespace
+
+Result<std::vector<CsvRawRecord>> SplitCsvRecordsReference(
+    const std::string& text, const CsvOptions& options) {
+  std::vector<CsvRawRecord> out;
+  CsvRawRecord record;
   std::string field;
   bool in_quotes = false;
   bool field_was_quoted = false;
@@ -83,7 +454,7 @@ Result<std::vector<RawRecord>> ParseRecordsSerial(const std::string& text,
   size_t line = 1;
 
   auto end_field = [&]() {
-    record.fields.push_back(RawField{
+    record.fields.push_back(CsvRawField{
         field_was_quoted ? field : std::string(TrimWhitespace(field)),
         field_was_quoted});
     field.clear();
@@ -92,11 +463,11 @@ Result<std::vector<RawRecord>> ParseRecordsSerial(const std::string& text,
   auto end_record = [&]() {
     end_field();
     out.push_back(std::move(record));
-    record = RawRecord{};
+    record = CsvRawRecord{};
     any_content = false;
   };
 
-  for (size_t i = 0; i < text.size(); ++i) {
+  for (size_t i = BodyStart(text); i < text.size(); ++i) {
     char c = text[i];
     if (in_quotes) {
       if (c == '"') {
@@ -134,352 +505,33 @@ Result<std::vector<RawRecord>> ParseRecordsSerial(const std::string& text,
     }
   }
   if (in_quotes) {
-    return Status::DataLoss(
-        Loc(options, record.line) +
-        "unterminated quoted field at end of input (truncated file?)");
+    return Status::DataLoss(Loc(options, record.line) + kUnterminatedQuote);
   }
   if (any_content || !field.empty() || !record.fields.empty()) {
-    if (options.require_trailing_newline) {
-      return Status::DataLoss(
-          Loc(options, record.line) +
-          "truncated final record: missing newline at end of file");
-    }
     end_record();
   }
   return out;
 }
 
-// --- Two-phase speculative-split record parser ------------------------------
-//
-// The quote automaton has exactly two states (inside / outside a quoted
-// field), so a chunk of bytes can be parsed under *both* possible starting
-// parities in parallel; each chunk's scan doubles as its parity transfer
-// function (start parity -> end parity). A cheap sequential pass then
-// chains the transfer functions from chunk 0 (which provably starts
-// outside quotes), selects each chunk's matching speculative scan, and the
-// records are materialized in parallel from the resolved unquoted-'\n'
-// terminators. The serial parser increments its line counter on *every*
-// '\n' (quoted or not), so a record's line number is 1 + the count of
-// '\n' bytes before it — per-chunk newline counts plus a prefix sum
-// reproduce serial line tracking exactly.
-
-/// Phase-1 scan of one chunk under one assumed starting parity. Tracks
-/// only '"' and '\n'; delimiters, '\r', and field bytes don't affect
-/// record framing.
-struct ChunkScan {
-  struct Terminator {
-    /// Byte offset of an unquoted '\n' (a record terminator).
-    size_t offset = 0;
-    /// 1-based ordinal of that '\n' among *all* the chunk's '\n' bytes
-    /// (quoted ones included), so the terminated record's successor line
-    /// is newline_base + ordinal + 1.
-    size_t newline_ordinal = 0;
-  };
-  std::vector<Terminator> terminators;
-  /// Total '\n' bytes in the chunk (parity-independent).
-  size_t newlines = 0;
-  /// Quote parity after the chunk's last byte (the transfer function's
-  /// value at this starting parity).
-  bool end_in_quotes = false;
-};
-
-/// Chunk boundaries for the speculative parser: balanced byte ranges
-/// (ShardBounds), nudged forward so no boundary falls between two
-/// adjacent '"' bytes. An escaped-quote pair (`""`) is then always
-/// chunk-local, so a chunk scan's one-byte lookahead never pairs a quote
-/// with a byte another chunk already consumed — under either parity,
-/// since the adjustment is purely syntactic. A pure function of the text
-/// and chunk size: thread count never moves a boundary.
-std::vector<size_t> SplitPoints(const std::string& text, size_t chunk_bytes) {
-  const size_t chunks = ChunkCountForBytes(text.size(), chunk_bytes);
-  std::vector<size_t> bounds;
-  bounds.reserve(chunks + 1);
-  bounds.push_back(0);
-  for (size_t c = 1; c < chunks; ++c) {
-    size_t b = ShardBounds(text.size(), chunks, c).begin;
-    while (b > 0 && b < text.size() && text[b] == '"' && text[b - 1] == '"') {
-      ++b;
-    }
-    // Adjustment only moves boundaries forward; keep them monotone (an
-    // empty chunk is fine — it scans as the identity transfer function).
-    bounds.push_back(std::max(b, bounds.back()));
-  }
-  bounds.push_back(text.size());
-  return bounds;
-}
-
-/// Scans text[begin, end) assuming the chunk starts with quote parity
-/// `start_in_quotes`, collecting record terminators and newline counts.
-ChunkScan ScanChunk(const std::string& text, size_t begin, size_t end,
-                    bool start_in_quotes) {
-  ChunkScan scan;
-  bool in_quotes = start_in_quotes;
-  size_t newlines = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          ++i;  // Escaped quote; SplitPoints keeps the pair chunk-local.
-        } else {
-          in_quotes = false;
-        }
-      } else if (c == '\n') {
-        ++newlines;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == '\n') {
-      ++newlines;
-      scan.terminators.push_back(ChunkScan::Terminator{i, newlines});
-    }
-  }
-  scan.newlines = newlines;
-  scan.end_in_quotes = in_quotes;
-  return scan;
-}
-
-/// Parses the byte range of exactly one record (its terminating '\n'
-/// excluded) that is known to start outside quotes. The field loop is the
-/// serial parser's, minus line tracking (the record's line is resolved
-/// from the newline prefix sums) and minus the '\n' record branch (the
-/// range contains no unquoted '\n' by construction).
-RawRecord ParseOneRecord(const std::string& text, size_t begin, size_t end,
-                         size_t line, const CsvOptions& options) {
-  RawRecord record;
-  record.line = line;
-  std::string field;
-  bool in_quotes = false;
-  bool field_was_quoted = false;
-  auto end_field = [&]() {
-    record.fields.push_back(RawField{
-        field_was_quoted ? field : std::string(TrimWhitespace(field)),
-        field_was_quoted});
-    field.clear();
-    field_was_quoted = false;
-  };
-  for (size_t i = begin; i < end; ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-      field_was_quoted = true;
-    } else if (c == options.delimiter) {
-      end_field();
-    } else if (c == '\r') {
-      // Swallow, exactly like the serial parser.
-    } else {
-      field.push_back(c);
-    }
-  }
-  end_field();
-  return record;
-}
-
-/// The two-phase speculative-split parser. Byte-identical to
-/// ParseRecordsSerial — same records, same line numbers, same error
-/// statuses — at any thread count and any chunk size.
-Result<std::vector<RawRecord>> ParseRecordsSpeculative(
-    const std::string& text, const CsvOptions& options) {
-  std::vector<RawRecord> out;
-  if (text.empty()) return out;
-
-  const std::vector<size_t> bounds =
-      SplitPoints(text, options.split_chunk_bytes);
-  const size_t chunks = bounds.size() - 1;
-
-  // Phase 1 (parallel): scan every chunk under both possible starting
-  // parities. Chunks are coarse items (each is a full pass over its
-  // bytes), so they shard under the coarse cap. Scan bodies never fail.
-  std::vector<ChunkScan> scans[2];
-  scans[0].resize(chunks);
-  scans[1].resize(chunks);
-  Status scan_status = ParallelFor(
-      chunks, ShardCountForCoarseItems(chunks), options.exec,
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t c = begin; c < end; ++c) {
-          scans[0][c] = ScanChunk(text, bounds[c], bounds[c + 1], false);
-          scans[1][c] = ScanChunk(text, bounds[c], bounds[c + 1], true);
-        }
-        return Status::OK();
-      });
-  (void)scan_status;
-
-  // Phase 2 (sequential, O(chunks)): chunk 0 starts outside quotes;
-  // chain each chunk's end parity into the next chunk's start parity,
-  // selecting the matching speculative scan, and prefix-sum newline and
-  // terminator counts for global line numbers and record indexing.
-  std::vector<const ChunkScan*> chosen(chunks);
-  std::vector<size_t> newline_base(chunks);
-  std::vector<size_t> terminator_base(chunks);
-  bool parity = false;
-  size_t total_newlines = 0;
-  size_t total_terminators = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    const ChunkScan& scan = scans[parity ? 1 : 0][c];
-    chosen[c] = &scan;
-    newline_base[c] = total_newlines;
-    terminator_base[c] = total_terminators;
-    total_newlines += scan.newlines;
-    total_terminators += scan.terminators.size();
-    parity = scan.end_in_quotes;
-  }
-  const bool final_in_quotes = parity;
-
-  // Flatten the chosen scans' terminators into one global array carrying
-  // each terminator's successor line (the line number of the record that
-  // starts right after it): 1 + the '\n' count up to and including it.
-  struct GlobalTerminator {
-    size_t offset = 0;
-    size_t line_after = 1;
-  };
-  std::vector<GlobalTerminator> terminators(total_terminators);
-  Status fill_status = ParallelFor(
-      chunks, ShardCountForCoarseItems(chunks), options.exec,
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t c = begin; c < end; ++c) {
-          const ChunkScan& scan = *chosen[c];
-          for (size_t t = 0; t < scan.terminators.size(); ++t) {
-            terminators[terminator_base[c] + t] = GlobalTerminator{
-                scan.terminators[t].offset,
-                1 + newline_base[c] + scan.terminators[t].newline_ordinal};
-          }
-        }
-        return Status::OK();
-      });
-  (void)fill_status;
-
-  // Tail = bytes after the last terminator. Serial checks the open-quote
-  // error first, then truncation; record.line at EOF is the last
-  // terminator's successor line (quoted '\n' in the tail never moves a
-  // record's starting line).
-  const size_t tail_begin =
-      total_terminators == 0 ? 0 : terminators.back().offset + 1;
-  const size_t tail_line =
-      total_terminators == 0 ? 1 : terminators.back().line_after;
-  if (final_in_quotes) {
-    return Status::DataLoss(
-        Loc(options, tail_line) +
-        "unterminated quoted field at end of input (truncated file?)");
-  }
-  // The tail forms a final record exactly when it contains any byte other
-  // than '\r': an unquoted '\n' cannot appear (it would be a terminator)
-  // and a quoted '\n' implies a preceding '"' in the tail, so this matches
-  // the serial parser's any-content test byte for byte.
-  bool tail_content = false;
-  for (size_t i = tail_begin; i < text.size(); ++i) {
-    if (text[i] != '\r') {
-      tail_content = true;
-      break;
-    }
-  }
-  if (tail_content && options.require_trailing_newline) {
-    return Status::DataLoss(
-        Loc(options, tail_line) +
-        "truncated final record: missing newline at end of file");
-  }
-
-  // Phase 3 (parallel): materialize records. Record r spans the bytes
-  // between terminators r-1 and r; its line is terminator r-1's successor
-  // line. Per-shard buffers are appended in shard index order, which
-  // reproduces the serial record order exactly.
-  const size_t num_records = total_terminators + (tail_content ? 1 : 0);
-  if (num_records == 0) return out;
-  const size_t shards = ShardCountForRows(num_records);
-  std::vector<std::vector<RawRecord>> shard_records(shards);
-  Status parse_status = ParallelFor(
-      num_records, shards, options.exec,
-      [&](size_t shard, size_t begin, size_t end) -> Status {
-        std::vector<RawRecord>& local = shard_records[shard];
-        local.reserve(end - begin);
-        for (size_t r = begin; r < end; ++r) {
-          const size_t byte_begin = r == 0 ? 0 : terminators[r - 1].offset + 1;
-          const size_t byte_end =
-              r < total_terminators ? terminators[r].offset : text.size();
-          const size_t line = r == 0 ? 1 : terminators[r - 1].line_after;
-          local.push_back(
-              ParseOneRecord(text, byte_begin, byte_end, line, options));
-        }
-        return Status::OK();
-      });
-  (void)parse_status;
-  out.reserve(num_records);
-  for (std::vector<RawRecord>& chunk : shard_records) {
-    for (RawRecord& record : chunk) out.push_back(std::move(record));
-  }
-  return out;
-}
-
-/// Whether the speculative splitter applies. Record framing only depends
-/// on '"' and '\n' when the delimiter is neither, so those (pathological)
-/// configurations always parse serially; otherwise kAuto requires real
-/// parallelism and enough bytes to amortize the chunk bookkeeping.
-bool UseSpeculativeSplit(const std::string& text, const CsvOptions& options) {
-  if (options.delimiter == '"' || options.delimiter == '\n') return false;
-  switch (options.split) {
-    case CsvSplitMode::kSerial:
-      return false;
-    case CsvSplitMode::kSpeculative:
-      return true;
-    case CsvSplitMode::kAuto:
-      break;
-  }
-  return options.exec.EffectiveThreads() > 1 &&
-         text.size() >= options.split_min_bytes;
-}
-
-/// Record-splitting dispatcher for CsvToTable / InferCsvSchema /
-/// SplitCsvRecords.
-Result<std::vector<RawRecord>> ParseRecords(const std::string& text,
-                                            const CsvOptions& options) {
-  if (UseSpeculativeSplit(text, options)) {
-    return ParseRecordsSpeculative(text, options);
-  }
-  return ParseRecordsSerial(text, options);
-}
-
-Result<Value> ParseCell(const RawField& cell, const Field& field,
-                        const CsvOptions& options) {
-  // Quoted fields are never NULL; unquoted empty fields and the null
-  // literal are.
-  if (!cell.quoted &&
-      (cell.text.empty() || cell.text == options.null_literal)) {
-    return Value::Null();
-  }
-  switch (field.type) {
-    case ValueType::kInt64: {
-      PCLEAN_ASSIGN_OR_RETURN(int64_t v, ParseInt64(cell.text));
-      return Value(v);
-    }
-    case ValueType::kDouble: {
-      PCLEAN_ASSIGN_OR_RETURN(double v, ParseDouble(cell.text));
-      return Value(v);
-    }
-    case ValueType::kString:
-      return Value(cell.text);
-    case ValueType::kNull:
-      break;
-  }
-  return Status::Internal("field with null type");
-}
-
-}  // namespace
-
 Result<std::vector<CsvRawRecord>> SplitCsvRecords(const std::string& text,
                                                   const CsvOptions& options) {
-  return ParseRecords(text, options);
+  PCLEAN_ASSIGN_OR_RETURN(CsvFrame frame, FrameRecords(text, options));
+  std::vector<CsvRawRecord> out(frame.size());
+  FieldSplitter splitter(text, options.delimiter);
+  size_t line = 1;
+  size_t counted = 0;  // '\n' bytes before `counted` are in `line`.
+  for (size_t r = 0; r < frame.size(); ++r) {
+    const size_t begin = frame.Begin(r);
+    line += static_cast<size_t>(
+        std::count(text.begin() + counted, text.begin() + begin, '\n'));
+    counted = begin;
+    out[r].line = line;
+    for (const CsvField& field : splitter.Split(begin, frame.ends[r])) {
+      out[r].fields.push_back(
+          CsvRawField{std::string(field.text), field.quoted});
+    }
+  }
+  return out;
 }
 
 std::string TableToCsv(const Table& table, const CsvOptions& options) {
@@ -534,77 +586,73 @@ Status WriteCsvFile(const Table& table, const std::string& path,
 
 Result<Table> CsvToTable(const std::string& text, const Schema& schema,
                          const CsvOptions& options) {
-  PCLEAN_ASSIGN_OR_RETURN(auto records, ParseRecords(text, options));
+  PCLEAN_ASSIGN_OR_RETURN(CsvFrame frame, FrameRecords(text, options));
+  const size_t width = schema.num_fields();
   size_t first_data = 0;
   if (options.header) {
-    if (records.empty()) {
+    if (frame.size() == 0) {
       return Status::IOError(Loc(options, 1) + "CSV input missing header row");
     }
-    const auto& header = records[0].fields;
-    if (header.size() != schema.num_fields()) {
-      return Status::IOError(
-          Loc(options, records[0].line) + "CSV header has " +
-          std::to_string(header.size()) + " fields, schema expects " +
-          std::to_string(schema.num_fields()));
+    FieldSplitter splitter(text, options.delimiter);
+    const std::vector<CsvField>& header =
+        splitter.Split(frame.Begin(0), frame.ends[0]);
+    if (header.size() != width) {
+      return Status::IOError(Loc(options, 1) + "CSV header has " +
+                             std::to_string(header.size()) +
+                             " fields, schema expects " +
+                             std::to_string(width));
     }
-    for (size_t c = 0; c < header.size(); ++c) {
+    for (size_t c = 0; c < width; ++c) {
       if (header[c].text != schema.field(c).name) {
-        return Status::IOError(Loc(options, records[0].line) +
-                               "CSV header field '" + header[c].text +
+        return Status::IOError(Loc(options, 1) + "CSV header field '" +
+                               std::string(header[c].text) +
                                "' does not match schema field '" +
                                schema.field(c).name + "'");
       }
     }
     first_data = 1;
   }
-  PCLEAN_ASSIGN_OR_RETURN(Table table, Table::MakeEmpty(schema));
-  // Cell typing is sharded over the data records; each shard types its
-  // records into a local row buffer, and the buffers are appended in
-  // shard index order, which reproduces the serial row order exactly.
-  // Shards are claimed in increasing index order, so on malformed input
-  // the error reported is the serial one (lowest failing record).
-  const size_t num_data = records.size() - first_data;
-  const size_t shards = ShardCountForRows(num_data);
-  std::vector<std::vector<std::vector<Value>>> shard_rows(shards);
+  // Each shard of records types its cells into its own builders. Shards
+  // are claimed in increasing index order and each stops at its first
+  // bad record, so on malformed input the error reported is that of the
+  // first bad record in input order.
+  const size_t num_data = frame.size() - first_data;
+  std::vector<ShardColumns> shards(ShardCountForRows(num_data));
+  for (ShardColumns& shard : shards) shard.columns.resize(width);
   PCLEAN_RETURN_NOT_OK(ParallelFor(
-      num_data, shards, options.exec,
+      num_data, shards.size(), options.exec,
       [&](size_t shard, size_t begin, size_t end) -> Status {
-        std::vector<std::vector<Value>>& rows = shard_rows[shard];
-        for (size_t i = begin; i < end; ++i) {
-          const size_t r = first_data + i;
-          const auto& record = records[r];
-          if (schema.num_fields() != 1 && IsBlankRecord(record)) continue;
-          if (record.fields.size() != schema.num_fields()) {
+        ShardColumns& out = shards[shard];
+        FieldSplitter splitter(text, options.delimiter);
+        for (size_t r = first_data + begin; r < first_data + end; ++r) {
+          const size_t record_begin = frame.Begin(r);
+          const std::vector<CsvField>& fields =
+              splitter.Split(record_begin, frame.ends[r]);
+          if (width != 1 && IsBlankRecord(fields)) continue;
+          if (fields.size() != width) {
             return Status::IOError(
-                Loc(options, record.line) + "CSV record has " +
-                std::to_string(record.fields.size()) +
-                " fields, expected " +
-                std::to_string(schema.num_fields()));
+                Loc(options, LineAt(text, record_begin)) + "CSV record has " +
+                std::to_string(fields.size()) + " fields, expected " +
+                std::to_string(width));
           }
-          std::vector<Value> row;
-          row.reserve(record.fields.size());
-          for (size_t c = 0; c < record.fields.size(); ++c) {
-            auto cell = ParseCell(record.fields[c], schema.field(c), options);
+          for (size_t c = 0; c < width; ++c) {
+            const Field& field = schema.field(c);
+            Status cell =
+                AppendCell(fields[c], field.type, options, &out.columns[c]);
             if (!cell.ok()) {
               // Keep the underlying code (strict numeric parses are
               // InvalidArgument) but pin the failure to file and line.
               return Status::WithCode(
-                  cell.status().code(),
-                  Loc(options, record.line) + "column '" +
-                      schema.field(c).name + "': " + cell.status().message());
+                  cell.code(), Loc(options, LineAt(text, record_begin)) +
+                                   "column '" + field.name +
+                                   "': " + cell.message());
             }
-            row.push_back(std::move(cell).ValueOrDie());
           }
-          rows.push_back(std::move(row));
+          ++out.rows;
         }
         return Status::OK();
       }));
-  for (const auto& rows : shard_rows) {
-    for (const std::vector<Value>& row : rows) {
-      PCLEAN_RETURN_NOT_OK(table.AppendRow(row));
-    }
-  }
-  return table;
+  return BindColumns(schema, shards, options.exec);
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const Schema& schema,
@@ -626,33 +674,62 @@ Result<Schema> InferCsvSchema(const std::string& text,
     return Status::InvalidArgument(
         "schema inference requires a header row for field names");
   }
-  PCLEAN_ASSIGN_OR_RETURN(auto records, ParseRecords(text, options));
-  if (records.empty()) return Status::IOError("empty CSV input");
-  const auto& header = records[0].fields;
-  std::vector<Field> fields;
-  for (size_t c = 0; c < header.size(); ++c) {
-    bool all_int = true;
-    bool all_double = true;
-    bool any_value = false;
-    for (size_t r = 1; r < records.size(); ++r) {
-      if (header.size() != 1 && IsBlankRecord(records[r])) continue;
-      if (c >= records[r].fields.size()) continue;
-      const RawField& cell = records[r].fields[c];
-      if (!cell.quoted &&
-          (cell.text.empty() || cell.text == options.null_literal)) {
-        continue;
-      }
-      any_value = true;
-      if (all_int && !ParseInt64(cell.text).ok()) all_int = false;
-      if (all_double && !ParseDouble(cell.text).ok()) all_double = false;
-      if (!all_int && !all_double) break;
+  PCLEAN_ASSIGN_OR_RETURN(CsvFrame frame, FrameRecords(text, options));
+  if (frame.size() == 0) return Status::IOError("empty CSV input");
+  std::vector<std::string> names;
+  {
+    FieldSplitter splitter(text, options.delimiter);
+    for (const CsvField& field : splitter.Split(frame.Begin(0), frame.ends[0])) {
+      names.emplace_back(field.text);
     }
-    if (any_value && all_int) {
-      fields.push_back(Field::Numerical(header[c].text, ValueType::kInt64));
-    } else if (any_value && all_double) {
-      fields.push_back(Field::Numerical(header[c].text, ValueType::kDouble));
+  }
+  const size_t width = names.size();
+  const size_t num_data = frame.size() - 1;
+  const size_t shards = ShardCountForRows(num_data);
+  std::vector<std::vector<TypeFlags>> shard_flags(
+      shards, std::vector<TypeFlags>(width));
+  // Shard bodies never fail. A shard stops early once every column it
+  // has seen is a string: no later cell can change its contribution.
+  Status st = ParallelFor(
+      num_data, shards, options.exec,
+      [&](size_t shard, size_t begin, size_t end) -> Status {
+        std::vector<TypeFlags>& flags = shard_flags[shard];
+        size_t open = width;  // Columns that may still be numeric.
+        FieldSplitter splitter(text, options.delimiter);
+        for (size_t r = 1 + begin; r < 1 + end && open > 0; ++r) {
+          const std::vector<CsvField>& fields =
+              splitter.Split(frame.Begin(r), frame.ends[r]);
+          if (width != 1 && IsBlankRecord(fields)) continue;
+          for (size_t c = 0; c < std::min(width, fields.size()); ++c) {
+            TypeFlags& f = flags[c];
+            if (f.IsString() || IsNullCell(fields[c], options)) continue;
+            f.any_value = true;
+            if (f.all_int && !ParseInt64(fields[c].text).ok()) {
+              f.all_int = false;
+            }
+            if (f.all_double && !ParseDouble(fields[c].text).ok()) {
+              f.all_double = false;
+            }
+            if (f.IsString()) --open;
+          }
+        }
+        return Status::OK();
+      });
+  (void)st;
+  std::vector<Field> fields;
+  for (size_t c = 0; c < width; ++c) {
+    TypeFlags merged;
+    for (const std::vector<TypeFlags>& flags : shard_flags) {
+      merged.any_value |= flags[c].any_value;
+      merged.all_int &= flags[c].all_int;
+      merged.all_double &= flags[c].all_double;
+    }
+    if (merged.any_value && merged.all_int) {
+      fields.push_back(Field::Numerical(names[c], ValueType::kInt64));
+    } else if (merged.any_value && merged.all_double) {
+      fields.push_back(Field::Numerical(names[c], ValueType::kDouble));
     } else {
-      fields.push_back(Field::Discrete(header[c].text, ValueType::kString));
+      fields.push_back(Field::Discrete(names[c], ValueType::kString));
     }
   }
   return Schema::Make(std::move(fields));

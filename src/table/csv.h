@@ -10,44 +10,24 @@
 
 namespace privateclean {
 
-/// How the reader cuts CSV text into records before cell typing.
-enum class CsvSplitMode {
-  /// Speculative split when it can pay off: more than one effective
-  /// thread and at least `split_min_bytes` of input; serial otherwise.
-  kAuto,
-  /// Always the single-pass serial parser (the reference semantics).
-  kSerial,
-  /// Always the two-phase speculative-split parser, even single-threaded.
-  /// The differential fuzz suite forces this (with tiny chunk sizes) to
-  /// prove byte-identical behavior against kSerial.
-  kSpeculative,
-};
-
 /// CSV parsing/serialization options (RFC-4180 quoting).
 struct CsvOptions {
+  /// Field separator. The reader rejects '"', '\n' and '\r' with
+  /// InvalidArgument: those bytes frame quoted fields and records.
   char delimiter = ',';
   /// Whether the first record is a header row. On read with an explicit
   /// schema the header names must match the schema names.
   bool header = true;
   /// String that encodes NULL (in addition to the empty field).
   std::string null_literal = "";
-  /// Threading (common/thread_pool.h). Cell typing on read and row
-  /// rendering on write are sharded, with per-shard output concatenated
-  /// in shard index order. Record splitting — where quote state carries
-  /// across bytes — is sharded too via the two-phase speculative-split
-  /// parser (see `split`), which resolves per-chunk quote parities
-  /// sequentially and is byte-identical to the serial parser at every
-  /// thread count.
+  /// Threading (common/thread_pool.h). Record framing is sharded by byte
+  /// chunks, cell typing by records and row rendering by rows; every
+  /// merge runs in shard index order, so the result is identical at
+  /// every thread count.
   ExecutionOptions exec;
-  /// Record-splitting strategy. kAuto falls back to serial for inputs
-  /// under `split_min_bytes` or when only one thread is effective.
-  CsvSplitMode split = CsvSplitMode::kAuto;
-  /// kAuto threshold: inputs smaller than this parse serially (chunk
-  /// bookkeeping costs more than it saves).
-  size_t split_min_bytes = 64 * 1024;
-  /// Chunk granularity for the speculative splitter; 0 picks
-  /// kBytesPerSplitChunk. Tests shrink it to force record and quote
-  /// state across chunk boundaries on small inputs. Chunk layout is a
+  /// Chunk granularity for record framing; 0 picks kBytesPerSplitChunk.
+  /// Tests shrink it to put chunk boundaries inside quoted fields,
+  /// escaped quotes and CRLF pairs on short inputs. Chunk layout is a
   /// function of the input bytes alone, never the thread count.
   size_t split_chunk_bytes = 0;
   /// Source name used in parse-error messages ("<name>:<line>: ...").
@@ -55,12 +35,6 @@ struct CsvOptions {
   /// defaults to "<csv>". Line numbers are 1-based input lines (a quoted
   /// field spanning lines reports the line its record starts on).
   std::string error_context;
-  /// Treat a final record that is not newline-terminated (or a quoted
-  /// field still open at end of input) as a truncated file and fail with
-  /// DataLoss. The release reader sets this — release files always end
-  /// with '\n' — so a torn tail can't silently drop the last row's
-  /// terminator and parse as a complete record.
-  bool require_trailing_newline = false;
 };
 
 /// Serializes a table to CSV text. Null cells render as
@@ -74,7 +48,16 @@ Status WriteCsvFile(const Table& table, const std::string& path,
 
 /// Parses CSV text into a table with a caller-provided schema. Every
 /// record must have exactly one field per schema column; numeric fields
-/// are parsed strictly. Empty fields (or `null_literal`) become NULL.
+/// are parsed strictly. Empty fields (or `null_literal`) become NULL;
+/// quoted fields never do. A blank line is skipped unless the schema has
+/// one column, where it is a NULL row. One leading UTF-8 byte-order mark
+/// is skipped.
+///
+/// One framing pass finds the records; shards of records then read their
+/// fields in place into typed column builders, and a string column's
+/// shard-local dictionaries merge in shard order, so the dictionary is in
+/// first-appearance order at every thread count. On malformed input the
+/// first failing record in input order is reported.
 Result<Table> CsvToTable(const std::string& text, const Schema& schema,
                          const CsvOptions& options = {});
 
@@ -82,9 +65,9 @@ Result<Table> CsvToTable(const std::string& text, const Schema& schema,
 Result<Table> ReadCsvFile(const std::string& path, const Schema& schema,
                           const CsvOptions& options = {});
 
-/// One raw field as produced by the record splitter, before cell typing:
-/// the field text (quoted fields unescaped, unquoted fields trimmed) and
-/// whether it was quoted (quoted fields are never NULL).
+/// One raw field: the field text (quoted fields unescaped, unquoted
+/// fields trimmed) and whether it was quoted (quoted fields are never
+/// NULL).
 struct CsvRawField {
   std::string text;
   bool quoted = false;
@@ -97,16 +80,26 @@ struct CsvRawRecord {
   size_t line = 1;
 };
 
-/// Splits CSV text into raw records per `options.split` without typing
-/// cells — the record-splitting stage of CsvToTable, exposed so the
-/// differential fuzz suite can compare the serial and speculative-split
-/// parsers field-for-field (and error-for-error) on arbitrary inputs.
+/// The records and fields the reader sees in `text`, materialized: the
+/// reader's framing and field splitting, exposed so the differential fuzz
+/// suite can compare them record by record (and error by error) with
+/// SplitCsvRecordsReference.
 Result<std::vector<CsvRawRecord>> SplitCsvRecords(
+    const std::string& text, const CsvOptions& options = {});
+
+/// The single-pass serial CSV parser that defines the reader's semantics:
+/// the reference the differential fuzz suite holds SplitCsvRecords, and
+/// through it CsvToTable and InferCsvSchema, to. Uses `delimiter` and
+/// `error_context` only. Not used by the reader itself.
+Result<std::vector<CsvRawRecord>> SplitCsvRecordsReference(
     const std::string& text, const CsvOptions& options = {});
 
 /// Infers a schema from CSV text: a column parseable entirely as int64
 /// becomes a numerical int64 field; else entirely as double, a numerical
-/// double field; otherwise a discrete string field. Requires a header row.
+/// double field; otherwise a discrete string field. NULL cells, blank
+/// lines (for a header of more than one column) and the columns a short
+/// record lacks are ignored, and so are extra fields. Requires a header
+/// row; a leading UTF-8 byte-order mark is skipped.
 Result<Schema> InferCsvSchema(const std::string& text,
                               const CsvOptions& options = {});
 

@@ -107,6 +107,37 @@ TEST_F(CliTest, PrivatizeMissingInputFileFails) {
   EXPECT_EQ(Run({"privatize", "--input", base_ + "/nope.csv", "--output",
                  release_dir_, "--epsilon", "2"}),
             1);
+  // A typed NotFound that names the path.
+  EXPECT_NE(err_.str().find("Not found"), std::string::npos) << err_.str();
+  EXPECT_NE(err_.str().find(base_ + "/nope.csv"), std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, PrivatizeSkipsUtf8ByteOrderMark) {
+  // Spreadsheet "CSV UTF-8" exports start with EF BB BF; it must not
+  // become part of the first attribute's name.
+  const std::string bom_csv = base_ + "/bom.csv";
+  {
+    std::ofstream out(bom_csv, std::ios::binary);
+    out << "\xEF\xBB\xBF" << "city,income\nA,1.5\nB,2\nA,3\n";
+  }
+  ASSERT_EQ(Run({"privatize", "--input", bom_csv, "--output", release_dir_,
+                 "--epsilon", "1"}),
+            0)
+      << err_.str();
+  ASSERT_EQ(Run({"query", "--release", release_dir_, "--sql",
+                 "SELECT COUNT(1) FROM r WHERE city = 'A'"}),
+            0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("estimate:"), std::string::npos) << out_.str();
+  const std::string exported = base_ + "/export.csv";
+  ASSERT_EQ(Run({"export", "--release", release_dir_, "--output", exported}),
+            0)
+      << err_.str();
+  std::ifstream in(exported);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header, "city,income");
 }
 
 TEST_F(CliTest, QueryEndToEnd) {
@@ -283,28 +314,20 @@ TEST_F(CliTest, UsageMentionsVerify) {
 }
 
 TEST_F(CliTest, CsvSplitModesProduceIdenticalReleases) {
+  // Ingest framing and cell typing are sharded; the release bytes must
+  // not depend on the thread count.
   ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
-                 release_dir_ + "_serial", "--p", "0.2", "--b", "5.0",
-                 "--seed", "42", "--csv-split", "serial"}),
+                 release_dir_ + "_t1", "--p", "0.2", "--b", "5.0", "--seed",
+                 "42", "--threads", "1"}),
             0)
       << err_.str();
   ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
-                 release_dir_ + "_spec", "--p", "0.2", "--b", "5.0",
-                 "--seed", "42", "--csv-split", "speculative", "--threads",
-                 "4"}),
+                 release_dir_ + "_t4", "--p", "0.2", "--b", "5.0", "--seed",
+                 "42", "--threads", "4"}),
             0)
       << err_.str();
-  EXPECT_EQ(ReleaseBytes(release_dir_ + "_serial"),
-            ReleaseBytes(release_dir_ + "_spec"));
-}
-
-TEST_F(CliTest, CsvSplitRejectsUnknownMode) {
-  EXPECT_EQ(Run({"privatize", "--input", csv_path_, "--output",
-                 release_dir_, "--epsilon", "2.0", "--csv-split",
-                 "sideways"}),
-            1);
-  EXPECT_NE(err_.str().find("--csv-split"), std::string::npos)
-      << err_.str();
+  EXPECT_EQ(ReleaseBytes(release_dir_ + "_t1"),
+            ReleaseBytes(release_dir_ + "_t4"));
 }
 
 TEST_F(CliTest, BudgetGrantShowRelaxRoundTrip) {
@@ -419,7 +442,7 @@ TEST_F(CliTest, QueryConnectRejectsServerOwnedFlags) {
   // threading; every execution-owning flag must be refused up front, not
   // silently ignored.
   for (const char* banned : {"--ledger", "--replace", "--bootstrap",
-                             "--seed", "--threads", "--csv-split"}) {
+                             "--seed", "--threads"}) {
     EXPECT_EQ(Run({"query", "--connect", "/tmp/nowhere.sock", "--sql",
                    "SELECT count(1) FROM r", banned, "x"}),
               1)

@@ -147,28 +147,5 @@ TEST(ColumnTest, SelectRowsPreservesDictionaryAndNulls) {
   EXPECT_EQ(taken.dictionary().size(), c.dictionary().size());
 }
 
-TEST(ColumnTest, RebindDictionaryRemapsCodes) {
-  Column c = *Column::Make(ValueType::kString);
-  c.AppendString("x");
-  c.AppendString("y");
-  c.AppendNull();
-  ASSERT_TRUE(c.RebindDictionary({"y", "x", "unused"}).ok());
-  EXPECT_EQ(c.StringAt(0), "x");
-  EXPECT_EQ(c.StringAt(1), "y");
-  EXPECT_TRUE(c.IsNull(2));
-  EXPECT_EQ(c.CodeAt(0), 1u);
-  EXPECT_EQ(c.CodeAt(1), 0u);
-  EXPECT_EQ(c.dictionary().size(), 3u);
-}
-
-TEST(ColumnTest, RebindDictionaryRejectsMissingAndDuplicate) {
-  Column c = *Column::Make(ValueType::kString);
-  c.AppendString("x");
-  EXPECT_TRUE(c.RebindDictionary({"y"}).IsInvalidArgument());
-  EXPECT_TRUE(c.RebindDictionary({"x", "x"}).IsInvalidArgument());
-  Column n = *Column::Make(ValueType::kInt64);
-  EXPECT_TRUE(n.RebindDictionary({}).IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace privateclean

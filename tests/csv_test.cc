@@ -223,19 +223,6 @@ TEST(CsvTest, UnterminatedQuoteIsDataLoss) {
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
 }
 
-TEST(CsvTest, TrailingNewlineRequirementFlagsTruncation) {
-  std::string truncated = "name,score,count\nx,1.5,2";
-  CsvOptions options;
-  options.require_trailing_newline = true;
-  auto r = CsvToTable(truncated, TestSchema(), options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("truncated"), std::string::npos);
-  // With the final newline present the same bytes parse cleanly.
-  Table t = *CsvToTable(truncated + "\n", TestSchema(), options);
-  EXPECT_EQ(t.num_rows(), 1u);
-}
-
 TEST(CsvInferTest, InfersTypes) {
   std::string csv = "a,b,c\nx,1,1.5\ny,2,2.5\n";
   Schema s = *InferCsvSchema(csv);
@@ -364,29 +351,26 @@ TEST(CsvParallelFuzzTest, ParallelParseMatchesSerialOnRawText) {
   }
 }
 
-// --- Serial/speculative edge-case equivalence -------------------------------
+// --- Reader vs reference edge-case equivalence ------------------------------
 //
-// Deterministic corner inputs where the two record splitters could
-// plausibly diverge: blank records, carriage returns at EOF, quotes
-// opened on the very last byte. Each case is asserted field-for-field
-// (and error-for-error) across both parsers at several chunk sizes.
+// Deterministic corner inputs where the reader's chunked framing and
+// in-place field splitting could plausibly diverge from the serial
+// reference parser: blank records, carriage returns at EOF, quotes opened
+// on the very last byte. Each case is asserted field-for-field (and
+// error-for-error) at several chunk sizes.
 
-/// Splits `text` under both modes (speculative at chunk sizes 1, 3, and
-/// default) and asserts identical records/lines or identical statuses.
-void ExpectSplitModesAgree(const std::string& text,
-                           bool require_trailing_newline = false) {
-  CsvOptions serial;
-  serial.split = CsvSplitMode::kSerial;
-  serial.require_trailing_newline = require_trailing_newline;
-  auto want = SplitCsvRecords(text, serial);
+/// Splits `text` with the reference parser and with the reader (chunk
+/// sizes 1, 3, and default, 4 threads) and asserts identical
+/// records/lines or identical statuses.
+void ExpectReaderMatchesReference(const std::string& text) {
+  auto want = SplitCsvRecordsReference(text);
 
-  CsvOptions spec = serial;
-  spec.split = CsvSplitMode::kSpeculative;
-  spec.exec.num_threads = 4;
+  CsvOptions reader;
+  reader.exec.num_threads = 4;
   for (size_t chunk_bytes : {size_t{1}, size_t{3}, size_t{0}}) {
     SCOPED_TRACE("chunk_bytes=" + std::to_string(chunk_bytes));
-    spec.split_chunk_bytes = chunk_bytes;
-    auto got = SplitCsvRecords(text, spec);
+    reader.split_chunk_bytes = chunk_bytes;
+    auto got = SplitCsvRecords(text, reader);
     ASSERT_EQ(want.ok(), got.ok());
     if (!want.ok()) {
       EXPECT_EQ(want.status().code(), got.status().code());
@@ -410,8 +394,7 @@ void ExpectSplitModesAgree(const std::string& text,
 }
 
 TEST(CsvSplitEdgeCaseTest, EmptyInput) {
-  ExpectSplitModesAgree("");
-  ExpectSplitModesAgree("", /*require_trailing_newline=*/true);
+  ExpectReaderMatchesReference("");
   EXPECT_TRUE(SplitCsvRecords("")->empty());
 }
 
@@ -419,8 +402,7 @@ TEST(CsvSplitEdgeCaseTest, OnlyNewlines) {
   // Every newline is a blank record (one unquoted empty field) in both
   // parsers, with consecutive line numbers.
   for (const char* text : {"\n", "\n\n", "\n\n\n\n\n"}) {
-    ExpectSplitModesAgree(text);
-    ExpectSplitModesAgree(text, /*require_trailing_newline=*/true);
+    ExpectReaderMatchesReference(text);
   }
   auto records = *SplitCsvRecords("\n\n\n");
   ASSERT_EQ(records.size(), 3u);
@@ -433,23 +415,17 @@ TEST(CsvSplitEdgeCaseTest, OnlyNewlines) {
 }
 
 TEST(CsvSplitEdgeCaseTest, LoneCarriageReturnAtEof) {
-  // A bare '\r' tail is swallowed: no final record, and not truncation
-  // even under require_trailing_newline — in both parsers.
+  // A bare '\r' tail is swallowed: no final record, in both parsers.
   for (const char* text : {"\r", "\r\r", "a\n\r", "a\n\r\r"}) {
-    ExpectSplitModesAgree(text);
-    ExpectSplitModesAgree(text, /*require_trailing_newline=*/true);
+    ExpectReaderMatchesReference(text);
   }
   EXPECT_TRUE(SplitCsvRecords("\r")->empty());
-  CsvOptions strict;
-  strict.require_trailing_newline = true;
-  EXPECT_TRUE(SplitCsvRecords("a\n\r", strict).ok());
-  EXPECT_EQ(SplitCsvRecords("a\n\r", strict)->size(), 1u);
+  EXPECT_EQ(SplitCsvRecords("a\n\r")->size(), 1u);
 }
 
 TEST(CsvSplitEdgeCaseTest, CarriageReturnWithContentAtEof) {
   // '\r' plus real bytes *is* a final record ("a\r" parses as "a").
-  ExpectSplitModesAgree("a\r");
-  ExpectSplitModesAgree("a\r", /*require_trailing_newline=*/true);
+  ExpectReaderMatchesReference("a\r");
   auto records = *SplitCsvRecords("a\r");
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].fields[0].text, "a");
@@ -459,8 +435,7 @@ TEST(CsvSplitEdgeCaseTest, QuoteOpenedAtLastByte) {
   // A quote opened on the final byte is an unterminated quoted field;
   // both parsers must report DataLoss at the same line.
   for (const char* text : {"\"", "abc\"", "a,b\n\"", "a\nb\nc,\""}) {
-    ExpectSplitModesAgree(text);
-    ExpectSplitModesAgree(text, /*require_trailing_newline=*/true);
+    ExpectReaderMatchesReference(text);
   }
   auto result = SplitCsvRecords("a\nb\nc,\"");
   ASSERT_FALSE(result.ok());
@@ -473,42 +448,72 @@ TEST(CsvSplitEdgeCaseTest, BlankRecordsAndCrLfMixtures) {
   for (const char* text :
        {"\r\n", "\r\n\r\n", "a\r\n\r\nb\r\n", "a\n\nb\n", "\n\r\n\n",
         "a,b\r\n\r\nc,d"}) {
-    ExpectSplitModesAgree(text);
-    ExpectSplitModesAgree(text, /*require_trailing_newline=*/true);
+    ExpectReaderMatchesReference(text);
   }
 }
 
 TEST(CsvSplitEdgeCaseTest, QuoteRunsAcrossChunkBoundaries) {
-  // Runs of escaped quotes positioned so naive chunk boundaries would
-  // split a `""` pair; the boundary adjustment must keep pairs
-  // chunk-local under every chunk size.
+  // Runs of escaped quotes positioned so chunk boundaries split `""`
+  // pairs: framing counts '"' bytes, so a pair split across two chunks
+  // must still leave the quote state unchanged.
   for (const char* text :
        {"\"\"\"\"\n", "a,\"\"\"\"\"\"\n", "\"\"\"x\"\"\"\n",
         "\"\"\n\"\"\"\"\n", "x\"\"\"\"y\n"}) {
-    ExpectSplitModesAgree(text);
+    ExpectReaderMatchesReference(text);
   }
 }
 
-TEST(CsvSplitEdgeCaseTest, AutoModeFallsBackToSerialForSmallInputs) {
-  // kAuto with multiple threads but a tiny input takes the serial path;
-  // with a forced-low threshold it takes the speculative path. The flip
-  // must be observable only in timing, never in the records.
-  const std::string text = "a,\"multi\nline\"\nb,c\n";
-  CsvOptions auto_serial;
-  auto_serial.exec.num_threads = 8;  // Input is far below split_min_bytes.
-  CsvOptions auto_spec = auto_serial;
-  auto_spec.split_min_bytes = 1;
-  auto serial_records = *SplitCsvRecords(text, auto_serial);
-  auto spec_records = *SplitCsvRecords(text, auto_spec);
-  ASSERT_EQ(serial_records.size(), spec_records.size());
-  for (size_t r = 0; r < serial_records.size(); ++r) {
-    EXPECT_EQ(serial_records[r].line, spec_records[r].line);
-    ASSERT_EQ(serial_records[r].fields.size(), spec_records[r].fields.size());
-    for (size_t f = 0; f < serial_records[r].fields.size(); ++f) {
-      EXPECT_EQ(serial_records[r].fields[f].text,
-                spec_records[r].fields[f].text);
+TEST(CsvSplitEdgeCaseTest, LeadingByteOrderMarkIsSkipped) {
+  // One leading UTF-8 BOM is skipped by both parsers without moving line
+  // numbers; a second one, or one anywhere else, is data.
+  const std::string bom = "\xEF\xBB\xBF";
+  for (const std::string& text :
+       {bom, bom + "a,b\n", bom + bom + "a\n", "a\n" + bom + "b\n",
+        bom + "\"q\nr\",x\nbad,\"", bom + "\n\nz"}) {
+    ExpectReaderMatchesReference(text);
+  }
+  auto records = *SplitCsvRecords(bom + "city,income\nA,1\n");
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].fields[0].text, "city");
+  EXPECT_EQ(records[1].line, 2u);
+  EXPECT_EQ((*SplitCsvRecords(bom + bom + "a\n"))[0].fields[0].text,
+            bom + "a");
+}
+
+TEST(CsvSplitEdgeCaseTest, FramingDelimitersAreRejected) {
+  // '"', '\n' and '\r' frame quoted fields and records; as delimiters
+  // they are a typed error on every read path.
+  for (char delimiter : {'"', '\n', '\r'}) {
+    CsvOptions options;
+    options.delimiter = delimiter;
+    EXPECT_TRUE(SplitCsvRecords("a\n", options).status().IsInvalidArgument());
+    EXPECT_TRUE(InferCsvSchema("a\n1\n", options).status().IsInvalidArgument());
+    EXPECT_TRUE(CsvToTable("name,score,count\n", TestSchema(), options)
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
+TEST(CsvTest, ByteOrderMarkDoesNotReachTheHeader) {
+  // A spreadsheet "CSV UTF-8" export: the same schema and the same table
+  // with and without the mark.
+  const std::string csv = "city,income\nA,1.5\nB,2\nA,3\n";
+  const std::string bom = "\xEF\xBB\xBF" + csv;
+  Schema plain = *InferCsvSchema(csv);
+  Schema marked = *InferCsvSchema(bom);
+  EXPECT_TRUE(plain == marked);
+  EXPECT_EQ(marked.field(0).name, "city");
+  EXPECT_EQ(marked.field(1).type, ValueType::kDouble);
+  Table want = *CsvToTable(csv, plain);
+  Table got = *CsvToTable(bom, marked);
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    for (size_t r = 0; r < want.num_rows(); ++r) {
+      EXPECT_EQ(got.column(c).ValueAt(r), want.column(c).ValueAt(r));
     }
   }
+  EXPECT_EQ(got.column(0).dictionary().values(),
+            want.column(0).dictionary().values());
 }
 
 }  // namespace

@@ -21,8 +21,8 @@
 #include "table/csv.h"
 
 // Golden end-to-end regression: a fixed-seed run of the full pipeline —
-// synthetic dirty relation → CSV round trip through the speculative-split
-// parser → GRR privatization → Transform cleaning (which rebuilds the
+// synthetic dirty relation → CSV round trip through the chunked CSV
+// reader → GRR privatization → Transform cleaning (which rebuilds the
 // provenance graph) → COUNT/SUM/AVG estimates — bit-compared against a
 // checked-in golden file. Estimates and confidence bounds are serialized
 // as raw IEEE-754 hex, so any change to the parser, the sharded
@@ -55,8 +55,8 @@ std::string RunPipeline(size_t threads) {
   exec.num_threads = threads;
 
   // Provider side: a skewed synthetic relation, serialized to CSV and
-  // ingested through the speculative-split parser with chunks small
-  // enough that the 400-row text spans many chunk boundaries.
+  // ingested with framing chunks small enough that the 400-row text
+  // spans many chunk boundaries.
   SyntheticOptions data_options;
   data_options.num_rows = 400;
   data_options.num_distinct = 20;
@@ -67,7 +67,6 @@ std::string RunPipeline(size_t threads) {
   CsvOptions csv;
   csv.null_literal = "\\N";
   csv.exec = exec;
-  csv.split = CsvSplitMode::kSpeculative;
   csv.split_chunk_bytes = 256;
   std::string text = TableToCsv(dirty, csv);
   Table ingested = *CsvToTable(text, dirty.schema(), csv);

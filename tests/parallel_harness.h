@@ -99,6 +99,35 @@ class ByteSink {
   std::string bytes_;
 };
 
+/// Asserts the physical storage of two columns is identical: type,
+/// validity, null count, and the int64 values, double bit patterns, or
+/// dictionary (in code order) plus code array.
+inline void ExpectColumnsBitIdentical(const Column& got, const Column& want,
+                                      const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(got.type(), want.type());
+  ASSERT_EQ(got.validity(), want.validity());
+  EXPECT_EQ(got.null_count(), want.null_count());
+  switch (want.type()) {
+    case ValueType::kInt64:
+      EXPECT_EQ(got.ints(), want.ints());
+      break;
+    case ValueType::kDouble:
+      ASSERT_EQ(got.doubles().size(), want.doubles().size());
+      for (size_t r = 0; r < want.doubles().size(); ++r) {
+        uint64_t got_bits;
+        uint64_t want_bits;
+        std::memcpy(&got_bits, &got.doubles()[r], sizeof got_bits);
+        std::memcpy(&want_bits, &want.doubles()[r], sizeof want_bits);
+        ASSERT_EQ(got_bits, want_bits) << "row " << r;
+      }
+      break;
+    default:
+      EXPECT_EQ(got.dictionary().values(), want.dictionary().values());
+      EXPECT_EQ(got.codes(), want.codes());
+  }
+}
+
 /// Runs `op` (an invocable taking `const ExecutionOptions&` and returning
 /// the serialized byte image of its result) at 1, 2, and 8 threads and
 /// asserts the bytes are identical to the single-threaded run.

@@ -19,6 +19,7 @@
 #include "common/io_util.h"
 #include "common/random.h"
 #include "core/privateclean.h"
+#include "parallel_harness.h"
 #include "table/table_builder.h"
 
 namespace privateclean {
@@ -82,31 +83,6 @@ bool SameValue(const Value& a, const Value& b) {
     return Bits(a.AsDouble()) == Bits(b.AsDouble());
   }
   return a == b;
-}
-
-/// The physical storage of two columns is identical: validity, null
-/// count, and the int64 values, double bit patterns, or dictionary (in
-/// code order) plus code array.
-void ExpectColumnsBitIdentical(const Column& got, const Column& want,
-                               const std::string& what) {
-  SCOPED_TRACE(what);
-  ASSERT_EQ(got.type(), want.type());
-  ASSERT_EQ(got.validity(), want.validity());
-  EXPECT_EQ(got.null_count(), want.null_count());
-  switch (want.type()) {
-    case ValueType::kInt64:
-      EXPECT_EQ(got.ints(), want.ints());
-      break;
-    case ValueType::kDouble:
-      ASSERT_EQ(got.doubles().size(), want.doubles().size());
-      for (size_t r = 0; r < want.doubles().size(); ++r) {
-        ASSERT_EQ(Bits(got.doubles()[r]), Bits(want.doubles()[r])) << "row " << r;
-      }
-      break;
-    default:
-      EXPECT_EQ(got.dictionary().values(), want.dictionary().values());
-      EXPECT_EQ(got.codes(), want.codes());
-  }
 }
 
 void ExpectReleaseBitIdentical(const LoadedRelease& got, const Table& table,

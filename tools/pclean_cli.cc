@@ -3,11 +3,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <thread>
 
+#include "common/io_util.h"
 #include "common/string_util.h"
 #include "core/privateclean.h"
 #include "server/client.h"
@@ -90,22 +89,6 @@ Result<MechanismSpec> ParseMechanismFlags(const ParsedArgs& args) {
   return mechanism;
 }
 
-/// --csv-split MODE: record-splitting strategy for CSV ingest. "auto"
-/// (default) uses the speculative-split parallel parser for large inputs
-/// when --threads > 1, "serial" forces the single-pass parser, and
-/// "speculative" forces the parallel parser; output is identical in
-/// every mode.
-Result<CsvSplitMode> ParseCsvSplitMode(const ParsedArgs& args) {
-  if (!args.Has("csv-split")) return CsvSplitMode::kAuto;
-  PCLEAN_ASSIGN_OR_RETURN(std::string mode, args.One("csv-split"));
-  if (mode == "auto") return CsvSplitMode::kAuto;
-  if (mode == "serial") return CsvSplitMode::kSerial;
-  if (mode == "speculative") return CsvSplitMode::kSpeculative;
-  return Status::InvalidArgument(
-      "--csv-split expects auto, serial, or speculative; got '" + mode +
-      "'");
-}
-
 /// --threads N: scan/randomization parallelism. 1 = single-threaded
 /// (default), 0 = all hardware threads. Output is identical at every
 /// setting; only wall-clock time changes.
@@ -128,7 +111,7 @@ void PrintUsage(std::ostream& out) {
          "  pclean privatize --input data.csv --output release_dir\n"
          "         (--epsilon E | --p P --b B | --count-error TARGET)\n"
          "         [--mechanism grr|hlm|sampling] [--beta B]\n"
-         "         [--seed N] [--threads N] [--csv-split MODE]\n"
+         "         [--seed N] [--threads N]\n"
          "  pclean info --release release_dir\n"
          "  pclean verify release_dir\n"
          "  pclean export --release release_dir --output data.csv\n"
@@ -160,10 +143,6 @@ void PrintUsage(std::ostream& out) {
          "  rate in (0, 1]). --count-error tuning is grr-only.\n"
          "  --threads N uses N worker threads for randomization and query\n"
          "  scans (0 = all hardware threads); results are independent of N.\n"
-         "  --csv-split MODE picks the ingest record splitter: auto\n"
-         "  (speculative parallel split for large inputs, the default),\n"
-         "  serial, or speculative; parsed records are identical in every\n"
-         "  mode.\n"
          "  --bootstrap R wraps median/percentile/var/std estimates in a\n"
          "  bootstrap confidence interval with R replicates (needs R >= 10;\n"
          "  the replicate loop also threads per --threads). --seed fixes\n"
@@ -190,18 +169,13 @@ Status RunPrivatize(const ParsedArgs& args, std::ostream& out) {
   PCLEAN_ASSIGN_OR_RETURN(std::string input, args.One("input"));
   PCLEAN_ASSIGN_OR_RETURN(std::string output, args.One("output"));
 
-  std::ifstream f(input, std::ios::binary);
-  if (!f) return Status::IOError("cannot open '" + input + "'");
-  std::ostringstream buffer;
-  buffer << f.rdbuf();
-  std::string text = buffer.str();
+  // One read of the input (a missing file is NotFound naming the path;
+  // transient read errors are retried), shared by both ingest calls.
+  PCLEAN_ASSIGN_OR_RETURN(std::string text, io::ReadFileWithRetry(input));
 
   CsvOptions csv_options;
   csv_options.error_context = input;
   PCLEAN_ASSIGN_OR_RETURN(csv_options.exec, ParseExecOptions(args));
-  PCLEAN_ASSIGN_OR_RETURN(csv_options.split, ParseCsvSplitMode(args));
-  // Schema inference splits records with the same options, so a forced
-  // speculative mode covers the whole ingest path.
   PCLEAN_ASSIGN_OR_RETURN(Schema schema, InferCsvSchema(text, csv_options));
   PCLEAN_ASSIGN_OR_RETURN(Table table, CsvToTable(text, schema, csv_options));
 
@@ -373,7 +347,7 @@ Status RunServedQuery(const ParsedArgs& args, std::ostream& out) {
   // Execution-owning flags make no sense here: the server owns the
   // table, the ledger, and the threading.
   for (const char* banned :
-       {"ledger", "replace", "bootstrap", "seed", "threads", "csv-split"}) {
+       {"ledger", "replace", "bootstrap", "seed", "threads"}) {
     if (args.Has(banned)) {
       return Status::InvalidArgument(
           std::string("--") + banned +
