@@ -26,6 +26,11 @@
 #      and the server torture (torn frames, hard kills, session
 #      teardown), where torn files and mid-error cleanup paths are most
 #      likely to hide memory bugs.
+#   The randomized differentials labeled `determinism fuzz`
+#   (csv_split_fuzz_test, dictionary_test) run in both passes 4 and 5;
+#   dictionary_test drives the provenance build's per-slot indexing,
+#   which reads a snapshot dictionary and a current one that grew after
+#   the snapshot.
 #
 # Usage: scripts/verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail

@@ -1,11 +1,13 @@
 #ifndef PRIVATECLEAN_CLEANING_CLEANER_H_
 #define PRIVATECLEAN_CLEANING_CLEANER_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "common/result.h"
+#include "table/domain.h"
 #include "table/table.h"
 
 namespace privateclean {
@@ -62,6 +64,22 @@ class Cleaner {
 /// (cleaning never touches numerical attributes, §3.1).
 Status ValidateDiscreteAttribute(const Table& table,
                                  const std::string& attribute);
+
+/// The body of every per-distinct-value cleaner (ValueTransform,
+/// FindReplace, DomainMerge, MergeToNull): `fn` is called once per value
+/// of the attribute's domain (null included), in first-appearance order,
+/// with that pre-cleaning domain as its second argument, and each row
+/// takes its value's result; nullopt leaves the value's rows as they are
+/// (a double column's -0.0 and +0.0 rows share one domain entry, and an
+/// untouched row keeps its own sign). Every result is checked against
+/// the column type before anything is interned or written, so a failing
+/// call leaves the column as it was. String columns are rewritten as a
+/// code gather, with new values interned in the domain's
+/// first-appearance order; other columns through boxed SetValue.
+Status RemapDistinctValues(
+    Table* table, const std::string& attribute,
+    const std::function<std::optional<Value>(const Value&, const Domain&)>&
+        fn);
 
 }  // namespace privateclean
 

@@ -21,18 +21,13 @@ std::string FindReplace::name() const {
 }
 
 Status FindReplace::Apply(Table* table) const {
-  if (table == nullptr) {
-    return Status::InvalidArgument("table must not be null");
-  }
-  PCLEAN_RETURN_NOT_OK(ValidateDiscreteAttribute(*table, attribute_));
-  PCLEAN_ASSIGN_OR_RETURN(Column * col,
-                          table->MutableColumnByName(attribute_));
-  for (size_t r = 0; r < col->size(); ++r) {
-    auto it = replacements_.find(col->ValueAt(r));
-    if (it == replacements_.end()) continue;
-    PCLEAN_RETURN_NOT_OK(col->SetValue(r, it->second));
-  }
-  return Status::OK();
+  return RemapDistinctValues(
+      table, attribute_,
+      [&](const Value& v, const Domain&) -> std::optional<Value> {
+        auto it = replacements_.find(v);
+        if (it == replacements_.end()) return std::nullopt;
+        return it->second;
+      });
 }
 
 DomainMerge::DomainMerge(std::string attribute,
@@ -44,27 +39,9 @@ std::string DomainMerge::name() const {
 }
 
 Status DomainMerge::Apply(Table* table) const {
-  if (table == nullptr) {
-    return Status::InvalidArgument("table must not be null");
-  }
-  PCLEAN_RETURN_NOT_OK(ValidateDiscreteAttribute(*table, attribute_));
-  PCLEAN_ASSIGN_OR_RETURN(
-      Domain domain,
-      Domain::FromColumn(*table, attribute_, /*include_null=*/true));
   // One UDF evaluation per distinct value; the domain argument is the
   // pre-merge domain for every evaluation (simultaneous semantics).
-  std::vector<Value> mapped;
-  mapped.reserve(domain.size());
-  for (size_t i = 0; i < domain.size(); ++i) {
-    mapped.push_back(fn_(domain.value(i), domain));
-  }
-  PCLEAN_ASSIGN_OR_RETURN(Column * col,
-                          table->MutableColumnByName(attribute_));
-  for (size_t r = 0; r < col->size(); ++r) {
-    size_t idx = domain.IndexOf(col->ValueAt(r)).ValueOrDie();
-    PCLEAN_RETURN_NOT_OK(col->SetValue(r, mapped[idx]));
-  }
-  return Status::OK();
+  return RemapDistinctValues(table, attribute_, fn_);
 }
 
 MergeToNull::MergeToNull(std::string attribute,
@@ -77,26 +54,12 @@ std::string MergeToNull::name() const {
 }
 
 Status MergeToNull::Apply(Table* table) const {
-  if (table == nullptr) {
-    return Status::InvalidArgument("table must not be null");
-  }
-  PCLEAN_RETURN_NOT_OK(ValidateDiscreteAttribute(*table, attribute_));
-  PCLEAN_ASSIGN_OR_RETURN(
-      Domain domain,
-      Domain::FromColumn(*table, attribute_, /*include_null=*/true));
-  std::vector<uint8_t> spurious(domain.size());
-  for (size_t i = 0; i < domain.size(); ++i) {
-    spurious[i] = is_spurious_(domain.value(i)) ? 1 : 0;
-  }
-  PCLEAN_ASSIGN_OR_RETURN(Column * col,
-                          table->MutableColumnByName(attribute_));
-  for (size_t r = 0; r < col->size(); ++r) {
-    size_t idx = domain.IndexOf(col->ValueAt(r)).ValueOrDie();
-    if (spurious[idx]) {
-      PCLEAN_RETURN_NOT_OK(col->SetValue(r, Value::Null()));
-    }
-  }
-  return Status::OK();
+  return RemapDistinctValues(
+      table, attribute_,
+      [&](const Value& v, const Domain&) -> std::optional<Value> {
+        if (!is_spurious_(v)) return std::nullopt;
+        return Value::Null();
+      });
 }
 
 }  // namespace privateclean

@@ -1,11 +1,6 @@
 #include "cleaning/transform.h"
 
-#include <cstdint>
 #include <map>
-#include <unordered_map>
-
-#include "common/check.h"
-#include "table/domain.h"
 
 namespace privateclean {
 
@@ -18,61 +13,9 @@ std::string ValueTransform::name() const {
 }
 
 Status ValueTransform::Apply(Table* table) const {
-  if (table == nullptr) {
-    return Status::InvalidArgument("table must not be null");
-  }
-  PCLEAN_RETURN_NOT_OK(ValidateDiscreteAttribute(*table, attribute_));
-  PCLEAN_ASSIGN_OR_RETURN(
-      Domain domain,
-      Domain::FromColumn(*table, attribute_, /*include_null=*/true));
-  // Evaluate the UDF once per distinct value.
-  std::vector<Value> mapped;
-  mapped.reserve(domain.size());
-  for (size_t i = 0; i < domain.size(); ++i) {
-    mapped.push_back(fn_(domain.value(i)));
-  }
-  PCLEAN_ASSIGN_OR_RETURN(Column * col,
-                          table->MutableColumnByName(attribute_));
-  if (col->type() == ValueType::kString) {
-    // Dictionary fast path: the cleaner is a distinct->distinct map, so
-    // resolve it entirely at the dictionary level — per domain value,
-    // one interned output code — and rewrite rows as an integer gather.
-    const size_t null_slot = col->dictionary().size();
-    std::vector<size_t> slot_to_index(null_slot + 1, SIZE_MAX);
-    for (uint32_t c = 0; c < null_slot; ++c) {
-      auto idx = domain.IndexOf(Value(std::string(col->dictionary().At(c))));
-      if (idx.ok()) slot_to_index[c] = *idx;
-    }
-    if (auto idx = domain.IndexOf(Value::Null()); idx.ok()) {
-      slot_to_index[null_slot] = *idx;
-    }
-    std::vector<uint32_t> mapped_code(mapped.size(), kNullCode);
-    for (size_t i = 0; i < mapped.size(); ++i) {
-      if (mapped[i].is_null()) continue;
-      if (mapped[i].type() != ValueType::kString) {
-        return Status::InvalidArgument(
-            std::string("cannot set ") +
-            ValueTypeToString(mapped[i].type()) + " value in string column");
-      }
-      mapped_code[i] = col->InternString(mapped[i].AsString());
-    }
-    std::vector<uint32_t>& codes = *col->mutable_codes();
-    std::vector<uint8_t>& valid = *col->mutable_validity();
-    for (size_t r = 0; r < codes.size(); ++r) {
-      size_t slot = codes[r] == kNullCode ? null_slot : codes[r];
-      size_t idx = slot_to_index[slot];
-      PCLEAN_CHECK(idx != SIZE_MAX);  // Domain was built from this column.
-      codes[r] = mapped_code[idx];
-      valid[r] = mapped_code[idx] == kNullCode ? 0 : 1;
-    }
-    col->RecomputeNullCount();
-    return Status::OK();
-  }
-  for (size_t r = 0; r < col->size(); ++r) {
-    size_t idx = domain.IndexOf(col->ValueAt(r)).ValueOrDie();
-    PCLEAN_RETURN_NOT_OK(col->SetValue(r, mapped[idx]));
-  }
-  return Status::OK();
+  return RemapDistinctValues(
+      table, attribute_,
+      [&](const Value& v, const Domain&) { return fn_(v); });
 }
 
 ProjectionTransform::ProjectionTransform(

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/check.h"
 #include "privacy/allocation.h"
 
 namespace privateclean {
@@ -179,7 +178,7 @@ Status PrivateTable::RejectNumericPredicateAttribute(
 
 Result<EstimationInputs> PrivateTable::InputsForPredicate(
     const Predicate& predicate, const std::string& numeric_attribute,
-    const QueryOptions& options) const {
+    const QueryOptions& options, size_t* matching_rows) const {
   const std::string& attr = predicate.attribute();
   PCLEAN_RETURN_NOT_OK(RejectNumericPredicateAttribute(attr));
   PCLEAN_ASSIGN_OR_RETURN(std::string anchor, provenance_.AnchorOf(attr));
@@ -191,8 +190,17 @@ Result<EstimationInputs> PrivateTable::InputsForPredicate(
   }
   PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
                           CachedGraphFor(attr, options.exec));
-  std::vector<Value> m_pred =
-      predicate.MatchingValues(graph->clean_domain());
+  // M_pred, and the rows it covers: the clean domain carries every clean
+  // value's row count.
+  const Domain& clean_domain = graph->clean_domain();
+  std::vector<Value> m_pred;
+  size_t m_pred_rows = 0;
+  for (size_t i = 0; i < clean_domain.size(); ++i) {
+    if (!predicate.Matches(clean_domain.value(i))) continue;
+    m_pred.push_back(clean_domain.value(i));
+    m_pred_rows += clean_domain.frequency(i);
+  }
+  if (matching_rows != nullptr) *matching_rows = m_pred_rows;
 
   EstimationInputs in;
   PCLEAN_ASSIGN_OR_RETURN(in.mechanism, MechanismFor(meta_it->second));
@@ -230,10 +238,12 @@ Result<QueryScanStats> PrivateTable::Scan(const Predicate& predicate,
 
 Result<QueryResult> PrivateTable::Count(const Predicate& predicate,
                                         const QueryOptions& options) const {
-  PCLEAN_ASSIGN_OR_RETURN(EstimationInputs in,
-                          InputsForPredicate(predicate, "", options));
-  PCLEAN_ASSIGN_OR_RETURN(QueryScanStats stats,
-                          Scan(predicate, "", options.exec));
+  // The nominal count needs no scan: it is the rows of M_pred.
+  QueryScanStats stats;
+  stats.total_rows = relation_.num_rows();
+  PCLEAN_ASSIGN_OR_RETURN(
+      EstimationInputs in,
+      InputsForPredicate(predicate, "", options, &stats.matching_rows));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateCount(stats, in));
   StampMemoryStats(relation_, &r);
   return r;
@@ -294,59 +304,8 @@ PrivateTable::GroupByCountEstimate(const std::string& attribute,
   }
   PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
                           CachedGraphFor(attribute, options.exec));
-  // One sharded pass: nominal count per clean value. Each shard owns a
-  // full count vector; vectors add up in shard index order (integer
-  // sums, so the merge order is immaterial — kept for uniformity with
-  // the other sharded paths).
-  PCLEAN_ASSIGN_OR_RETURN(const Column* col,
-                          relation_.ColumnByName(attribute));
+  // Each group's nominal count is its clean value's row count.
   const Domain& clean_domain = graph->clean_domain();
-  const size_t shards = ShardCountForRows(col->size());
-  std::vector<std::vector<size_t>> partial_counts(
-      shards, std::vector<size_t>(clean_domain.size(), 0));
-  if (col->type() == ValueType::kString) {
-    // Dictionary fast path: resolve each distinct value against the
-    // clean domain once, then count codes with vector indexing. Rows can
-    // only carry codes whose value is in the clean domain (it was built
-    // from this column); unused dictionary entries map to a sentinel no
-    // row references.
-    const StringDictionary& dict = col->dictionary();
-    const size_t null_slot = dict.size();
-    std::vector<size_t> slot_index(dict.size() + 1, SIZE_MAX);
-    for (uint32_t c = 0; c < dict.size(); ++c) {
-      auto idx = clean_domain.IndexOf(Value(std::string(dict.At(c))));
-      if (idx.ok()) slot_index[c] = *idx;
-    }
-    if (auto idx = clean_domain.IndexOf(Value::Null()); idx.ok()) {
-      slot_index[null_slot] = *idx;
-    }
-    const uint32_t* codes = col->codes().data();
-    PCLEAN_RETURN_NOT_OK(ParallelFor(
-        col->size(), shards, options.exec,
-        [&](size_t shard, size_t begin, size_t end) -> Status {
-          std::vector<size_t>& counts = partial_counts[shard];
-          for (size_t r = begin; r < end; ++r) {
-            size_t slot = codes[r] == kNullCode ? null_slot : codes[r];
-            PCLEAN_CHECK(slot_index[slot] != SIZE_MAX);
-            ++counts[slot_index[slot]];
-          }
-          return Status::OK();
-        }));
-  } else {
-    PCLEAN_RETURN_NOT_OK(ParallelFor(
-        col->size(), shards, options.exec,
-        [&](size_t shard, size_t begin, size_t end) -> Status {
-          std::vector<size_t>& counts = partial_counts[shard];
-          for (size_t r = begin; r < end; ++r) {
-            ++counts[clean_domain.IndexOf(col->ValueAt(r)).ValueOrDie()];
-          }
-          return Status::OK();
-        }));
-  }
-  std::vector<size_t> counts(clean_domain.size(), 0);
-  for (const std::vector<size_t>& partial : partial_counts) {
-    for (size_t i = 0; i < partial.size(); ++i) counts[i] += partial[i];
-  }
   PCLEAN_ASSIGN_OR_RETURN(MechanismPtr mechanism,
                           MechanismFor(meta_it->second));
   PCLEAN_ASSIGN_OR_RETURN(
@@ -366,7 +325,7 @@ PrivateTable::GroupByCountEstimate(const std::string& attribute,
     in.confidence = options.confidence;
     QueryScanStats stats;
     stats.total_rows = relation_.num_rows();
-    stats.matching_rows = counts[i];
+    stats.matching_rows = clean_domain.frequency(i);
     PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateCount(stats, in));
     StampMemoryStats(relation_, &r);
     groups.emplace_back(clean_domain.value(i), std::move(r));

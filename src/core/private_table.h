@@ -24,11 +24,11 @@ struct QueryOptions {
   /// over-counts; exposed for the Figure 7 ablation.
   bool weighted_cut = true;
   /// Threading (common/thread_pool.h) for every row pass a query runs:
-  /// the predicate scans of Count/Sum/Avg/CountConjunctive, the
-  /// GroupByCountEstimate counting pass, ExecuteAggregate's per-row
-  /// loops, provenance graph (re)builds, and the bootstrap replicate
-  /// loop of the §10 extension aggregates. Results are identical at
-  /// every thread count.
+  /// the predicate scans of Sum/Avg/CountConjunctive and Direct,
+  /// ExecuteAggregate's per-row loops, provenance graph (re)builds
+  /// (Count and GroupByCountEstimate read their counts from the graph),
+  /// and the bootstrap replicate loop of the §10 extension aggregates.
+  /// Results are identical at every thread count.
   ExecutionOptions exec;
 
   /// Extension aggregates (median/percentile/var/std) through the SQL
@@ -110,7 +110,8 @@ class PrivateTable {
 
   /// --- PrivateClean estimators (bias-corrected, §5–§7) ----------------
 
-  /// COUNT rows satisfying `predicate`.
+  /// COUNT rows satisfying `predicate`. The nominal count is read from
+  /// the cached provenance graph's clean-value row counts, not scanned.
   Result<QueryResult> Count(const Predicate& predicate,
                             const QueryOptions& options = QueryOptions()) const;
 
@@ -212,9 +213,11 @@ class PrivateTable {
 
   /// The deterministic estimator inputs (p, l, N) PrivateClean would use
   /// for this predicate right now — exposed for tests and diagnostics.
+  /// A non-null `matching_rows` receives the nominal count c_private:
+  /// the summed row counts of the clean values the predicate matches.
   Result<EstimationInputs> InputsForPredicate(
       const Predicate& predicate, const std::string& numeric_attribute,
-      const QueryOptions& options) const;
+      const QueryOptions& options, size_t* matching_rows = nullptr) const;
 
   PrivateTable(PrivateTable&&) = default;
   PrivateTable& operator=(PrivateTable&&) = default;

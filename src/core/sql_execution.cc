@@ -199,12 +199,7 @@ Result<SqlResultSet> ExecuteSqlQueryDirect(const PrivateTable& table,
       PCLEAN_ASSIGN_OR_RETURN(
           mask, predicate.EvaluateAll(relation.num_rows(), exec));
     }
-    PCLEAN_ASSIGN_OR_RETURN(const Column* col, relation.ColumnByName(attr));
-    std::map<Value, size_t> counts;
-    for (size_t r = 0; r < col->size(); ++r) {
-      if (!mask.empty() && !mask[r]) continue;
-      counts[col->ValueAt(r)]++;
-    }
+    PCLEAN_ASSIGN_OR_RETURN(auto counts, GroupByCount(relation, attr, mask));
     SqlResultSet rs;
     rs.grouped = true;
     rs.rows.reserve(counts.size());

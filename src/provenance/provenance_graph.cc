@@ -1,5 +1,6 @@
 #include "provenance/provenance_graph.h"
 
+#include <cstdint>
 #include <map>
 
 #include "common/failpoint.h"
@@ -9,10 +10,10 @@ namespace privateclean {
 
 namespace {
 
-/// Per-shard partial of the clean-domain discovery pass: the shard's
-/// distinct values in local first-appearance order with occurrence
-/// counts. Concatenating the partials in shard index order and deduping
-/// reproduces the global first-appearance order exactly.
+/// Per-shard partial of the boxed clean-domain discovery pass: the
+/// shard's distinct values in local first-appearance order with
+/// occurrence counts. Concatenating the partials in shard index order
+/// and deduping reproduces the global first-appearance order exactly.
 struct CleanDomainPartial {
   std::vector<Value> values;
   std::vector<size_t> counts;
@@ -29,35 +30,30 @@ struct CleanDomainPartial {
   }
 };
 
-/// Per-shard partial of the edge-counting pass.
-struct EdgeCountPartial {
-  std::vector<size_t> dirty_totals;
-  std::unordered_map<uint64_t, size_t> pair_counts;
-};
+constexpr uint32_t kNoSlot = UINT32_MAX;
 
-/// Code-indexed variant of CleanDomainPartial for dictionary-encoded
-/// columns: per-slot counts with vector indexing (slot = dictionary
-/// code, with one extra slot for null), no per-row hashing. `order`
-/// preserves the shard's first-appearance sequence so the shard-order
-/// merge reproduces the global first-appearance order exactly.
-struct CodeDomainPartial {
-  std::vector<size_t> counts;
-  std::vector<size_t> order;
-
-  void Add(size_t slot) {
-    if (counts[slot]++ == 0) order.push_back(slot);
-  }
+/// One shard's (snapshot slot, current slot) row counts for
+/// dictionary-encoded columns; a slot is a dictionary code, with one
+/// extra slot past the dictionary for null. A shard holds at most
+/// kRowsPerShard rows, so 32-bit counters suffice. Each snapshot slot
+/// keeps the first current slot it pairs with as its primary; the
+/// further pairs of a forked dirty value (multi-attribute cleaning, §7)
+/// go to `forks`, keyed snapshot slot × current slots + current slot.
+struct CodePairPartial {
+  std::vector<uint32_t> current_counts;
+  std::vector<uint32_t> current_order;  ///< First-appearance order.
+  std::vector<uint32_t> primary;        ///< kNoSlot: no row seen.
+  std::vector<uint32_t> primary_counts;
+  std::unordered_map<uint64_t, uint32_t> forks;
 };
 
 /// Domain index of every dictionary slot of `column` (slot dict.size() =
-/// null), resolved once per distinct value; kMissing for values outside
+/// null), resolved once per distinct value; kNoSlot for values outside
 /// `domain`.
-constexpr uint32_t kMissingIndex = UINT32_MAX;
-
 std::vector<uint32_t> SlotDomainIndices(const Column& column,
                                         const Domain& domain) {
   const StringDictionary& dict = column.dictionary();
-  std::vector<uint32_t> slot_to_index(dict.size() + 1, kMissingIndex);
+  std::vector<uint32_t> slot_to_index(dict.size() + 1, kNoSlot);
   for (uint32_t c = 0; c < dict.size(); ++c) {
     auto idx = domain.IndexOf(Value(std::string(dict.At(c))));
     if (idx.ok()) slot_to_index[c] = static_cast<uint32_t>(*idx);
@@ -66,6 +62,175 @@ std::vector<uint32_t> SlotDomainIndices(const Column& column,
     slot_to_index[dict.size()] = static_cast<uint32_t>(*idx);
   }
   return slot_to_index;
+}
+
+Status MissingSnapshotValue(const Column& dirty_snapshot, size_t row) {
+  return Status::InvalidArgument(
+      "snapshot value '" + dirty_snapshot.ValueAt(row).ToString() +
+      "' at row " + std::to_string(row) + " is not in the dirty domain");
+}
+
+/// Both Build paths yield the clean domain and the row count of every
+/// (dirty index, clean index) pair, keyed dirty * |clean domain| + clean
+/// so the map iterates in ascending (dirty, clean) order.
+using PairCounts = std::map<uint64_t, size_t>;
+
+/// The dictionary path: one sharded pass over (snapshot code, current
+/// code) with vector indexing and no per-row hashing. The shard-order
+/// merge rebuilds the clean domain in global first-appearance order and
+/// resolves each distinct slot to its domain index once.
+Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
+                      const Domain& dirty_domain, const ExecutionOptions& exec,
+                      Domain* clean_domain, PairCounts* pairs) {
+  const size_t rows = clean_current.size();
+  const size_t shards = ShardCountForRows(rows);
+  const StringDictionary& clean_dict = clean_current.dictionary();
+  const uint32_t* dirty_codes = dirty_snapshot.codes().data();
+  const uint32_t* clean_codes = clean_current.codes().data();
+  const uint32_t dirty_null_slot =
+      static_cast<uint32_t>(dirty_snapshot.dictionary().size());
+  const uint32_t clean_null_slot = static_cast<uint32_t>(clean_dict.size());
+  const size_t dirty_slots = size_t{dirty_null_slot} + 1;
+  const size_t clean_slots = size_t{clean_null_slot} + 1;
+  auto dirty_slot = [&](size_t r) {
+    return dirty_codes[r] == kNullCode ? dirty_null_slot : dirty_codes[r];
+  };
+
+  std::vector<CodePairPartial> partials(shards);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      rows, shards, exec, [&](size_t shard, size_t begin, size_t end) -> Status {
+        CodePairPartial& part = partials[shard];
+        part.current_counts.assign(clean_slots, 0);
+        part.primary.assign(dirty_slots, kNoSlot);
+        part.primary_counts.assign(dirty_slots, 0);
+        for (size_t r = begin; r < end; ++r) {
+          const uint32_t d = dirty_slot(r);
+          const uint32_t c =
+              clean_codes[r] == kNullCode ? clean_null_slot : clean_codes[r];
+          if (part.current_counts[c]++ == 0) part.current_order.push_back(c);
+          uint32_t& primary = part.primary[d];
+          if (primary == c) {
+            ++part.primary_counts[d];
+          } else if (primary == kNoSlot) {
+            primary = c;
+            part.primary_counts[d] = 1;
+          } else {
+            ++part.forks[d * clean_slots + c];
+          }
+        }
+        return Status::OK();
+      }));
+
+  // Shard-order merge. Pair counts are integers, so only the clean
+  // domain's first-appearance order depends on the merge order.
+  std::vector<size_t> clean_totals(clean_slots, 0);
+  std::vector<uint32_t> clean_order;
+  std::vector<uint32_t> primary(dirty_slots, kNoSlot);
+  std::vector<size_t> primary_counts(dirty_slots, 0);
+  std::unordered_map<uint64_t, size_t> forks;
+  auto add_pair = [&](size_t d, uint32_t c, size_t n) {
+    if (primary[d] == kNoSlot) primary[d] = c;
+    if (primary[d] == c) {
+      primary_counts[d] += n;
+    } else {
+      forks[d * clean_slots + c] += n;
+    }
+  };
+  for (const CodePairPartial& part : partials) {
+    if (part.current_counts.empty()) continue;  // Shard never ran (0 rows).
+    for (uint32_t c : part.current_order) {
+      if (clean_totals[c] == 0) clean_order.push_back(c);
+      clean_totals[c] += part.current_counts[c];
+    }
+    for (size_t d = 0; d < dirty_slots; ++d) {
+      if (part.primary[d] != kNoSlot) {
+        add_pair(d, part.primary[d], part.primary_counts[d]);
+      }
+    }
+    for (const auto& [key, n] : part.forks) {
+      add_pair(key / clean_slots, static_cast<uint32_t>(key % clean_slots), n);
+    }
+  }
+
+  const std::vector<uint32_t> dirty_index =
+      SlotDomainIndices(dirty_snapshot, dirty_domain);
+  for (size_t d = 0; d < dirty_slots; ++d) {
+    if (primary[d] != kNoSlot && dirty_index[d] == kNoSlot) {
+      // Error path only: rescan for the first row with an unknown value.
+      size_t r = 0;
+      while (dirty_index[dirty_slot(r)] != kNoSlot) ++r;
+      return MissingSnapshotValue(dirty_snapshot, r);
+    }
+  }
+
+  std::vector<Value> values;
+  std::vector<size_t> counts;
+  std::vector<uint32_t> clean_index(clean_slots, kNoSlot);
+  for (uint32_t c : clean_order) {
+    clean_index[c] = static_cast<uint32_t>(values.size());
+    values.push_back(c == clean_null_slot
+                         ? Value::Null()
+                         : Value(std::string(clean_dict.At(c))));
+    counts.push_back(clean_totals[c]);
+  }
+  *clean_domain = Domain::FromValueCounts(values, counts);
+  auto key = [&](size_t d, size_t c) {
+    return uint64_t{dirty_index[d]} * values.size() + clean_index[c];
+  };
+  for (size_t d = 0; d < dirty_slots; ++d) {
+    if (primary[d] != kNoSlot) (*pairs)[key(d, primary[d])] += primary_counts[d];
+  }
+  for (const auto& [slots, n] : forks) {
+    (*pairs)[key(slots / clean_slots, slots % clean_slots)] += n;
+  }
+  return Status::OK();
+}
+
+/// The boxed path (int64/double attributes): clean-domain discovery,
+/// then hashed (dirty, clean) pair counts, both sharded and merged in
+/// shard order.
+Status CountValuePairs(const Column& dirty_snapshot,
+                       const Column& clean_current, const Domain& dirty_domain,
+                       const ExecutionOptions& exec, Domain* clean_domain,
+                       PairCounts* pairs) {
+  const size_t rows = clean_current.size();
+  const size_t shards = ShardCountForRows(rows);
+  std::vector<CleanDomainPartial> domain_partials(shards);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      rows, shards, exec, [&](size_t shard, size_t begin, size_t end) -> Status {
+        CleanDomainPartial& part = domain_partials[shard];
+        for (size_t r = begin; r < end; ++r) {
+          part.Add(clean_current.ValueAt(r));
+        }
+        return Status::OK();
+      }));
+  std::vector<Value> merged_values;
+  std::vector<size_t> merged_counts;
+  for (const CleanDomainPartial& part : domain_partials) {
+    merged_values.insert(merged_values.end(), part.values.begin(),
+                         part.values.end());
+    merged_counts.insert(merged_counts.end(), part.counts.begin(),
+                         part.counts.end());
+  }
+  *clean_domain = Domain::FromValueCounts(merged_values, merged_counts);
+
+  const uint64_t n_clean = clean_domain->size();
+  std::vector<std::unordered_map<uint64_t, size_t>> pair_partials(shards);
+  PCLEAN_RETURN_NOT_OK(ParallelFor(
+      rows, shards, exec, [&](size_t shard, size_t begin, size_t end) -> Status {
+        for (size_t r = begin; r < end; ++r) {
+          auto d_idx = dirty_domain.IndexOf(dirty_snapshot.ValueAt(r));
+          if (!d_idx.ok()) return MissingSnapshotValue(dirty_snapshot, r);
+          size_t c_idx =
+              clean_domain->IndexOf(clean_current.ValueAt(r)).ValueOrDie();
+          ++pair_partials[shard][*d_idx * n_clean + c_idx];
+        }
+        return Status::OK();
+      }));
+  for (const auto& part : pair_partials) {
+    for (const auto& [key, count] : part) (*pairs)[key] += count;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -88,151 +253,26 @@ Result<ProvenanceGraph> ProvenanceGraph::Build(const Column& dirty_snapshot,
 
   ProvenanceGraph graph;
   graph.dirty_domain_ = dirty_domain;
-
-  const size_t rows = clean_current.size();
-  const size_t shards = ShardCountForRows(rows);
-  const bool dictionary_encoded =
-      dirty_snapshot.type() == ValueType::kString &&
-      clean_current.type() == ValueType::kString;
-
-  // Pass 1: the clean domain, in first-appearance order. Shards collect
-  // local (value, count) runs; the sequential shard-order merge rebuilds
-  // the global first-appearance order and frequencies. Dictionary-encoded
-  // columns tally per-code with vector indexing instead of hashing boxed
-  // values; both produce identical domains.
-  if (dictionary_encoded) {
-    const StringDictionary& clean_dict = clean_current.dictionary();
-    const uint32_t* clean_codes = clean_current.codes().data();
-    const size_t null_slot = clean_dict.size();
-    std::vector<CodeDomainPartial> domain_partials(shards);
-    PCLEAN_RETURN_NOT_OK(ParallelFor(
-        rows, shards, exec,
-        [&](size_t shard, size_t begin, size_t end) -> Status {
-          CodeDomainPartial& part = domain_partials[shard];
-          part.counts.assign(null_slot + 1, 0);
-          for (size_t r = begin; r < end; ++r) {
-            part.Add(clean_codes[r] == kNullCode ? null_slot
-                                                 : clean_codes[r]);
-          }
-          return Status::OK();
-        }));
-    std::vector<Value> merged_values;
-    std::vector<size_t> merged_counts;
-    for (const CodeDomainPartial& part : domain_partials) {
-      for (size_t slot : part.order) {
-        merged_values.push_back(
-            slot == null_slot ? Value::Null()
-                              : Value(std::string(clean_dict.At(
-                                    static_cast<uint32_t>(slot)))));
-        merged_counts.push_back(part.counts[slot]);
-      }
-    }
-    graph.clean_domain_ =
-        Domain::FromValueCounts(merged_values, merged_counts);
+  PairCounts pairs;
+  if (dirty_snapshot.type() == ValueType::kString &&
+      clean_current.type() == ValueType::kString) {
+    PCLEAN_RETURN_NOT_OK(CountCodePairs(dirty_snapshot, clean_current,
+                                        dirty_domain, exec,
+                                        &graph.clean_domain_, &pairs));
   } else {
-    std::vector<CleanDomainPartial> domain_partials(shards);
-    PCLEAN_RETURN_NOT_OK(ParallelFor(
-        rows, shards, exec,
-        [&](size_t shard, size_t begin, size_t end) -> Status {
-          CleanDomainPartial& part = domain_partials[shard];
-          for (size_t r = begin; r < end; ++r) {
-            part.Add(clean_current.ValueAt(r));
-          }
-          return Status::OK();
-        }));
-    std::vector<Value> merged_values;
-    std::vector<size_t> merged_counts;
-    for (const CleanDomainPartial& part : domain_partials) {
-      merged_values.insert(merged_values.end(), part.values.begin(),
-                           part.values.end());
-      merged_counts.insert(merged_counts.end(), part.counts.begin(),
-                           part.counts.end());
-    }
-    graph.clean_domain_ = Domain::FromValueCounts(merged_values,
-                                                  merged_counts);
+    PCLEAN_RETURN_NOT_OK(CountValuePairs(dirty_snapshot, clean_current,
+                                         dirty_domain, exec,
+                                         &graph.clean_domain_, &pairs));
   }
 
-  // Pass 2: per (dirty, clean) row counts and per-dirty totals, sharded
-  // with integer partials summed in shard index order. For dictionary
-  // columns the domain memberships are resolved once per distinct value
-  // (SlotDomainIndices), making the row loop two array reads per side.
-  size_t n_dirty = dirty_domain.size();
-  size_t n_clean = graph.clean_domain_.size();
-  std::vector<EdgeCountPartial> edge_partials(shards);
-  if (dictionary_encoded) {
-    const std::vector<uint32_t> dirty_slot_index =
-        SlotDomainIndices(dirty_snapshot, dirty_domain);
-    const std::vector<uint32_t> clean_slot_index =
-        SlotDomainIndices(clean_current, graph.clean_domain_);
-    const uint32_t* dirty_codes = dirty_snapshot.codes().data();
-    const uint32_t* clean_codes = clean_current.codes().data();
-    const size_t dirty_null_slot = dirty_snapshot.dictionary().size();
-    const size_t clean_null_slot = clean_current.dictionary().size();
-    PCLEAN_RETURN_NOT_OK(ParallelFor(
-        rows, shards, exec,
-        [&](size_t shard, size_t begin, size_t end) -> Status {
-          EdgeCountPartial& part = edge_partials[shard];
-          part.dirty_totals.assign(n_dirty, 0);
-          for (size_t r = begin; r < end; ++r) {
-            size_t d_slot = dirty_codes[r] == kNullCode ? dirty_null_slot
-                                                        : dirty_codes[r];
-            uint32_t d_idx = dirty_slot_index[d_slot];
-            if (d_idx == kMissingIndex) {
-              return Status::InvalidArgument(
-                  "snapshot value '" +
-                  dirty_snapshot.ValueAt(r).ToString() + "' at row " +
-                  std::to_string(r) + " is not in the dirty domain");
-            }
-            size_t c_slot = clean_codes[r] == kNullCode ? clean_null_slot
-                                                        : clean_codes[r];
-            // Always present: the clean domain was built from this
-            // column in pass 1.
-            uint32_t c_idx = clean_slot_index[c_slot];
-            ++part.dirty_totals[d_idx];
-            ++part.pair_counts[static_cast<uint64_t>(d_idx) * n_clean +
-                               c_idx];
-          }
-          return Status::OK();
-        }));
-  } else {
-    PCLEAN_RETURN_NOT_OK(ParallelFor(
-        rows, shards, exec,
-        [&](size_t shard, size_t begin, size_t end) -> Status {
-          EdgeCountPartial& part = edge_partials[shard];
-          part.dirty_totals.assign(n_dirty, 0);
-          for (size_t r = begin; r < end; ++r) {
-            auto d_idx = dirty_domain.IndexOf(dirty_snapshot.ValueAt(r));
-            if (!d_idx.ok()) {
-              return Status::InvalidArgument(
-                  "snapshot value '" + dirty_snapshot.ValueAt(r).ToString() +
-                  "' at row " + std::to_string(r) +
-                  " is not in the dirty domain");
-            }
-            size_t c_idx = graph.clean_domain_.IndexOf(clean_current.ValueAt(r))
-                               .ValueOrDie();
-            ++part.dirty_totals[*d_idx];
-            ++part.pair_counts[static_cast<uint64_t>(*d_idx) * n_clean + c_idx];
-          }
-          return Status::OK();
-        }));
-  }
-
+  // Assemble edges in ascending (dirty, clean) key order.
+  const size_t n_dirty = dirty_domain.size();
+  const size_t n_clean = graph.clean_domain_.size();
   std::vector<size_t> dirty_totals(n_dirty, 0);
-  // (dirty, clean) pair -> row count, in deterministic key order for
-  // reproducible edge assembly.
-  std::map<uint64_t, size_t> ordered;
-  for (const EdgeCountPartial& part : edge_partials) {
-    if (part.dirty_totals.empty()) continue;  // Shard never ran (0 rows).
-    for (size_t d = 0; d < n_dirty; ++d) dirty_totals[d] += part.dirty_totals[d];
-    for (const auto& [key, count] : part.pair_counts) {
-      ordered[key] += count;
-    }
-  }
-
-  // Assemble edges in deterministic key order.
+  for (const auto& [key, count] : pairs) dirty_totals[key / n_clean] += count;
   graph.edges_by_clean_.resize(n_clean);
   graph.dirty_out_degree_.assign(n_dirty, 0);
-  for (const auto& [key, count] : ordered) {
+  for (const auto& [key, count] : pairs) {
     size_t d_idx = static_cast<size_t>(key / n_clean);
     size_t c_idx = static_cast<size_t>(key % n_clean);
     double weight =

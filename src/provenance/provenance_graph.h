@@ -39,11 +39,13 @@ class ProvenanceGraph {
   /// equal length, and every snapshot value must belong to
   /// `dirty_domain`.
   ///
-  /// Construction is sharded per `exec` (common/thread_pool.h) in two
-  /// row passes — clean-domain discovery, then (dirty, clean) edge
-  /// counting — with per-shard partials merged in shard index order, so
-  /// the graph (domain order, edge order, weights) is identical at every
-  /// thread count.
+  /// Construction is sharded per `exec` (common/thread_pool.h) with
+  /// per-shard partials merged in shard index order, so the graph
+  /// (domain order, edge order, weights) is identical at every thread
+  /// count. String columns take one row pass over (snapshot code,
+  /// current code) pairs; int64/double columns take two boxed passes,
+  /// clean-domain discovery and then (dirty, clean) pair counting. The
+  /// clean domain's frequencies are the clean values' row counts.
   static Result<ProvenanceGraph> Build(const Column& dirty_snapshot,
                                        const Column& clean_current,
                                        const Domain& dirty_domain,

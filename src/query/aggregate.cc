@@ -367,15 +367,22 @@ Result<QueryScanStats> ScanWithPredicate(const Table& table,
 }
 
 Result<std::map<Value, size_t>> GroupByCount(
-    const Table& table, const std::string& group_attribute) {
+    const Table& table, const std::string& group_attribute,
+    const std::vector<uint8_t>& mask) {
   PCLEAN_ASSIGN_OR_RETURN(const Column* col,
                           table.ColumnByName(group_attribute));
+  if (!mask.empty() && mask.size() != col->size()) {
+    return Status::InvalidArgument("row mask length " +
+                                   std::to_string(mask.size()) +
+                                   " does not match " +
+                                   std::to_string(col->size()) + " rows");
+  }
   // Keys are boxed Values: a NULL group is Value::Null(), a distinct
   // bucket from a genuine empty-string group (they collided when keys
   // were stringified).
   std::map<Value, size_t> counts;
   for (size_t r = 0; r < col->size(); ++r) {
-    counts[col->ValueAt(r)]++;
+    if (mask.empty() || mask[r] != 0) counts[col->ValueAt(r)]++;
   }
   return counts;
 }

@@ -1,9 +1,11 @@
 #ifndef PRIVATECLEAN_QUERY_AGGREGATE_H_
 #define PRIVATECLEAN_QUERY_AGGREGATE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -139,9 +141,11 @@ Result<QueryScanStats> ScanPredicateSums(const Table& table,
 /// TPC-DS experiment (§8.3.4). Keys are the boxed group values, so a
 /// NULL group gets its own bucket (Value::Null()) and can never collide
 /// with a genuine empty-string group; render keys with RenderSqlLiteral
-/// (query/sql.h) for unambiguous display.
+/// (query/sql.h) for unambiguous display. A non-empty `mask` (one byte
+/// per row, 1 = counted) restricts the count to the rows it selects.
 Result<std::map<Value, size_t>> GroupByCount(
-    const Table& table, const std::string& group_attribute);
+    const Table& table, const std::string& group_attribute,
+    const std::vector<uint8_t>& mask = {});
 
 }  // namespace privateclean
 

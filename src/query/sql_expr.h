@@ -63,7 +63,8 @@ Predicate SqlConditionToPredicate(const SqlCondition& cond);
 /// Matches evaluates it with SqlExprMatches, and CompiledPredicate
 /// compiles it to the same typed kernels as a WHERE tree. This is what
 /// routes every single-attribute WHERE — range predicates included —
-/// through the bias-corrected estimators via Predicate::MatchingValues.
+/// through the bias-corrected estimators, which apply Matches to each
+/// clean value (the paper's M_pred).
 /// InvalidArgument if the tree references zero or several attributes.
 Result<Predicate> CollapseSingleAttribute(const SqlExpr& expr);
 

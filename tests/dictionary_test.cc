@@ -1,21 +1,32 @@
 // StringDictionary + Arena unit coverage, plus the dictionary-vs-string
 // differential suite: every consumer rewritten onto dense codes is
 // checked against a naive boxed-Value reference implementation on the
-// same inputs (and, for randomized response, the same RNG stream).
+// same inputs (and, for randomized response, the same RNG stream). The
+// randomized differentials run at 1, 2 and 8 threads where the code
+// under test is sharded.
 
 #include "table/dictionary.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "cleaning/extract.h"
+#include "cleaning/merge.h"
 #include "cleaning/transform.h"
 #include "common/arena.h"
 #include "common/random.h"
+#include "core/private_table.h"
+#include "parallel_harness.h"
 #include "privacy/randomized_response.h"
+#include "provenance/provenance_graph.h"
+#include "query/aggregate.h"
 #include "query/predicate.h"
+#include "query/sql.h"
 #include "table/domain.h"
 #include "table/table_builder.h"
 
@@ -267,6 +278,519 @@ TEST(DictionaryDifferentialTest, ValueTransformMatchesRowWiseReference) {
   for (size_t r = 0; r < fast_col.size(); ++r) {
     EXPECT_EQ(fast_col.ValueAt(r), ref_col->ValueAt(r)) << "row " << r;
   }
+}
+
+TEST(DictionaryDifferentialTest, RemapCleanersMatchRowLoopStorage) {
+  // FindReplace, DomainMerge and MergeToNull rewrite codes through one
+  // per-distinct-value remap; the storage — dictionary in code order,
+  // codes, validity, null count — must equal what the boxed row loop
+  // (one SetValue per rewritten row) leaves behind.
+  const Table base = MakeStringTable(3000, 29);
+  auto row_loop = [](Table* t, const std::function<bool(const Value&)>& hit,
+                     const std::function<Value(const Value&)>& to) {
+    Column* col = t->mutable_column(0);
+    for (size_t r = 0; r < col->size(); ++r) {
+      const Value v = col->ValueAt(r);
+      if (hit(v)) {
+        ASSERT_TRUE(col->SetValue(r, to(v)).ok());
+      }
+    }
+  };
+  {
+    std::unordered_map<Value, Value, ValueHash> rules{
+        {Value("Berkeley"), Value("Berkeley, CA")},  // New value.
+        {Value("Oakland"), Value("")},               // Existing value.
+        {Value::Null(), Value("none")},              // From NULL.
+        {Value(""), Value::Null()}};                 // To NULL.
+    Table fast = base.Clone();
+    ASSERT_TRUE(FindReplace("city", rules).Apply(&fast).ok());
+    Table ref = base.Clone();
+    row_loop(
+        &ref, [&](const Value& v) { return rules.count(v) > 0; },
+        [&](const Value& v) { return rules.at(v); });
+    ExpectColumnsBitIdentical(fast.column(0), ref.column(0), "find_replace");
+  }
+  {
+    const Domain domain = *Domain::FromColumn(base, "city");
+    auto fn = [](const Value& v, const Domain& d) {
+      if (v.is_null()) return d.value(d.size() - 1);
+      return v.AsString() == "O'Brien" ? Value("Oakland")
+                                       : Value(v.AsString() + "#");
+    };
+    Table fast = base.Clone();
+    ASSERT_TRUE(DomainMerge("city", fn).Apply(&fast).ok());
+    Table ref = base.Clone();
+    row_loop(
+        &ref, [](const Value&) { return true; },
+        [&](const Value& v) { return fn(v, domain); });
+    ExpectColumnsBitIdentical(fast.column(0), ref.column(0), "domain_merge");
+  }
+  {
+    auto spurious = [](const Value& v) {
+      return !v.is_null() && (v.AsString().empty() ||
+                              v.AsString().find('"') != std::string::npos);
+    };
+    Table fast = base.Clone();
+    ASSERT_TRUE(MergeToNull("city", spurious).Apply(&fast).ok());
+    Table ref = base.Clone();
+    row_loop(&ref, spurious, [](const Value&) { return Value::Null(); });
+    ExpectColumnsBitIdentical(fast.column(0), ref.column(0), "merge_to_null");
+  }
+  // A double column holding -0.0 and +0.0, which Value== folds into one
+  // domain entry: rows that no rule or spurious test hits keep their own
+  // sign; rows a rule hits take its target, and DomainMerge gives every
+  // row its entry's result.
+  const Table doubles = [] {
+    TableBuilder b(*Schema::Make(
+        {Field{"score", ValueType::kDouble, AttributeKind::kDiscrete}}));
+    Rng rng(31);
+    const double scores[] = {0.0, -0.0, 1.5, 2.5};
+    b.Row({Value(0.0)});
+    for (size_t i = 1; i < 3000; ++i) {
+      b.Row({rng.Bernoulli(0.1) ? Value::Null()
+                                : Value(scores[rng.UniformInt(4)])});
+    }
+    return *b.Finish();
+  }();
+  for (const std::unordered_map<Value, Value, ValueHash>& rules :
+       {std::unordered_map<Value, Value, ValueHash>{
+            {Value(1.5), Value(0.0)},
+            {Value::Null(), Value(7.25)},
+            {Value(2.5), Value::Null()}},
+        std::unordered_map<Value, Value, ValueHash>{
+            {Value(0.0), Value(0.0)}}}) {
+    Table fast = doubles.Clone();
+    ASSERT_TRUE(FindReplace("score", rules).Apply(&fast).ok());
+    Table ref = doubles.Clone();
+    row_loop(
+        &ref, [&](const Value& v) { return rules.count(v) > 0; },
+        [&](const Value& v) { return rules.at(v); });
+    ExpectColumnsBitIdentical(fast.column(0), ref.column(0),
+                              "find_replace double " +
+                                  std::to_string(rules.size()) + " rules");
+  }
+  {
+    auto spurious = [](const Value& v) { return v == Value(2.5); };
+    Table fast = doubles.Clone();
+    ASSERT_TRUE(MergeToNull("score", spurious).Apply(&fast).ok());
+    Table ref = doubles.Clone();
+    row_loop(&ref, spurious, [](const Value&) { return Value::Null(); });
+    ExpectColumnsBitIdentical(fast.column(0), ref.column(0),
+                              "merge_to_null double");
+  }
+  {
+    const Domain domain = *Domain::FromColumn(doubles, "score");
+    auto fn = [](const Value& v, const Domain&) {
+      if (v.is_null()) return Value(9.0);
+      return v == Value(1.5) ? Value(2.5) : v;
+    };
+    Table fast = doubles.Clone();
+    ASSERT_TRUE(DomainMerge("score", fn).Apply(&fast).ok());
+    Table ref = doubles.Clone();
+    row_loop(
+        &ref, [](const Value&) { return true; },
+        [&](const Value& v) {
+          return fn(domain.value(*domain.IndexOf(v)), domain);
+        });
+    ExpectColumnsBitIdentical(fast.column(0), ref.column(0),
+                              "domain_merge double");
+  }
+}
+
+// --- Direct GROUP BY: masked counts vs a boxed reference ------------------
+
+TEST(DictionaryDifferentialTest, GroupByCountMatchesBoxedReference) {
+  // String and int64 groups must equal a boxed row loop, masked and
+  // unmasked, with NULL and '' as separate groups.
+  Table strings = MakeStringTable(5000, 3);
+  Table ints = [] {
+    TableBuilder b(*Schema::Make(
+        {Field{"grade", ValueType::kInt64, AttributeKind::kDiscrete}}));
+    Rng rng(4);
+    for (size_t i = 0; i < 5000; ++i) {
+      b.Row({rng.Bernoulli(0.1) ? Value::Null()
+                                : Value(static_cast<int64_t>(
+                                      rng.UniformInt(7)) - 3)});
+    }
+    return *b.Finish();
+  }();
+  Rng mask_rng(5);
+  for (const Table* t : {&strings, &ints}) {
+    const Column& col = t->column(0);
+    std::vector<uint8_t> mask(t->num_rows());
+    for (uint8_t& m : mask) m = mask_rng.Bernoulli(0.3) ? 1 : 0;
+    for (const std::vector<uint8_t>& rows : {std::vector<uint8_t>{}, mask}) {
+      SCOPED_TRACE(std::string(ValueTypeToString(col.type())) +
+                   (rows.empty() ? " unmasked" : " masked"));
+      std::map<Value, size_t> want;
+      for (size_t r = 0; r < col.size(); ++r) {
+        if (rows.empty() || rows[r]) ++want[col.ValueAt(r)];
+      }
+      auto got = GroupByCount(*t, t->schema().field(0).name, rows);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, want);
+    }
+  }
+  EXPECT_EQ(GroupByCount(strings, "city")->count(Value::Null()), 1u);
+  EXPECT_EQ(GroupByCount(strings, "city")->count(Value("")), 1u);
+  EXPECT_TRUE(GroupByCount(strings, "city", std::vector<uint8_t>(3, 1))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// --- One-pass ProvenanceGraph::Build vs a boxed reference ------------------
+
+/// The graph by the boxed build's rules: clean domain in row
+/// first-appearance order, per-(dirty, clean) row counts, edges in
+/// ascending (dirty index, clean index) order, weight = pair rows /
+/// dirty rows. Carries the accessors AppendProvenanceGraph reads.
+class ReferenceGraph {
+ public:
+  static Result<ReferenceGraph> Build(const Column& dirty, const Column& clean,
+                                      const Domain& dirty_domain) {
+    ReferenceGraph g;
+    g.dirty_ = dirty_domain;
+    std::vector<Value> clean_rows;
+    for (size_t r = 0; r < clean.size(); ++r) {
+      clean_rows.push_back(clean.ValueAt(r));
+    }
+    g.clean_ = Domain::FromValues(clean_rows);
+    std::map<std::pair<size_t, size_t>, size_t> pairs;
+    std::vector<size_t> totals(dirty_domain.size(), 0);
+    for (size_t r = 0; r < dirty.size(); ++r) {
+      auto d = dirty_domain.IndexOf(dirty.ValueAt(r));
+      if (!d.ok()) {
+        return Status::InvalidArgument(
+            "snapshot value '" + dirty.ValueAt(r).ToString() + "' at row " +
+            std::to_string(r) + " is not in the dirty domain");
+      }
+      ++pairs[{*d, *g.clean_.IndexOf(clean_rows[r])}];
+      ++totals[*d];
+    }
+    g.edges_.resize(g.clean_.size());
+    std::vector<size_t> degree(dirty_domain.size(), 0);
+    for (const auto& [key, rows] : pairs) {
+      g.edges_[key.second].push_back(
+          {key.first,
+           static_cast<double>(rows) / static_cast<double>(totals[key.first])});
+      if (++degree[key.first] > 1) g.fork_free_ = false;
+    }
+    g.num_edges_ = pairs.size();
+    return g;
+  }
+
+  size_t num_dirty_values() const { return dirty_.size(); }
+  size_t num_clean_values() const { return clean_.size(); }
+  size_t num_edges() const { return num_edges_; }
+  bool is_fork_free() const { return fork_free_; }
+  const Domain& dirty_domain() const { return dirty_; }
+  const Domain& clean_domain() const { return clean_; }
+
+  double EdgeWeight(const Value& dirty, const Value& clean) const {
+    for (const auto& [d, w] : EdgesOf(clean)) {
+      if (dirty_.value(d) == dirty) return w;
+    }
+    return 0.0;
+  }
+  std::vector<Value> ParentSet(const std::vector<Value>& clean) const {
+    std::vector<Value> parents;
+    for (const auto& [d, w] : EdgesOf(clean.front())) {
+      parents.push_back(dirty_.value(d));
+    }
+    return parents;
+  }
+  double WeightedSelectivity(const std::vector<Value>& clean) const {
+    double l = 0.0;
+    for (const Value& m : clean) {
+      for (const auto& [d, w] : EdgesOf(m)) l += w;
+    }
+    return l;
+  }
+
+ private:
+  const std::vector<std::pair<size_t, double>>& EdgesOf(
+      const Value& clean) const {
+    return edges_[*clean_.IndexOf(clean)];
+  }
+
+  Domain dirty_;
+  Domain clean_;
+  std::vector<std::vector<std::pair<size_t, double>>> edges_;
+  size_t num_edges_ = 0;
+  bool fork_free_ = true;
+};
+
+/// `city` (with NULLs and '') and its `state`. Cities c30..c39 first
+/// appear in the last quarter of the rows, i.e. in later shards.
+Table MakeCityStateTable(size_t rows, uint64_t seed) {
+  TableBuilder b(
+      *Schema::Make({Field::Discrete("city"), Field::Discrete("state")}));
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t pool = r < rows * 3 / 4 ? 30 : 40;
+    const uint64_t c = rng.UniformInt(pool);
+    Value city = rng.Bernoulli(0.05)   ? Value::Null()
+                 : rng.Bernoulli(0.02) ? Value("")
+                                       : Value("c" + std::to_string(c));
+    // Mostly a function of the city, sometimes not: forks under
+    // projection cleaning.
+    const uint64_t s = rng.Bernoulli(0.9) ? c % 5 : rng.UniformInt(5);
+    b.Row({city, Value("s" + std::to_string(s))});
+  }
+  return *b.Finish();
+}
+
+TEST(ProvenanceBuildDifferentialTest, OnePassMatchesBoxedReference) {
+  struct Cleaning {
+    std::string name;
+    std::function<Status(Table*)> apply;
+    std::string attribute;  // The cleaned (or extracted) attribute.
+    bool forks;             // Some dirty value gets several clean ones.
+  };
+  const std::vector<Cleaning> cleanings = {
+      {"none", [](Table*) { return Status::OK(); }, "city", false},
+      {"merge, to and from NULL",
+       [](Table* t) {
+         return FindReplace("city", {{Value("c1"), Value("c0")},
+                                     {Value("c2"), Value("c0")},
+                                     {Value("c3"), Value::Null()},
+                                     {Value::Null(), Value("was-null")},
+                                     {Value(""), Value("c35")}})
+             .Apply(t);
+       },
+       "city", false},
+      {"new values interned after the snapshot",
+       [](Table* t) {
+         return ValueTransform("city",
+                               [](const Value& v) {
+                                 return v.is_null() ? v
+                                                    : Value(v.AsString() + "!");
+                               })
+             .Apply(t);
+       },
+       "city", false},
+      {"merge to NULL",
+       [](Table* t) {
+         return MergeToNull("city",
+                            [](const Value& v) {
+                              return v == Value("c5") || v == Value("c36");
+                            })
+             .Apply(t);
+       },
+       "city", false},
+      {"fork",
+       [](Table* t) {
+         return ProjectionTransform(
+                    {"city", "state"},
+                    [](const std::vector<Value>& row) {
+                      if (row[0].is_null() || row[1] != Value("s1")) {
+                        return row;
+                      }
+                      return std::vector<Value>{
+                          Value(row[0].AsString() + "-east"), row[1]};
+                    })
+             .Apply(t);
+       },
+       "city", true},
+      {"extract",
+       [](Table* t) {
+         return ExtractAttribute(
+                    "region", {"city", "state"},
+                    [](const std::vector<Value>& row) {
+                      if (row[0].is_null()) return Value::Null();
+                      return Value(row[1].AsString() + "/" +
+                                   std::to_string(row[0].AsString().size()));
+                    })
+             .Apply(t);
+       },
+       "region", true},
+  };
+  for (size_t rows : {size_t{0}, size_t{1}, kRowsPerShard - 1, kRowsPerShard,
+                      kRowsPerShard + 1, size_t{40000}}) {
+    const Table base = MakeCityStateTable(rows, 1000 + rows);
+    const Column& snapshot = base.column(0);
+    // The randomization domain also holds values no row carries, before,
+    // between and after the observed ones.
+    std::vector<Value> dirty_values = {Value("ghost-0")};
+    const Domain observed = *Domain::FromColumn(base, "city");
+    for (const Value& v : observed.values()) {
+      dirty_values.push_back(v);
+      if (dirty_values.size() == 4) dirty_values.push_back(Value("ghost-1"));
+    }
+    dirty_values.push_back(Value("ghost-2"));
+    const Domain dirty_domain = Domain::FromValues(dirty_values);
+    for (const Cleaning& cleaning : cleanings) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) + " " + cleaning.name);
+      Table t = base.Clone();
+      ASSERT_TRUE(cleaning.apply(&t).ok());
+      const Column& current = **t.ColumnByName(cleaning.attribute);
+      const ReferenceGraph reference =
+          *ReferenceGraph::Build(snapshot, current, dirty_domain);
+      if (rows >= kRowsPerShard) {
+        EXPECT_EQ(!reference.is_fork_free(), cleaning.forks);
+      }
+      ByteSink want;
+      AppendProvenanceGraph(&want, reference);
+      const std::string want_bytes = std::move(want).Finish();
+      ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
+        ByteSink got;
+        AppendProvenanceGraph(
+            &got,
+            *ProvenanceGraph::Build(snapshot, current, dirty_domain, exec));
+        std::string got_bytes = std::move(got).Finish();
+        EXPECT_TRUE(got_bytes == want_bytes)
+            << "graph differs from the boxed reference";
+        return got_bytes;
+      });
+    }
+  }
+}
+
+TEST(ProvenanceBuildDifferentialTest, UnknownSnapshotValueNamesTheFirstRow) {
+  // "bad" is missing from the dirty domain; its first row sits in shard
+  // 0, or only in a later shard. The message is the reference's at
+  // every thread count.
+  for (size_t first_bad : {size_t{7}, kRowsPerShard + 5}) {
+    SCOPED_TRACE("first bad row " + std::to_string(first_bad));
+    TableBuilder b(*Schema::Make({Field::Discrete("city")}));
+    for (size_t r = 0; r < 40000; ++r) {
+      const bool bad = r == first_bad || r == 39000;
+      b.Row({bad ? Value("bad") : r % 9 == 0 ? Value::Null() : Value("ok")});
+    }
+    const Table t = *b.Finish();
+    const Domain dirty_domain =
+        Domain::FromValues({Value("ok"), Value::Null()});
+    const Status want =
+        ReferenceGraph::Build(t.column(0), t.column(0), dirty_domain)
+            .status();
+    ASSERT_TRUE(want.IsInvalidArgument());
+    ASSERT_NE(want.message().find("row " + std::to_string(first_bad) + " "),
+              std::string::npos)
+        << want.message();
+    for (size_t threads : {1u, 2u, 8u}) {
+      ExecutionOptions exec;
+      exec.num_threads = threads;
+      const Status got =
+          ProvenanceGraph::Build(t.column(0), t.column(0), dirty_domain, exec)
+              .status();
+      EXPECT_TRUE(got.IsInvalidArgument()) << got.ToString();
+      EXPECT_EQ(got.message(), want.message()) << "threads=" << threads;
+    }
+  }
+}
+
+// --- COUNT and GROUP BY from clean-domain frequencies ----------------------
+
+TEST(CountFromFrequenciesTest, NominalCountsEqualTheRowScan) {
+  // Count's nominal comes from the provenance graph's clean-domain
+  // frequencies and GroupByCountEstimate's from the same counts; both
+  // must equal a row scan, and Count must equal what the scan-based
+  // estimate gives, bit for bit.
+  TableBuilder b(*Schema::Make(
+      {Field::Discrete("city"),
+       Field{"grade", ValueType::kInt64, AttributeKind::kDiscrete},
+       Field::Numerical("income", ValueType::kDouble)}));
+  Rng data_rng(41);
+  for (size_t r = 0; r < 40000; ++r) {
+    Value city = data_rng.Bernoulli(0.08)   ? Value::Null()
+                 : data_rng.Bernoulli(0.03) ? Value("")
+                                            : Value("c" + std::to_string(
+                                                            data_rng.UniformInt(12)));
+    Value grade = data_rng.Bernoulli(0.08)
+                      ? Value::Null()
+                      : Value(static_cast<int64_t>(data_rng.UniformInt(6)));
+    b.Row({city, grade, Value(static_cast<double>(r % 17))});
+  }
+  Rng grr_rng(42);
+  PrivateTable pt = *PrivateTable::Create(
+      *b.Finish(), GrrParams::Uniform(0.3, 1.0), GrrOptions{}, grr_rng);
+
+  auto where = [](const std::string& condition) {
+    return *ParseSql("SELECT count(1) FROM r WHERE " + condition)
+                ->query.predicate;
+  };
+  const std::vector<Predicate> battery = {
+      Predicate::Equals("city", Value("c3")),
+      Predicate::Equals("city", Value("")),
+      Predicate::Equals("city", Value("absent")),
+      Predicate::In("city", {Value("c1"), Value::Null(), Value("c0")}),
+      Predicate::IsNull("city"),
+      Predicate::IsNotNull("city"),
+      Predicate::Equals("city", Value("c2")).Negate(),
+      Predicate::In("city", {Value("c4"), Value::Null()}).Negate(),
+      Predicate::Compare("city", CompareOp::kLt, Value("c5")),
+      Predicate::Compare("city", CompareOp::kGe, Value(int64_t{3})),
+      Predicate::Udf("city",
+                     [](const Value& v) {
+                       return !v.is_null() && v.AsString().size() > 2;
+                     }),
+      where("city >= 'c1' AND NOT city = 'c3' OR city IS NULL"),
+      where("NOT (city IN ('c0', 'c9') OR city < 'c2')"),
+      Predicate::Equals("grade", Value(int64_t{3})),
+      Predicate::Equals("grade", Value(3.0)),
+      Predicate::In("grade", {Value(int64_t{1}), Value::Null()}),
+      Predicate::IsNull("grade"),
+      Predicate::IsNotNull("grade"),
+      Predicate::Equals("grade", Value(int64_t{0})).Negate(),
+      Predicate::Compare("grade", CompareOp::kLt, Value(int64_t{3})),
+      Predicate::Compare("grade", CompareOp::kGe, Value(2.5)),
+      Predicate::Udf("grade",
+                     [](const Value& v) {
+                       return v.is_null() || v.AsInt64() % 2 == 0;
+                     }),
+      where("grade >= 1 AND grade < 4 OR grade IS NULL"),
+      where("NOT grade IN (2, 3)"),
+  };
+  auto check = [&](const std::string& stage) {
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(stage + " threads=" + std::to_string(threads));
+      QueryOptions options;
+      options.exec.num_threads = threads;
+      for (size_t i = 0; i < battery.size(); ++i) {
+        SCOPED_TRACE("predicate " + std::to_string(i));
+        const Predicate& pred = battery[i];
+        auto count = pt.Count(pred, options);
+        ASSERT_TRUE(count.ok()) << count.status().ToString();
+        auto scan = ScanPredicateSums(pt.relation(), pred, "", options.exec);
+        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+        EXPECT_EQ(count->nominal, static_cast<double>(scan->matching_rows));
+        auto scanned = EstimateCount(
+            *scan, *pt.InputsForPredicate(pred, "", options));
+        ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+        ByteSink got;
+        ByteSink want;
+        for (const auto& [sink, r] : {std::pair{&got, &*count},
+                                      std::pair{&want, &*scanned}}) {
+          sink->AppendDoubleBits(r->estimate);
+          sink->AppendDoubleBits(r->ci.lo);
+          sink->AppendDoubleBits(r->ci.hi);
+          sink->AppendDoubleBits(r->nominal);
+        }
+        EXPECT_TRUE(std::move(got).Finish() == std::move(want).Finish());
+      }
+      for (const char* attribute : {"city", "grade"}) {
+        const Column& col = **pt.relation().ColumnByName(attribute);
+        std::map<Value, size_t> rows;
+        for (size_t r = 0; r < col.size(); ++r) ++rows[col.ValueAt(r)];
+        auto groups = pt.GroupByCountEstimate(attribute, options);
+        ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+        EXPECT_EQ(groups->size(), rows.size());
+        for (const auto& [key, result] : *groups) {
+          EXPECT_EQ(result.nominal, static_cast<double>(rows[key]))
+              << attribute << " group " << key.ToString();
+        }
+      }
+    }
+  };
+  check("before cleaning");
+  ASSERT_TRUE(pt.Clean(FindReplace("city", {{Value("c1"), Value("c0")},
+                                            {Value("c4"), Value::Null()},
+                                            {Value::Null(), Value("filled")}}))
+                  .ok());
+  ASSERT_TRUE(pt.Clean(FindReplace::Single("grade", Value(int64_t{5}),
+                                           Value(int64_t{0})))
+                  .ok());
+  check("after cleaning");
 }
 
 }  // namespace

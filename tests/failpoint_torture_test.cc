@@ -228,9 +228,10 @@ TEST_F(FailpointTortureTest, RandomizedFaultCombinations) {
 
 TEST_F(FailpointTortureTest, EverySiteOneAtATimeOnOpenAndQuery) {
   // The query/provenance read-path sites: open the release into a
-  // PrivateTable and run a Count (which scans with a predicate and
-  // lazily builds the provenance graph) under each catalogued fault.
-  // Every outcome must be a typed error or a successful, sane estimate.
+  // PrivateTable and run a Count (which lazily builds the provenance
+  // graph and reads its counts) and a Sum (which scans with the
+  // predicate) under each catalogued fault. Every outcome must be a
+  // typed error or a successful, sane estimate.
   GrrOutput grr = MakeGrr(71, 100);
   const std::string dir = base_ + "/q";
   ASSERT_TRUE(WriteRelease(grr, dir).ok());
@@ -247,13 +248,16 @@ TEST_F(FailpointTortureTest, EverySiteOneAtATimeOnOpenAndQuery) {
       continue;
     }
     auto count = table->Count(pred);
+    auto sum = table->Sum("income", pred);
     failpoint::DeactivateAll();
-    if (count.ok()) {
-      EXPECT_TRUE(std::isfinite(count->estimate)) << count->estimate;
-    } else {
-      EXPECT_TRUE(IsTypedReleaseError(count.status()) ||
-                  count.status().IsInvalidArgument())
-          << count.status().ToString();
+    for (const auto* answer : {&count, &sum}) {
+      if (answer->ok()) {
+        EXPECT_TRUE(std::isfinite((*answer)->estimate)) << (*answer)->estimate;
+      } else {
+        EXPECT_TRUE(IsTypedReleaseError(answer->status()) ||
+                    answer->status().IsInvalidArgument())
+            << answer->status().ToString();
+      }
     }
     // Faults never corrupt in-process state: the same open + query with
     // the registry clean must succeed.
@@ -262,6 +266,9 @@ TEST_F(FailpointTortureTest, EverySiteOneAtATimeOnOpenAndQuery) {
     auto clean_count = clean_table->Count(pred);
     ASSERT_TRUE(clean_count.ok()) << clean_count.status().ToString();
     EXPECT_TRUE(std::isfinite(clean_count->estimate));
+    auto clean_sum = clean_table->Sum("income", pred);
+    ASSERT_TRUE(clean_sum.ok()) << clean_sum.status().ToString();
+    EXPECT_TRUE(std::isfinite(clean_sum->estimate));
   }
 }
 
@@ -275,11 +282,14 @@ TEST_F(FailpointTortureTest, EveryCataloguedSiteSitsOnAnExercisedPath) {
   ASSERT_TRUE(WriteRelease(grr, dir).ok());
   ASSERT_TRUE(WriteRelease(grr, dir).ok());  // swap path
   ASSERT_TRUE(ReadRelease(dir).ok());
-  // Open + Count covers the analyst read path: release.open.relation,
-  // query.scan.begin, and the lazy provenance.graph.build.
+  // Open + Count + Sum covers the analyst read path:
+  // release.open.relation, the lazy provenance.graph.build, and
+  // query.scan.begin (a COUNT reads the graph's counts; a SUM scans).
   auto table = OpenRelease(dir);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  ASSERT_TRUE(table->Count(Predicate::In("city", {Value("Berkeley")})).ok());
+  const Predicate berkeley = Predicate::In("city", {Value("Berkeley")});
+  ASSERT_TRUE(table->Count(berkeley).ok());
+  ASSERT_TRUE(table->Sum("income", berkeley).ok());
   ASSERT_TRUE(VerifyRelease(dir).ok());
   // Ledger cycle: open + mutate (WAL commit sites) + checkpoint +
   // reopen over an existing WAL (recovery sites).

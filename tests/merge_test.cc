@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "cleaning/transform.h"
+#include "parallel_harness.h"
 #include "table/table_builder.h"
 
 namespace privateclean {
@@ -123,6 +128,83 @@ TEST(MergeToNullTest, NoopWhenNothingSpurious) {
 TEST(MergeToNullTest, RejectsNullTable) {
   MergeToNull clean("major", [](const Value&) { return false; });
   EXPECT_TRUE(clean.Apply(nullptr).IsInvalidArgument());
+}
+
+TEST(CleanerRemapTest, FailingCleanerLeavesTheColumnAsItWas) {
+  // Every result is type-checked before anything is interned or
+  // written: a rule or UDF yielding a value of the wrong type fails the
+  // whole call with SetValue's message and leaves codes or ints,
+  // validity, null count and dictionary exactly as they were.
+  Table strings = [] {
+    TableBuilder b(*Schema::Make({Field::Discrete("g")}));
+    for (const char* v : {"a", "b", "a", "c", "b"}) b.Row({Value(v)});
+    b.Row({Value::Null()});
+    return *b.Finish();
+  }();
+  Table ints = [] {
+    TableBuilder b(*Schema::Make(
+        {Field{"g", ValueType::kInt64, AttributeKind::kDiscrete}}));
+    for (int64_t v : {1, 2, 1, 3, 2}) b.Row({Value(v)});
+    b.Row({Value::Null()});
+    return *b.Finish();
+  }();
+  auto bump = [](const Value& v) {
+    if (v.is_null()) return v;
+    return v.type() == ValueType::kString ? Value(v.AsString() + "!")
+                                          : Value(v.AsInt64() + 100);
+  };
+  // c (or 3) maps to the wrong type; everything else to a new value.
+  auto bad = [bump](const Value& v) {
+    if (v == Value("c")) return Value(int64_t{7});
+    if (v == Value(int64_t{3})) return Value("x");
+    return bump(v);
+  };
+  struct Case {
+    const Table* table;
+    std::unique_ptr<Cleaner> cleaner;
+    std::string message;
+  };
+  const std::string into_string = "cannot set int64 value in string column";
+  const std::string into_int = "cannot set string value in int64 column";
+  std::vector<Case> cases;
+  cases.push_back({&strings,
+                   std::make_unique<FindReplace>(
+                       "g", std::unordered_map<Value, Value, ValueHash>{
+                                {Value("a"), Value("x")},
+                                {Value("c"), Value(int64_t{7})}}),
+                   into_string});
+  cases.push_back({&strings,
+                   std::make_unique<DomainMerge>(
+                       "g", [bad](const Value& v, const Domain&) {
+                         return bad(v);
+                       }),
+                   into_string});
+  cases.push_back(
+      {&strings, std::make_unique<ValueTransform>("g", bad), into_string});
+  cases.push_back({&ints,
+                   std::make_unique<FindReplace>(
+                       "g", std::unordered_map<Value, Value, ValueHash>{
+                                {Value(int64_t{1}), Value(int64_t{10})},
+                                {Value(int64_t{3}), Value("x")}}),
+                   into_int});
+  cases.push_back({&ints,
+                   std::make_unique<DomainMerge>(
+                       "g", [bad](const Value& v, const Domain&) {
+                         return bad(v);
+                       }),
+                   into_int});
+  cases.push_back(
+      {&ints, std::make_unique<ValueTransform>("g", bad), into_int});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.cleaner->name() + " on " +
+                 ValueTypeToString(c.table->column(0).type()));
+    Table t = c.table->Clone();
+    Status st = c.cleaner->Apply(&t);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(st.message(), c.message);
+    ExpectColumnsBitIdentical(t.column(0), c.table->column(0),
+                              "column after the failed call");
+  }
 }
 
 TEST(CleanerKindTest, Names) {

@@ -184,22 +184,6 @@ void AppendQueryResult(ByteSink* sink, const QueryResult& r) {
   sink->AppendU64(r.s);
 }
 
-void AppendProvenanceGraph(ByteSink* sink, const ProvenanceGraph& g) {
-  sink->AppendU64(g.num_dirty_values());
-  sink->AppendU64(g.num_clean_values());
-  sink->AppendU64(g.num_edges());
-  sink->AppendU64(g.is_fork_free() ? 1 : 0);
-  for (size_t i = 0; i < g.clean_domain().size(); ++i) {
-    sink->AppendValue(g.clean_domain().value(i));
-    sink->AppendU64(g.clean_domain().frequency(i));
-  }
-  for (const Value& dirty : g.dirty_domain().values()) {
-    for (const Value& clean : g.clean_domain().values()) {
-      sink->AppendDoubleBits(g.EdgeWeight(dirty, clean));
-    }
-  }
-}
-
 TEST(ParallelDeterminismTest, GroupByCountIdenticalAcrossThreadCounts) {
   Rng rng(13);
   PrivateTable pt = *PrivateTable::Create(

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "table/table.h"
@@ -98,6 +99,37 @@ class ByteSink {
  private:
   std::string bytes_;
 };
+
+/// Bit-exact image of a provenance graph: sizes, fork-freeness, the
+/// clean domain in order with its frequencies, every (dirty, clean)
+/// edge weight, and per clean value its ParentSet in order (which is
+/// the order of its edge list) and its WeightedSelectivity bits (which
+/// sum in that order), plus the selectivity of the whole clean domain.
+/// `Graph` is ProvenanceGraph or a test reference with its accessors.
+template <typename Graph>
+void AppendProvenanceGraph(ByteSink* sink, const Graph& g) {
+  sink->AppendU64(g.num_dirty_values());
+  sink->AppendU64(g.num_clean_values());
+  sink->AppendU64(g.num_edges());
+  sink->AppendU64(g.is_fork_free() ? 1 : 0);
+  const std::vector<Value>& clean_values = g.clean_domain().values();
+  for (size_t i = 0; i < clean_values.size(); ++i) {
+    sink->AppendValue(clean_values[i]);
+    sink->AppendU64(g.clean_domain().frequency(i));
+  }
+  for (const Value& dirty : g.dirty_domain().values()) {
+    for (const Value& clean : clean_values) {
+      sink->AppendDoubleBits(g.EdgeWeight(dirty, clean));
+    }
+  }
+  for (const Value& clean : clean_values) {
+    const std::vector<Value> parents = g.ParentSet({clean});
+    sink->AppendU64(parents.size());
+    for (const Value& parent : parents) sink->AppendValue(parent);
+    sink->AppendDoubleBits(g.WeightedSelectivity({clean}));
+  }
+  sink->AppendDoubleBits(g.WeightedSelectivity(clean_values));
+}
 
 /// Asserts the physical storage of two columns is identical: type,
 /// validity, null count, and the int64 values, double bit patterns, or
