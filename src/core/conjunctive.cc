@@ -69,10 +69,12 @@ Result<QueryResult> EstimateConjunctiveCount(
   if (stats.total_rows == 0) {
     return Status::InvalidArgument("cannot estimate over an empty relation");
   }
-  PCLEAN_ASSIGN_OR_RETURN(TransitionProbabilities ta,
-                          TransitionsForInputs(in_a));
-  PCLEAN_ASSIGN_OR_RETURN(TransitionProbabilities tb,
-                          TransitionsForInputs(in_b));
+  PCLEAN_ASSIGN_OR_RETURN(
+      TransitionProbabilities ta,
+      ComputeTransitionProbabilities(in_a.p, in_a.l, in_a.n));
+  PCLEAN_ASSIGN_OR_RETURN(
+      TransitionProbabilities tb,
+      ComputeTransitionProbabilities(in_b.p, in_b.l, in_b.n));
 
   // Per-attribute inverse transition matrix:
   //   M = [[tau_p, tau_n], [1-tau_p, 1-tau_n]],

@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "privacy/mechanism.h"
 #include "privacy/randomized_response.h"
 
 namespace privateclean {
-
-Result<TransitionProbabilities> TransitionsForInputs(
-    const EstimationInputs& in) {
-  if (in.mechanism != nullptr) return in.mechanism->Transitions(in.l, in.n);
-  return ComputeTransitionProbabilities(in.p, in.l, in.n);
-}
 
 Status EstimationInputs::Validate() const {
   if (!(p >= 0.0 && p < 1.0)) {
@@ -51,7 +44,8 @@ Result<QueryResult> EstimateCount(const QueryScanStats& stats,
   if (stats.total_rows == 0) {
     return Status::InvalidArgument("cannot estimate over an empty relation");
   }
-  PCLEAN_ASSIGN_OR_RETURN(TransitionProbabilities t, TransitionsForInputs(in));
+  PCLEAN_ASSIGN_OR_RETURN(TransitionProbabilities t,
+                          ComputeTransitionProbabilities(in.p, in.l, in.n));
   double s = static_cast<double>(stats.total_rows);
   double c_private = static_cast<double>(stats.matching_rows);
 
@@ -90,7 +84,8 @@ Result<QueryResult> EstimateSum(const QueryScanStats& stats,
   if (stats.total_rows == 0) {
     return Status::InvalidArgument("cannot estimate over an empty relation");
   }
-  PCLEAN_ASSIGN_OR_RETURN(TransitionProbabilities t, TransitionsForInputs(in));
+  PCLEAN_ASSIGN_OR_RETURN(TransitionProbabilities t,
+                          ComputeTransitionProbabilities(in.p, in.l, in.n));
   double denom = t.true_positive - t.false_positive;  // == 1 − p.
 
   // Eq. 5 / Appendix C closed form.

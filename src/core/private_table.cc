@@ -203,10 +203,9 @@ Result<EstimationInputs> PrivateTable::InputsForPredicate(
   if (matching_rows != nullptr) *matching_rows = m_pred_rows;
 
   EstimationInputs in;
-  PCLEAN_ASSIGN_OR_RETURN(in.mechanism, MechanismFor(meta_it->second));
   PCLEAN_ASSIGN_OR_RETURN(
-      in.p,
-      in.mechanism->ReplacementProbability(meta_it->second.domain.size()));
+      in.p, ReplacementProbability(metadata_.mechanism, meta_it->second.p,
+                                   meta_it->second.domain.size()));
   in.n = static_cast<double>(graph->num_dirty_values());
   in.l = options.weighted_cut
              ? graph->WeightedSelectivity(m_pred)
@@ -306,16 +305,14 @@ PrivateTable::GroupByCountEstimate(const std::string& attribute,
                           CachedGraphFor(attribute, options.exec));
   // Each group's nominal count is its clean value's row count.
   const Domain& clean_domain = graph->clean_domain();
-  PCLEAN_ASSIGN_OR_RETURN(MechanismPtr mechanism,
-                          MechanismFor(meta_it->second));
   PCLEAN_ASSIGN_OR_RETURN(
       double p_eff,
-      mechanism->ReplacementProbability(meta_it->second.domain.size()));
+      ReplacementProbability(metadata_.mechanism, meta_it->second.p,
+                             meta_it->second.domain.size()));
   std::vector<std::pair<Value, QueryResult>> groups;
   groups.reserve(clean_domain.size());
   for (size_t i = 0; i < clean_domain.size(); ++i) {
     EstimationInputs in;
-    in.mechanism = mechanism;
     in.p = p_eff;
     in.n = static_cast<double>(graph->num_dirty_values());
     std::vector<Value> m_pred{clean_domain.value(i)};

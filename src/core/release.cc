@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <charconv>
@@ -391,14 +392,14 @@ bool UnescapeManifestName(std::string_view text, std::string* out) {
 /// `column:` line per attribute in schema order, one `file:` line per
 /// payload file ("file: <crc32c> <bytes> <name>"), and a trailing
 /// self-checksum over everything above it.
-std::string RenderManifest(uint64_t rows, const MechanismSpec& mechanism,
+std::string RenderManifest(uint64_t rows, MechanismFamily mechanism,
                            const std::string& relation_name,
                            const std::vector<ManifestColumn>& columns,
                            const RenderedFiles& files) {
   std::string out = kManifestMagic;
   out += "\nversion: " + std::to_string(kReleaseFormatVersion);
   out += "\nrows: " + std::to_string(rows);
-  out += "\nmechanism: " + RenderMechanismSpec(mechanism);
+  out += "\nmechanism: " + std::string(MechanismName(mechanism));
   out += "\nrelation: " + EscapeManifestName(relation_name) + "\n";
   for (const ManifestColumn& c : columns) {
     // "column: <kind> <type> <param> <sensitivity> <domain> <entries>
@@ -429,7 +430,7 @@ struct ManifestEntry {
 
 struct Manifest {
   uint64_t rows = 0;
-  MechanismSpec mechanism;
+  MechanismFamily mechanism = MechanismFamily::kGrr;
   /// The SQL name this release answers to in FROM clauses.
   std::string relation_name;
   std::vector<ManifestColumn> columns;
@@ -546,21 +547,19 @@ Result<Manifest> ParseManifest(const std::string& text, const std::string& dir) 
       saw_rows = true;
     } else if (line.rfind("mechanism: ", 0) == 0) {
       PCLEAN_FAILPOINT("release.mechanism.parse", path);
-      auto spec = ParseMechanismSpec(line.substr(11));
-      if (!spec.ok()) {
-        return Status::DataLoss(loc() + ": corrupt mechanism entry: " +
-                                spec.status().message());
+      // Exactly one token, the family name. An unknown name is a
+      // capability gap of this reader (FailedPrecondition, like an
+      // unknown format version); text after a known name is damage.
+      const std::string body = line.substr(11);
+      const std::string name = body.substr(0, body.find(' '));
+      if (name.empty()) {
+        return Status::DataLoss(loc() + ": malformed mechanism entry");
       }
-      Status valid = ValidateMechanismSpec(spec.ValueOrDie());
-      if (!valid.ok()) {
-        // Unknown mechanism *name* is a capability gap of this reader
-        // (FailedPrecondition, like an unknown format version); anything
-        // else — bad parameters under a known name — is a damaged
-        // manifest.
-        if (valid.IsFailedPrecondition()) return valid;
-        return Status::DataLoss(loc() + ": " + valid.message());
+      PCLEAN_ASSIGN_OR_RETURN(manifest.mechanism, ParseMechanismFamily(name));
+      if (name.size() != body.size()) {
+        return Status::DataLoss(loc() + ": unexpected text after mechanism '" +
+                                name + "'");
       }
-      manifest.mechanism = std::move(spec).ValueOrDie();
       saw_mechanism = true;
     } else if (line.rfind("relation: ", 0) == 0) {
       if (!UnescapeManifestName(std::string_view(line).substr(10),
@@ -737,20 +736,22 @@ Result<LoadedRelease> BindRelease(const Manifest& manifest,
       return Status::DataLoss("'" + domain_path + "': the domain of '" +
                               field.name + "' lists a value twice");
     }
-    auto mechanism = MakeMechanism(manifest.mechanism, line.param);
-    if (!mechanism.ok()) {
+    // Whether the param is feasible does not depend on N, and a
+    // zero-row release has an empty domain, so check it at N >= 1.
+    auto p_eff = ReplacementProbability(manifest.mechanism, line.param,
+                                        std::max<size_t>(domain.size(), 1));
+    if (!p_eff.ok()) {
       return Status::DataLoss("'" + dir + "/" + kManifestFile +
                               "': attribute '" + field.name + "': " +
-                              mechanism.status().message());
+                              p_eff.status().message());
     }
     metadata.discrete.emplace(
-        field.name, DiscreteAttributeMeta{line.param, std::move(domain),
-                                          std::move(mechanism).ValueOrDie()});
+        field.name, DiscreteAttributeMeta{line.param, std::move(domain)});
   }
   PCLEAN_ASSIGN_OR_RETURN(release.relation,
                           Table::Make(manifest.schema, std::move(columns)));
   metadata.dataset_size = manifest.rows;
-  metadata.mechanism_spec = manifest.mechanism;
+  metadata.mechanism = manifest.mechanism;
   metadata.relation_name = manifest.relation_name;
   return release;
 }
@@ -782,10 +783,7 @@ Status WriteRelease(const Table& private_relation,
                     const PrivateRelationMetadata& metadata,
                     const std::string& dir, const ExecutionOptions& exec) {
   // Render the entire release in memory first: validation failures
-  // (missing metadata, bad schema) touch nothing on disk. The mechanism
-  // spec is validated before anything renders — an unknown family or a
-  // malformed parameter block must never be persisted.
-  PCLEAN_RETURN_NOT_OK(ValidateMechanismSpec(metadata.mechanism_spec));
+  // (missing metadata, bad schema) touch nothing on disk.
   RenderedFiles files;
   std::vector<ManifestColumn> columns;
   PCLEAN_RETURN_NOT_OK(
@@ -796,7 +794,7 @@ Status WriteRelease(const Table& private_relation,
       metadata.relation_name.empty() ? "r" : metadata.relation_name;
   files.emplace_back(
       kManifestFile,
-      RenderManifest(private_relation.num_rows(), metadata.mechanism_spec,
+      RenderManifest(private_relation.num_rows(), metadata.mechanism,
                      relation_name, columns, files));
 
   const fs::path target(dir);

@@ -14,18 +14,9 @@ Result<PrivacyReport> AccountPrivacy(
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   for (const auto& [name, meta] : metadata.discrete) {
-    // Legacy metadata with a parameter the GRR family itself rejects
-    // (p < 0 is nonsensical, "never retained"): no privacy guarantee,
-    // rather than an error — a report over damaged metadata should
-    // still name the offending attribute.
-    if (meta.mechanism == nullptr && meta.p < 0.0) {
-      report.fully_private = false;
-      report.per_attribute_epsilon.emplace(name, kInf);
-      continue;
-    }
-    PCLEAN_ASSIGN_OR_RETURN(MechanismPtr mechanism, MechanismFor(meta));
-    PCLEAN_ASSIGN_OR_RETURN(double eps,
-                            mechanism->Epsilon(meta.domain.size()));
+    PCLEAN_ASSIGN_OR_RETURN(
+        double eps,
+        DiscreteEpsilon(metadata.mechanism, meta.p, meta.domain.size()));
     if (std::isinf(eps)) report.fully_private = false;
     report.per_attribute_epsilon.emplace(name, eps);
   }

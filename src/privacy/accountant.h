@@ -12,9 +12,9 @@ namespace privateclean {
 /// ε accounting for a privatized relation (paper Theorem 1):
 /// the relation is ε-locally-differentially-private with
 /// ε = Σ_i ε_{d_i} + Σ_j ε_{a_j}, where ε_{d_i} is the discrete
-/// attribute's mechanism accounting (ln(3/p_i − 2) for the paper's GRR;
-/// see privacy/mechanism.h for the other families) and ε_{a_j} = Δ_j /
-/// b_j. Post-processing (cleaning) never increases ε.
+/// attribute's DiscreteEpsilon (privacy/mechanism.h; ln(3/p_i − 2) for
+/// the paper's GRR) and ε_{a_j} = Δ_j / b_j. Post-processing (cleaning)
+/// never increases ε.
 struct PrivacyReport {
   /// Per-attribute ε, keyed by attribute name. +inf entries flag
   /// non-private attributes (p == 0 or b == 0).

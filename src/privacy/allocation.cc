@@ -1,39 +1,13 @@
 #include "privacy/allocation.h"
 
-#include <cmath>
-
 #include "privacy/laplace_mechanism.h"
 
 namespace privateclean {
 
-namespace {
-
-/// The per-attribute mechanism parameter that spends a discrete ε share
-/// under the given family (see the header for the per-family math).
-Result<double> DiscreteParamForShare(const MechanismSpec& mechanism,
-                                     double eps_i) {
-  if (mechanism.name == "hlm") return eps_i;
-  if (mechanism.name == "sampling") {
-    double beta = 1.0;
-    if (auto it = mechanism.params.find("beta");
-        it != mechanism.params.end()) {
-      beta = it->second;
-    }
-    // Invert the amplification bound ε_i = ln(1 + β(e^{ε0} − 1)); the
-    // log1p/expm1 forms keep small budgets accurate.
-    double inner = std::log1p(std::expm1(eps_i) / beta);
-    return RandomizationForEpsilon(inner);
-  }
-  return RandomizationForEpsilon(eps_i);
-}
-
-}  // namespace
-
 Result<GrrParams> AllocateEpsilonBudget(
     const Table& table, double total_epsilon,
     const std::unordered_map<std::string, double>& weights,
-    const MechanismSpec& mechanism) {
-  PCLEAN_RETURN_NOT_OK(ValidateMechanismSpec(mechanism));
+    MechanismFamily mechanism) {
   if (!(total_epsilon > 0.0)) {
     return Status::InvalidArgument("total epsilon budget must be > 0");
   }
@@ -65,8 +39,7 @@ Result<GrrParams> AllocateEpsilonBudget(
     double weight = it != weights.end() ? it->second : 1.0;
     double eps_i = total_epsilon * weight / total_weight;
     if (field.kind == AttributeKind::kDiscrete) {
-      PCLEAN_ASSIGN_OR_RETURN(double p,
-                              DiscreteParamForShare(mechanism, eps_i));
+      PCLEAN_ASSIGN_OR_RETURN(double p, ParamForEpsilon(mechanism, eps_i));
       params.discrete_p.emplace(field.name, p);
     } else {
       PCLEAN_ASSIGN_OR_RETURN(double delta,

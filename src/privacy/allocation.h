@@ -27,20 +27,16 @@ namespace privateclean {
 /// column half the ε (i.e. *more* privacy) of every other column.
 ///
 /// `mechanism` converts each discrete share ε_i into the per-attribute
-/// parameter of the requested family (default: the paper's GRR):
-///  - "grr":      p_i = 3/(exp(ε_i) + 2), the paper inversion above.
-///  - "hlm":      the parameter *is* the target ε_i; the mechanism
-///                calibrates p_eff = N/(e^{ε_i} + N − 1) per attribute at
-///                randomization time.
-///  - "sampling": the share is spent through the amplification bound —
-///                the inner budget is ε0 = ln(1 + (e^{ε_i} − 1)/β) and
-///                p0_i = 3/(exp(ε0) + 2). Since amplification only ever
-///                helps, the realized ε never exceeds the share.
+/// parameter of the requested family (ParamForEpsilon in
+/// privacy/mechanism.h; default: the paper's GRR):
+///  - "grr": p_i = 3/(exp(ε_i) + 2), the paper inversion above.
+///  - "hlm": the parameter *is* the target ε_i; randomization calibrates
+///           p_eff = N/(e^{ε_i} + N − 1) per attribute.
 /// Numerical attributes get b_j = Δ_j/ε_j under every family.
 Result<GrrParams> AllocateEpsilonBudget(
     const Table& table, double total_epsilon,
     const std::unordered_map<std::string, double>& weights = {},
-    const MechanismSpec& mechanism = MechanismSpec{});
+    MechanismFamily mechanism = MechanismFamily::kGrr);
 
 }  // namespace privateclean
 

@@ -68,17 +68,15 @@ std::vector<uint32_t> DomainIndices(const Column& column, const Domain& domain,
 /// stream assignment depends only on the shard layout (a function of the
 /// row count), never on the thread count, so output is reproducible from
 /// the seed regardless of parallelism. The perturbation itself is the
-/// mechanism's kernel; this loop only owns sharding and coverage.
+/// randomized-response kernel at the family's p_eff; this loop only owns
+/// sharding and coverage.
 Status RandomizeDiscreteColumn(Column* col, const Column& original,
-                               const Domain& domain,
-                               const Mechanism& mechanism,
+                               const Domain& domain, double p_eff,
                                const std::string& name,
                                const GrrOptions& options, Rng& rng,
                                size_t* total_regenerations) {
   const size_t rows = col->size();
   const size_t shards = ShardCountForRows(rows);
-  PCLEAN_ASSIGN_OR_RETURN(double p_eff,
-                          mechanism.ReplacementProbability(domain.size()));
   const bool track_coverage = options.ensure_domain_preserved && p_eff > 0.0;
 
   std::vector<uint32_t> original_indices;
@@ -108,8 +106,8 @@ Status RandomizeDiscreteColumn(Column* col, const Column& original,
             shard_coverage = coverage[shard].data();
             indices = original_indices.data();
           }
-          return mechanism.PerturbShard(
-              col, domain, shard_rngs[shard], begin, end, indices,
+          return ApplyRandomizedResponseShard(
+              col, domain, p_eff, shard_rngs[shard], begin, end, indices,
               shard_coverage,
               domain_codes.empty() ? nullptr : domain_codes.data());
         }));
@@ -145,38 +143,32 @@ Status RandomizeDiscreteColumn(Column* col, const Column& original,
   }
 }
 
-/// Noises one numerical column through the mechanism's numeric kernel
-/// (Laplace for every registered family), sharded like the discrete
-/// path (shard-indexed RNG forks, thread-count-independent).
-Status NoiseNumericColumn(Column* col, const Mechanism& mechanism, double b,
-                          const GrrOptions& options, Rng& rng) {
+/// Noises one numerical column with the Laplace mechanism (every family
+/// uses it), sharded like the discrete path (shard-indexed RNG forks,
+/// thread-count-independent).
+Status NoiseNumericColumn(Column* col, double b, const GrrOptions& options,
+                          Rng& rng) {
   const size_t rows = col->size();
   const size_t shards = ShardCountForRows(rows);
   std::vector<Rng> shard_rngs = rng.ForkStreams(shards);
   return ParallelFor(rows, shards, options.exec,
                      [&](size_t shard, size_t begin, size_t end) -> Status {
-                       return mechanism.NoiseNumericShard(
+                       return ApplyLaplaceMechanismShard(
                            col, b, shard_rngs[shard], begin, end);
                      });
 }
 
 }  // namespace
 
-Result<MechanismPtr> MechanismFor(const DiscreteAttributeMeta& meta) {
-  if (meta.mechanism != nullptr) return meta.mechanism;
-  return MakeMechanism(MechanismSpec{}, meta.p);
-}
-
 Result<GrrOutput> ApplyGrr(const Table& input, const GrrParams& params,
                            const GrrOptions& options, Rng& rng) {
   if (input.num_rows() == 0) {
     return Status::InvalidArgument("cannot privatize an empty relation");
   }
-  PCLEAN_RETURN_NOT_OK(ValidateMechanismSpec(options.mechanism));
   GrrOutput out;
   out.table = input.Clone();
   out.metadata.dataset_size = input.num_rows();
-  out.metadata.mechanism_spec = options.mechanism;
+  out.metadata.mechanism = options.mechanism;
 
   const Schema& schema = input.schema();
   for (size_t i = 0; i < schema.num_fields(); ++i) {
@@ -195,11 +187,6 @@ Result<GrrOutput> ApplyGrr(const Table& input, const GrrParams& params,
             "no randomization probability for discrete attribute '" + name +
             "' (a non-private column would de-privatize the relation)");
       }
-      auto mechanism = MakeMechanism(options.mechanism, p);
-      if (!mechanism.ok()) {
-        return Status::InvalidArgument("attribute '" + name + "': " +
-                                       mechanism.status().message());
-      }
       PCLEAN_ASSIGN_OR_RETURN(
           Domain domain,
           Domain::FromColumn(input, name, /*include_null=*/true));
@@ -207,13 +194,17 @@ Result<GrrOutput> ApplyGrr(const Table& input, const GrrParams& params,
         return Status::FailedPrecondition("attribute '" + name +
                                           "' has an empty domain");
       }
+      auto p_eff = ReplacementProbability(options.mechanism, p, domain.size());
+      if (!p_eff.ok()) {
+        return Status::InvalidArgument("attribute '" + name + "': " +
+                                       p_eff.status().message());
+      }
 
       PCLEAN_RETURN_NOT_OK(RandomizeDiscreteColumn(
-          out.table.mutable_column(i), input.column(i), domain,
-          **mechanism, name, options, rng, &out.total_regenerations));
+          out.table.mutable_column(i), input.column(i), domain, *p_eff, name,
+          options, rng, &out.total_regenerations));
       out.metadata.discrete.emplace(
-          name, DiscreteAttributeMeta{p, std::move(domain),
-                                      std::move(mechanism).ValueOrDie()});
+          name, DiscreteAttributeMeta{p, std::move(domain)});
     } else {
       double b;
       if (auto it = params.numeric_b.find(name);
@@ -228,13 +219,8 @@ Result<GrrOutput> ApplyGrr(const Table& input, const GrrParams& params,
       }
       PCLEAN_ASSIGN_OR_RETURN(
           double delta, ColumnSensitivity(input.column(i), options.exec));
-      // The numeric kernel is parameterized by b alone; bind the family
-      // with a neutral per-attribute parameter.
-      PCLEAN_ASSIGN_OR_RETURN(MechanismPtr numeric_mechanism,
-                              MakeMechanism(options.mechanism, 0.0));
-      PCLEAN_RETURN_NOT_OK(NoiseNumericColumn(out.table.mutable_column(i),
-                                              *numeric_mechanism, b, options,
-                                              rng));
+      PCLEAN_RETURN_NOT_OK(
+          NoiseNumericColumn(out.table.mutable_column(i), b, options, rng));
       out.metadata.numeric.emplace(name, NumericAttributeMeta{b, delta});
     }
   }

@@ -1,7 +1,6 @@
 #ifndef PRIVATECLEAN_PRIVACY_GRR_H_
 #define PRIVATECLEAN_PRIVACY_GRR_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -16,29 +15,19 @@
 namespace privateclean {
 
 /// Metadata retained for one randomized discrete attribute: the
-/// per-attribute mechanism parameter, the snapshot of the *dirty* domain
-/// at randomization time, and the mechanism instance itself. The domain
-/// snapshot is what query processing needs — it fixes N (the number of
-/// distinct dirty values) and anchors the provenance graph's left-hand
-/// side (paper §6.2).
+/// family's per-attribute parameter and the snapshot of the *dirty*
+/// domain at randomization time. The domain snapshot is what query
+/// processing needs — it fixes N (the number of distinct dirty values)
+/// and anchors the provenance graph's left-hand side (paper §6.2) — and
+/// with the relation-wide family (PrivateRelationMetadata::mechanism) it
+/// gives the attribute's p_eff and ε (privacy/mechanism.h).
 struct DiscreteAttributeMeta {
-  /// The mechanism's stored per-attribute parameter (the MANIFEST
-  /// `column:` line's parameter):
-  /// the replacement probability for "grr", the target ε for "hlm", the
-  /// inner randomization probability p0 for "sampling". Named `p` for
-  /// continuity with the paper and the pre-mechanism-zoo layout.
+  /// The family's per-attribute parameter (the MANIFEST `column:` line's
+  /// parameter): the replacement probability p for "grr", the target ε
+  /// for "hlm". Named `p` after the paper.
   double p = 0.0;
   Domain domain;
-  /// Null means legacy GRR with parameter `p` (pre-mechanism-zoo
-  /// metadata, including every hand-built test fixture); resolve
-  /// through MechanismFor() rather than dereferencing directly.
-  std::shared_ptr<const Mechanism> mechanism;
 };
-
-/// The mechanism behind a metadata entry, with null defaulting to the
-/// paper's GRR at parameter `meta.p` — the explicit legacy fallback for
-/// metadata built before the mechanism zoo (or by hand in tests).
-Result<MechanismPtr> MechanismFor(const DiscreteAttributeMeta& meta);
 
 /// Metadata for one noised numerical attribute.
 struct NumericAttributeMeta {
@@ -56,7 +45,7 @@ struct PrivateRelationMetadata {
   /// The mechanism family the relation was randomized under, persisted
   /// in the release MANIFEST so a release is never decoded with the
   /// wrong estimator. Defaults to the paper's GRR.
-  MechanismSpec mechanism_spec;
+  MechanismFamily mechanism = MechanismFamily::kGrr;
   /// The SQL relation name this table answers to in FROM clauses. Empty
   /// means unnamed: in-process tables accept any FROM spelling. Releases
   /// persist the name in the MANIFEST (`relation:` line) and default to
@@ -76,9 +65,9 @@ struct GrrOptions {
   /// The randomization-mechanism family for discrete attributes (see
   /// privacy/mechanism.h). The per-attribute parameter still comes from
   /// GrrParams (`discrete_p` / `default_p`): p for "grr", target ε for
-  /// "hlm", inner p0 for "sampling". Numeric attributes use the Laplace
-  /// mechanism under every family.
-  MechanismSpec mechanism;
+  /// "hlm". Numeric attributes use the Laplace mechanism under every
+  /// family.
+  MechanismFamily mechanism = MechanismFamily::kGrr;
   /// Threading for the per-row randomization loops. Rows are sharded by
   /// size alone and each shard forks its own RNG stream by shard index,
   /// so for a fixed seed the private relation is bit-identical at any

@@ -374,9 +374,9 @@ Status AppendBatchToWal(BudgetLedger::Rep& r, std::string batch,
 }
 
 /// Blocks until record `my_seq` is durable. Whichever caller finds no
-/// commit in flight leads: it drains the queue (or just its head when
-/// group commit is off), appends + fsyncs once, and wakes the rest. A
-/// failed commit wounds the ledger for everyone.
+/// commit in flight leads: it drains the whole queue, appends + fsyncs
+/// once, and wakes the rest. A failed commit wounds the ledger for
+/// everyone.
 Status CommitLocked(BudgetLedger::Rep& r, std::unique_lock<std::mutex>& lk,
                     uint64_t my_seq) {
   for (;;) {
@@ -391,15 +391,14 @@ Status CommitLocked(BudgetLedger::Rep& r, std::unique_lock<std::mutex>& lk,
       continue;
     }
     r.commit_in_progress = true;
-    const size_t take = r.options.group_commit ? r.queue.size() : 1;
+    const size_t take = r.queue.size();
     std::string batch;
     uint64_t batch_last = 0;
-    for (size_t i = 0; i < take; ++i) {
-      batch += r.queue[i].second;
-      batch_last = r.queue[i].first;
+    for (const auto& [seq, frame] : r.queue) {
+      batch += frame;
+      batch_last = seq;
     }
-    r.queue.erase(r.queue.begin(),
-                  r.queue.begin() + static_cast<ptrdiff_t>(take));
+    r.queue.clear();
     const uint64_t expected_size = r.wal_size + batch.size();
     lk.unlock();
     Status st = AppendBatchToWal(r, std::move(batch), expected_size);

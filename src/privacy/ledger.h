@@ -81,10 +81,6 @@ struct TenantBudget {
 class BudgetLedger {
  public:
   struct Options {
-    /// When false, every mutation pays its own fsync even if others are
-    /// queued (the benchmark baseline). Group commit stays correct
-    /// either way; this only widens the fsync barrier.
-    bool group_commit = true;
     /// Compact the WAL into a fresh checkpoint after this many records
     /// accumulate past the last one. 0 disables automatic compaction
     /// (Checkpoint() can still be called explicitly).

@@ -1,10 +1,10 @@
 #include "privacy/mechanism.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "common/string_util.h"
-#include "privacy/laplace_mechanism.h"
 #include "privacy/privacy_params.h"
 
 namespace privateclean {
@@ -13,336 +13,82 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-Status CheckDomainSize(const char* name, size_t n) {
+Status CheckDomainSize(MechanismFamily family, size_t n) {
   if (n == 0) {
-    return Status::InvalidArgument(std::string(name) +
+    return Status::InvalidArgument(std::string(MechanismName(family)) +
                                    " mechanism needs a non-empty domain");
   }
   return Status::OK();
 }
 
-/// The paper's mechanism (§4.2.1): keep with probability 1-p, redraw
-/// uniformly with probability p. Accounting uses the paper's Lemma 1
-/// formula ln(3/p - 2), independent of the domain size.
-class GrrMechanism final : public Mechanism {
- public:
-  explicit GrrMechanism(double p) : p_(p) {}
-
-  const char* name() const override { return "grr"; }
-  double param() const override { return p_; }
-  MechanismSpec Spec() const override { return MechanismSpec{"grr", {}}; }
-
-  Result<double> ReplacementProbability(size_t n) const override {
-    PCLEAN_RETURN_NOT_OK(CheckDomainSize(name(), n));
-    return p_;
+Status CheckGrrProbability(double p) {
+  if (!(p >= 0.0 && p <= 1.0)) {
+    return Status::InvalidArgument(
+        "grr randomization probability must be in [0, 1], got " +
+        FormatDouble(p));
   }
-
-  Result<double> Epsilon(size_t n) const override {
-    PCLEAN_RETURN_NOT_OK(CheckDomainSize(name(), n));
-    if (p_ <= 0.0) return kInf;  // No randomization: non-private.
-    return EpsilonForRandomizedResponse(p_);
-  }
-
-  Status PerturbShard(Column* column, const Domain& domain, Rng& rng,
-                      size_t begin, size_t end,
-                      const uint32_t* original_indices, uint8_t* coverage,
-                      const uint32_t* domain_codes) const override {
-    // Delegate to the legacy kernel so the pre-mechanism-interface draw
-    // sequence and floating-point path are reproduced byte-for-byte
-    // (proven by the golden pipeline and the differential test in
-    // tests/mechanism_test.cc).
-    return ApplyRandomizedResponseShard(column, domain, p_, rng, begin, end,
-                                        original_indices, coverage,
-                                        domain_codes);
-  }
-
- private:
-  double p_;
-};
-
-/// Holohan–Leith–Mason optimal generalized RR: for target ε on an
-/// n-value domain, diagonal e^ε/(e^ε+n-1) and off-diagonal
-/// 1/(e^ε+n-1) — the utility-maximizing ε-LDP mechanism (the tight
-/// bound of arXiv 2112.07397 holds with equality). Equivalent to
-/// uniform replacement with p_eff = n/(e^ε+n-1), so it reuses the
-/// legacy Bernoulli + UniformInt kernel with that probability.
-class HlmMechanism final : public Mechanism {
- public:
-  explicit HlmMechanism(double epsilon) : epsilon_(epsilon) {}
-
-  const char* name() const override { return "hlm"; }
-  double param() const override { return epsilon_; }
-  MechanismSpec Spec() const override { return MechanismSpec{"hlm", {}}; }
-
-  Result<double> ReplacementProbability(size_t n) const override {
-    PCLEAN_RETURN_NOT_OK(CheckDomainSize(name(), n));
-    const double nd = static_cast<double>(n);
-    // exp overflow gives +inf and p_eff -> 0: arbitrarily large ε
-    // degrades gracefully to "keep everything".
-    return nd / (std::exp(epsilon_) + nd - 1.0);
-  }
-
-  Result<double> Epsilon(size_t n) const override {
-    PCLEAN_RETURN_NOT_OK(CheckDomainSize(name(), n));
-    // A single-value domain carries no information; the mechanism
-    // reveals nothing regardless of the target.
-    if (n == 1) return 0.0;
-    return epsilon_;  // Attained exactly: ln(diag/off) == ε.
-  }
-
-  Status PerturbShard(Column* column, const Domain& domain, Rng& rng,
-                      size_t begin, size_t end,
-                      const uint32_t* original_indices, uint8_t* coverage,
-                      const uint32_t* domain_codes) const override {
-    PCLEAN_ASSIGN_OR_RETURN(double p_eff,
-                            ReplacementProbability(domain.size()));
-    return ApplyRandomizedResponseShard(column, domain, p_eff, rng, begin,
-                                        end, original_indices, coverage,
-                                        domain_codes);
-  }
-
- private:
-  double epsilon_;
-};
-
-/// Subsample-then-randomize (arXiv 1708.01884): a Bernoulli(β) draw
-/// keeps the row in the randomization pool — pooled rows go through
-/// inner RR(p0), the rest are replaced by a uniform domain draw (their
-/// true value never reaches the output). The combined matrix is still
-/// diagonal-constant with p_eff = 1 - β(1 - p0).
-class SamplingMechanism final : public Mechanism {
- public:
-  SamplingMechanism(double p0, double beta) : p0_(p0), beta_(beta) {}
-
-  const char* name() const override { return "sampling"; }
-  double param() const override { return p0_; }
-  MechanismSpec Spec() const override {
-    return MechanismSpec{"sampling", {{"beta", beta_}}};
-  }
-
-  Result<double> ReplacementProbability(size_t n) const override {
-    PCLEAN_RETURN_NOT_OK(CheckDomainSize(name(), n));
-    return 1.0 - beta_ * (1.0 - p0_);
-  }
-
-  Result<double> Epsilon(size_t n) const override {
-    PCLEAN_RETURN_NOT_OK(CheckDomainSize(name(), n));
-    if (n == 1) return 0.0;
-    // Exact ε of the combined diagonal-constant matrix: ln(diag/off).
-    // The amplification bound ln(1 + β(e^{ε0} - 1)) dominates it (unit-
-    // tested in accountant_test), and stays finite even where the bound
-    // degenerates — p0 == 0 with β < 1 keeps pooled rows verbatim
-    // (inner ε0 = ∞) yet the (1-β) uniform replacement still hides them.
-    PCLEAN_ASSIGN_OR_RETURN(ConfusionMatrix m, Confusion(n));
-    if (m.off_diagonal <= 0.0) return kInf;  // β == 1 and p0 == 0.
-    if (m.diagonal <= m.off_diagonal) return 0.0;  // p0 == 1: pure noise.
-    return std::log(m.diagonal / m.off_diagonal);
-  }
-
-  Status PerturbShard(Column* column, const Domain& domain, Rng& rng,
-                      size_t begin, size_t end,
-                      const uint32_t* original_indices, uint8_t* coverage,
-                      const uint32_t* domain_codes) const override {
-    const double beta = beta_;
-    const double p0 = p0_;
-    // Draw sequence (deliberately distinct from grr/hlm): Bernoulli(β)
-    // sampling decision first; pooled rows then follow the inner RR
-    // sequence exactly (Bernoulli(p0), uniform draw only on
-    // replacement); non-pooled rows consume one uniform draw.
-    return PerturbCodesShard(
-        column, domain,
-        [beta, p0](Rng& r, size_t n) -> size_t {
-          if (!r.Bernoulli(beta)) {
-            return static_cast<size_t>(r.UniformInt(n));
-          }
-          if (p0 == 0.0 || !r.Bernoulli(p0)) return kKeepRowDraw;
-          return static_cast<size_t>(r.UniformInt(n));
-        },
-        rng, begin, end, original_indices, coverage, domain_codes);
-  }
-
- private:
-  double p0_;
-  double beta_;
-};
-
-Status UnknownMechanism(const std::string& name) {
-  std::string known;
-  for (const std::string& k : KnownMechanisms()) {
-    if (!known.empty()) known += ", ";
-    known += k;
-  }
-  return Status::FailedPrecondition("unknown mechanism '" + name +
-                                    "'; this build supports: " + known);
+  return Status::OK();
 }
 
-/// Per-family parameter schema: required/allowed family-level keys.
-Status CheckSpecKeys(const MechanismSpec& spec,
-                     const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : spec.params) {
-    (void)value;
-    bool ok = false;
-    for (const std::string& a : allowed) ok = ok || key == a;
-    if (!ok) {
-      return Status::InvalidArgument("mechanism '" + spec.name +
-                                     "' takes no parameter '" + key + "'");
-    }
+Status CheckHlmEpsilon(double epsilon) {
+  if (!(epsilon >= 0.0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument(
+        "hlm target epsilon must be finite and >= 0, got " +
+        FormatDouble(epsilon));
   }
   return Status::OK();
 }
 
 }  // namespace
 
-std::vector<double> ConfusionMatrix::Row(size_t row) const {
-  std::vector<double> out(n, off_diagonal);
-  if (row < n) out[row] = diagonal;
-  return out;
+const char* MechanismName(MechanismFamily family) {
+  return family == MechanismFamily::kHlm ? "hlm" : "grr";
 }
 
-std::vector<double> ConfusionMatrix::Column(size_t col) const {
-  // Diagonal-constant matrices are symmetric, but derive the column
-  // honestly so callers need not rely on that.
-  std::vector<double> out(n, off_diagonal);
-  if (col < n) out[col] = diagonal;
-  return out;
-}
-
-std::vector<std::vector<double>> ConfusionMatrix::Dense() const {
-  std::vector<std::vector<double>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.push_back(Row(i));
-  return out;
-}
-
-Status Mechanism::NoiseNumericShard(Column* column, double b, Rng& rng,
-                                    size_t begin, size_t end) const {
-  return ApplyLaplaceMechanismShard(column, b, rng, begin, end);
-}
-
-Result<ConfusionMatrix> Mechanism::Confusion(size_t n) const {
-  PCLEAN_ASSIGN_OR_RETURN(double p_eff, ReplacementProbability(n));
-  ConfusionMatrix m;
-  m.n = n;
-  m.off_diagonal = p_eff / static_cast<double>(n);
-  m.diagonal = (1.0 - p_eff) + m.off_diagonal;
-  return m;
-}
-
-Result<TransitionProbabilities> Mechanism::Transitions(double l,
-                                                       double n) const {
-  if (!(n >= 1.0)) return Status::InvalidArgument("N must be >= 1");
-  PCLEAN_ASSIGN_OR_RETURN(
-      double p_eff, ReplacementProbability(static_cast<size_t>(n + 0.5)));
-  // Shared with the legacy path: for "grr" p_eff is the stored p, so
-  // this is the exact pre-mechanism-interface computation.
-  return ComputeTransitionProbabilities(p_eff, l, n);
-}
-
-const std::vector<std::string>& KnownMechanisms() {
-  static const std::vector<std::string>* names =
-      new std::vector<std::string>{"grr", "hlm", "sampling"};
-  return *names;
-}
-
-bool IsKnownMechanism(const std::string& name) {
-  for (const std::string& k : KnownMechanisms()) {
-    if (k == name) return true;
+Result<MechanismFamily> ParseMechanismFamily(const std::string& name) {
+  std::string known;
+  for (MechanismFamily family : kMechanismFamilies) {
+    if (name == MechanismName(family)) return family;
+    if (!known.empty()) known += ", ";
+    known += MechanismName(family);
   }
-  return false;
+  return Status::FailedPrecondition("unknown mechanism '" + name +
+                                    "'; this build supports: " + known);
 }
 
-Status ValidateMechanismSpec(const MechanismSpec& spec) {
-  if (!IsKnownMechanism(spec.name)) return UnknownMechanism(spec.name);
-  if (spec.name == "sampling") {
-    PCLEAN_RETURN_NOT_OK(CheckSpecKeys(spec, {"beta"}));
-    auto it = spec.params.find("beta");
-    if (it == spec.params.end()) {
-      return Status::InvalidArgument(
-          "mechanism 'sampling' requires a beta parameter");
-    }
-    if (!(it->second > 0.0 && it->second <= 1.0)) {
-      return Status::InvalidArgument(
-          "sampling rate beta must be in (0, 1], got " +
-          FormatDouble(it->second));
-    }
-    return Status::OK();
+Result<double> ReplacementProbability(MechanismFamily family, double param,
+                                      size_t n) {
+  PCLEAN_RETURN_NOT_OK(CheckDomainSize(family, n));
+  if (family == MechanismFamily::kGrr) {
+    PCLEAN_RETURN_NOT_OK(CheckGrrProbability(param));
+    return param;
   }
-  return CheckSpecKeys(spec, {});
+  PCLEAN_RETURN_NOT_OK(CheckHlmEpsilon(param));
+  const double nd = static_cast<double>(n);
+  // exp overflow gives +inf and p_eff -> 0: an arbitrarily large ε
+  // degrades gracefully to "keep everything".
+  return nd / (std::exp(param) + nd - 1.0);
 }
 
-Result<MechanismPtr> MakeMechanism(const MechanismSpec& spec, double param) {
-  PCLEAN_RETURN_NOT_OK(ValidateMechanismSpec(spec));
-  if (spec.name == "grr") {
-    if (!(param >= 0.0 && param <= 1.0)) {
-      return Status::InvalidArgument(
-          "grr randomization probability must be in [0, 1], got " +
-          FormatDouble(param));
-    }
-    return MechanismPtr(std::make_shared<GrrMechanism>(param));
+Result<double> DiscreteEpsilon(MechanismFamily family, double param,
+                               size_t n) {
+  PCLEAN_RETURN_NOT_OK(CheckDomainSize(family, n));
+  if (family == MechanismFamily::kGrr) {
+    if (param <= 0.0) return kInf;  // No randomization: non-private.
+    PCLEAN_RETURN_NOT_OK(CheckGrrProbability(param));
+    return EpsilonForRandomizedResponse(param);
   }
-  if (spec.name == "hlm") {
-    if (!(param >= 0.0) || !std::isfinite(param)) {
-      return Status::InvalidArgument(
-          "hlm target epsilon must be finite and >= 0, got " +
-          FormatDouble(param));
-    }
-    return MechanismPtr(std::make_shared<HlmMechanism>(param));
-  }
-  if (spec.name == "sampling") {
-    if (!(param >= 0.0 && param <= 1.0)) {
-      return Status::InvalidArgument(
-          "sampling inner randomization probability must be in [0, 1], "
-          "got " +
-          FormatDouble(param));
-    }
-    return MechanismPtr(
-        std::make_shared<SamplingMechanism>(param, spec.params.at("beta")));
-  }
-  return UnknownMechanism(spec.name);
+  PCLEAN_RETURN_NOT_OK(CheckHlmEpsilon(param));
+  if (n == 1) return 0.0;
+  return param;  // Attained exactly: ln(diagonal/off-diagonal) == ε.
 }
 
-std::string RenderMechanismSpec(const MechanismSpec& spec) {
-  std::string out = spec.name;
-  for (const auto& [key, value] : spec.params) {
-    out += ' ';
-    out += key;
-    out += '=';
-    out += FormatDouble(value);
+Result<double> ParamForEpsilon(MechanismFamily family, double epsilon) {
+  if (family == MechanismFamily::kGrr) return RandomizationForEpsilon(epsilon);
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("epsilon must be >= 0");
   }
-  return out;
-}
-
-Result<MechanismSpec> ParseMechanismSpec(const std::string& text) {
-  MechanismSpec spec;
-  spec.name.clear();
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find(' ', pos);
-    if (end == std::string::npos) end = text.size();
-    std::string token = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (token.empty()) continue;
-    if (spec.name.empty()) {
-      if (token.find('=') != std::string::npos) {
-        return Status::InvalidArgument(
-            "mechanism spec must start with a family name, got '" + token +
-            "'");
-      }
-      spec.name = token;
-      continue;
-    }
-    size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-      return Status::InvalidArgument("malformed mechanism parameter '" +
-                                     token + "' (expected key=value)");
-    }
-    PCLEAN_ASSIGN_OR_RETURN(double value, ParseDouble(token.substr(eq + 1)));
-    spec.params[token.substr(0, eq)] = value;
-  }
-  if (spec.name.empty()) {
-    return Status::InvalidArgument("empty mechanism spec");
-  }
-  return spec;
+  return epsilon;
 }
 
 Result<double> EpsilonFromConfusionMatrix(
@@ -392,20 +138,6 @@ Result<double> EpsilonFromConfusionMatrix(
     epsilon = std::max(epsilon, std::log(hi / lo));
   }
   return epsilon;
-}
-
-Result<double> SamplingAmplifiedEpsilon(double inner_epsilon, double beta) {
-  if (!(inner_epsilon >= 0.0)) {
-    return Status::InvalidArgument("inner epsilon must be >= 0, got " +
-                                   FormatDouble(inner_epsilon));
-  }
-  if (!(beta > 0.0 && beta <= 1.0)) {
-    return Status::InvalidArgument("sampling rate beta must be in (0, 1], "
-                                   "got " +
-                                   FormatDouble(beta));
-  }
-  // std::expm1/log1p keep the bound accurate for small ε0·β.
-  return std::log1p(beta * std::expm1(inner_epsilon));
 }
 
 }  // namespace privateclean

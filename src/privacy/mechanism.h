@@ -1,169 +1,61 @@
 #ifndef PRIVATECLEAN_PRIVACY_MECHANISM_H_
 #define PRIVATECLEAN_PRIVACY_MECHANISM_H_
 
-#include <map>
-#include <memory>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "common/random.h"
 #include "common/result.h"
-#include "privacy/randomized_response.h"
-#include "table/column.h"
-#include "table/domain.h"
 
 namespace privateclean {
 
-/// Identifies a randomization-mechanism family plus its family-level
-/// parameters, as carried in GrrOptions and persisted in the release
-/// MANIFEST (`mechanism: <name> [key=value ...]`). Per-attribute
-/// parameters — the paper's replacement probability p, HLM's per-column
-/// ε, sampling privacy's inner p0 — continue to live in
-/// DiscreteAttributeMeta::p / the parameter field of the MANIFEST's
-/// `column:` line.
+/// Every discrete attribute is randomized by one rule, the paper's
+/// (§4.2.1): keep a row's value with probability 1 − p_eff, otherwise
+/// replace it with a uniform draw from the attribute's dirty domain
+/// (ApplyRandomizedResponseShard). A family is a way of writing p_eff as
+/// the per-attribute parameter stored in DiscreteAttributeMeta::p and in
+/// the MANIFEST's `column:` lines:
 ///
-/// Registered families:
-///   "grr"      — the paper's generalized randomized response (§4.2.1):
-///                keep with probability 1-p, redraw uniformly with
-///                probability p. param = p. No family parameters.
-///   "hlm"      — Holohan–Leith–Mason optimal generalized RR
-///                (arXiv 1612.05568 / 1505.07254): for a target ε on an
-///                N-value domain, the diagonal-constant matrix with
-///                diagonal e^ε/(e^ε+N-1) maximizes utility among all
-///                ε-LDP mechanisms. param = ε. No family parameters.
-///   "sampling" — subsample-then-randomize sampling privacy
-///                (arXiv 1708.01884): keep a row's value in play with
-///                probability β and apply inner RR(p0) to it; replace it
-///                with a uniform domain draw otherwise. param = p0;
-///                family parameter "beta" ∈ (0, 1].
-struct MechanismSpec {
-  std::string name = "grr";
-  /// Family-level parameters by name (e.g. {"beta", 0.5}). The map is
-  /// ordered so the MANIFEST rendering is canonical.
-  std::map<std::string, double> params;
-};
-
-/// The N x N confusion matrix of a registered mechanism. Every mechanism
-/// here is *diagonal-constant*: a value maps to itself with one constant
-/// probability and to each other domain value with another
-/// (diagonal + (n-1) * off_diagonal == 1). The full matrix is therefore
-/// two numbers; Row/Column materialize it for callers that want the
-/// dense view (and for the general EpsilonFromConfusionMatrix path).
-struct ConfusionMatrix {
-  size_t n = 0;
-  double diagonal = 0.0;
-  double off_diagonal = 0.0;
-
-  double At(size_t row, size_t col) const {
-    return row == col ? diagonal : off_diagonal;
-  }
-  std::vector<double> Row(size_t row) const;
-  std::vector<double> Column(size_t col) const;
-  /// The dense n x n matrix, row-major.
-  std::vector<std::vector<double>> Dense() const;
-};
-
-/// One discrete-attribute randomization mechanism instance, bound to its
-/// per-attribute parameter. Immutable and thread-safe: instances are
-/// shared across query threads via shared_ptr<const Mechanism>.
+///   grr — the paper's generalized randomized response: param = p_eff.
+///         Its ε is the paper's Lemma 1, ln(3/p − 2).
+///   hlm — Holohan–Leith–Mason optimal RR (arXiv 1612.05568): param is
+///         the target ε, and p_eff = N/(e^ε + N − 1), the diagonal-
+///         constant matrix whose ln(diagonal/off-diagonal) is exactly ε.
 ///
-/// The estimator math (core/estimators.cc, core/conjunctive.cc, both
-/// provenance passes) depends on the mechanism only through
-/// Transitions(), and privacy accounting only through Epsilon() — this
-/// interface is the entire mechanism/estimator contract.
-class Mechanism {
- public:
-  virtual ~Mechanism() = default;
+/// The functions below are the only code that turns (family, param, N)
+/// into p_eff or into the reported ε, or an ε share into a param. A
+/// release records its family in the MANIFEST as `mechanism: <name>`.
+enum class MechanismFamily { kGrr, kHlm };
 
-  /// Registry name ("grr", "hlm", "sampling").
-  virtual const char* name() const = 0;
+/// Every family, in the order error messages list them.
+inline constexpr MechanismFamily kMechanismFamilies[] = {
+    MechanismFamily::kGrr, MechanismFamily::kHlm};
 
-  /// The per-attribute parameter exactly as persisted in the MANIFEST's
-  /// `column:` line (grr: p, hlm: ε, sampling: inner p0).
-  virtual double param() const = 0;
+/// The family's name in the MANIFEST and on the command line.
+const char* MechanismName(MechanismFamily family);
 
-  /// The family spec this instance was built from (MANIFEST identity).
-  virtual MechanismSpec Spec() const = 0;
+/// The family called `name`. Any other name is FailedPrecondition naming
+/// it and the supported families: for a release, a capability gap of
+/// this reader rather than damage.
+Result<MechanismFamily> ParseMechanismFamily(const std::string& name);
 
-  /// Realized probability that a row's value is replaced by a fresh
-  /// uniform draw over an n-value domain. Every diagonal-constant
-  /// mechanism is equivalent to uniform replacement with some effective
-  /// probability p_eff; this is the single number the closed-form
-  /// estimators need. For "grr" it is the stored p itself, independent
-  /// of n, so the legacy estimator inputs are reproduced bit-exactly.
-  virtual Result<double> ReplacementProbability(size_t n) const = 0;
+/// p_eff, the probability that a row's value is replaced by a uniform
+/// draw over the attribute's `n`-value dirty domain. InvalidArgument for
+/// an empty domain or an infeasible param (grr p outside [0, 1], hlm ε
+/// negative or not finite).
+Result<double> ReplacementProbability(MechanismFamily family, double param,
+                                      size_t n);
 
-  /// The confusion matrix over an n-value domain:
-  /// diagonal = (1 - p_eff) + p_eff/n, off-diagonal = p_eff/n.
-  Result<ConfusionMatrix> Confusion(size_t n) const;
+/// The ε an attribute reports: grr ln(3/p − 2), +∞ for p ≤ 0 (values
+/// kept verbatim); hlm its target ε, 0 when n == 1 (one value carries no
+/// information). InvalidArgument for an empty domain, a grr p above 1 or
+/// an infeasible hlm ε.
+Result<double> DiscreteEpsilon(MechanismFamily family, double param,
+                               size_t n);
 
-  /// Transition probabilities for a predicate selecting l of the n dirty
-  /// values (paper §5.3), derived from the realized replacement
-  /// probability: τ_p = (1-p_eff) + p_eff·l/n, τ_n = p_eff·l/n. `l` may
-  /// be fractional (weighted provenance cut, §7.2).
-  Result<TransitionProbabilities> Transitions(double l, double n) const;
-
-  /// The ε this mechanism spends on an n-value domain. +infinity flags a
-  /// non-private configuration (e.g. grr with p == 0); infeasible
-  /// (parameter, domain-size) combinations are typed InvalidArgument.
-  ///
-  /// Accounting is per-family: "grr" reports the paper's Lemma 1 formula
-  /// ln(3/p - 2) for fidelity with the source paper; "hlm" reports its
-  /// exact target ε (the matrix attains ln(diag/off) == ε by
-  /// construction); "sampling" reports the exact ln(diag/off) of the
-  /// combined matrix, which the subsampling amplification bound
-  /// ln(1 + β(e^{ε0} - 1)) provably dominates.
-  virtual Result<double> Epsilon(size_t n) const = 0;
-
-  /// Row-range perturbation kernel, contract identical to
-  /// ApplyRandomizedResponseShard (privacy/randomized_response.h): the
-  /// caller pre-interns domain codes, forks one RNG stream per shard in
-  /// shard order, and recomputes the null count after all shards finish.
-  virtual Status PerturbShard(Column* column, const Domain& domain, Rng& rng,
-                              size_t begin, size_t end,
-                              const uint32_t* original_indices,
-                              uint8_t* coverage,
-                              const uint32_t* domain_codes) const = 0;
-
-  /// Numeric-attribute kernel. Every registered family noises numeric
-  /// columns with the paper's Laplace mechanism (scale b); the default
-  /// delegates to ApplyLaplaceMechanismShard. Kept on the interface so
-  /// the GRR + Laplace pair is ported onto it as a unit and a future
-  /// family can substitute e.g. a subsampled or staircase mechanism.
-  virtual Status NoiseNumericShard(Column* column, double b, Rng& rng,
-                                   size_t begin, size_t end) const;
-};
-
-using MechanismPtr = std::shared_ptr<const Mechanism>;
-
-/// True when `name` is a registered mechanism family.
-bool IsKnownMechanism(const std::string& name);
-
-/// Registered family names, in registry order.
-const std::vector<std::string>& KnownMechanisms();
-
-/// Validates the family-level spec: known name, no unknown parameter
-/// keys, required parameters present and in range (e.g. sampling's
-/// β ∈ (0, 1]). Unknown names are FailedPrecondition (the reader-side
-/// contract for releases written by a newer build); bad parameters are
-/// InvalidArgument.
-Status ValidateMechanismSpec(const MechanismSpec& spec);
-
-/// Builds a mechanism instance from its family spec and per-attribute
-/// parameter. Errors are typed: FailedPrecondition for unknown names,
-/// InvalidArgument for infeasible parameters (grr p outside [0, 1],
-/// hlm ε negative or non-finite, sampling p0 outside [0, 1] or β
-/// outside (0, 1]).
-Result<MechanismPtr> MakeMechanism(const MechanismSpec& spec, double param);
-
-/// Canonical one-line rendering for the MANIFEST: the family name
-/// followed by space-separated key=value parameters in key order, e.g.
-/// "sampling beta=0.5". Inverse of ParseMechanismSpec.
-std::string RenderMechanismSpec(const MechanismSpec& spec);
-
-/// Parses the MANIFEST rendering. Purely syntactic (name token plus
-/// key=value pairs); semantic validation is ValidateMechanismSpec.
-Result<MechanismSpec> ParseMechanismSpec(const std::string& text);
+/// The param that spends an ε share: grr p = 3/(e^ε + 2), the inverse
+/// of Lemma 1; hlm the share itself. Requires ε >= 0.
+Result<double> ParamForEpsilon(MechanismFamily family, double epsilon);
 
 /// ε of an arbitrary (not necessarily symmetric or diagonal-constant)
 /// row-stochastic confusion matrix M, where M[i][j] = P(output j | true
@@ -178,11 +70,6 @@ Result<MechanismSpec> ParseMechanismSpec(const std::string& text);
 /// occurs, so it constrains nothing.
 Result<double> EpsilonFromConfusionMatrix(
     const std::vector<std::vector<double>>& matrix);
-
-/// The subsampling amplification bound (arXiv 1708.01884): running an
-/// ε0-LDP mechanism on a β-subsample is ln(1 + β(e^{ε0} - 1))-LDP.
-/// Requires ε0 >= 0 and β ∈ (0, 1]; typed InvalidArgument otherwise.
-Result<double> SamplingAmplifiedEpsilon(double inner_epsilon, double beta);
 
 }  // namespace privateclean
 

@@ -47,15 +47,97 @@ Status ApplyRandomizedResponseShard(Column* column, const Domain& domain,
         "randomization probability must be in [0, 1], got " +
         std::to_string(p));
   }
-  // The paper's draw sequence: one Bernoulli per row, one uniform draw
-  // only on replacement. The p == 0 short-circuit consumes no draws.
-  return PerturbCodesShard(
-      column, domain,
-      [p](Rng& r, size_t n) -> size_t {
-        if (p == 0.0 || !r.Bernoulli(p)) return kKeepRowDraw;
-        return static_cast<size_t>(r.UniformInt(n));
-      },
-      rng, begin, end, original_indices, coverage, domain_codes);
+  if (column == nullptr) {
+    return Status::InvalidArgument("column must not be null");
+  }
+  if (domain.empty()) {
+    return Status::FailedPrecondition(
+        "randomized response requires a non-empty domain");
+  }
+  if (end > column->size() || begin > end) {
+    return Status::OutOfRange("randomization range out of bounds");
+  }
+  if (coverage != nullptr && original_indices == nullptr) {
+    return Status::InvalidArgument(
+        "coverage tracking requires the original domain indices");
+  }
+  if (column->type() == ValueType::kString && domain_codes == nullptr) {
+    return Status::InvalidArgument(
+        "string columns require the PrepareDomainCodes table");
+  }
+
+  uint8_t* valid = column->mutable_validity()->data();
+  const size_t n = domain.size();
+  // The paper's draw sequence: one Bernoulli(p) per row, one
+  // UniformInt(n) only on replacement. p == 0 consumes no draws.
+  // UINT32_MAX in `original_indices` flags a row whose value is outside
+  // the domain (possible only with a caller-supplied domain); it
+  // contributes no coverage.
+  auto keep = [&](size_t r) {
+    if (coverage != nullptr && original_indices[r] != UINT32_MAX) {
+      coverage[original_indices[r]] = 1;
+    }
+  };
+
+  if (column->type() == ValueType::kString) {
+    // Dictionary fast path: a replacement is one table lookup and one
+    // aligned 4-byte store, so the string and boxed paths produce
+    // bit-identical columns from the same stream.
+    uint32_t* codes = column->mutable_codes()->data();
+    for (size_t r = begin; r < end; ++r) {
+      if (p == 0.0 || !rng.Bernoulli(p)) {
+        keep(r);
+        continue;
+      }
+      const size_t j = static_cast<size_t>(rng.UniformInt(n));
+      const uint32_t code = domain_codes[j];
+      codes[r] = code;
+      valid[r] = (code == kNullCode) ? 0 : 1;
+      if (coverage != nullptr) coverage[j] = 1;
+    }
+    return Status::OK();
+  }
+
+  for (size_t r = begin; r < end; ++r) {
+    if (p == 0.0 || !rng.Bernoulli(p)) {
+      keep(r);
+      continue;
+    }
+    const size_t j = static_cast<size_t>(rng.UniformInt(n));
+    const Value& v = domain.value(j);
+    if (v.is_null()) {
+      switch (column->type()) {
+        case ValueType::kInt64:
+          (*column->mutable_ints())[r] = 0;
+          break;
+        case ValueType::kDouble:
+          (*column->mutable_doubles())[r] = 0.0;
+          break;
+        default:
+          return Status::Internal("unexpected column type");
+      }
+      valid[r] = 0;
+    } else {
+      if (v.type() != column->type()) {
+        return Status::InvalidArgument(
+            std::string("cannot set ") + ValueTypeToString(v.type()) +
+            " value in " + ValueTypeToString(column->type()) + " column");
+      }
+      switch (column->type()) {
+        case ValueType::kInt64:
+          (*column->mutable_ints())[r] = v.AsInt64();
+          break;
+        case ValueType::kDouble:
+          (*column->mutable_doubles())[r] = v.AsDouble();
+          break;
+        default:
+          return Status::Internal("unexpected column type");
+      }
+      valid[r] = 1;
+    }
+    if (coverage != nullptr) coverage[j] = 1;
+  }
+  return Status::OK();
 }
 
 Result<TransitionProbabilities> ComputeTransitionProbabilities(double p,

@@ -41,9 +41,12 @@ Result<std::vector<uint32_t>> PrepareDomainCodes(Column* column,
 
 /// Row-range kernel of randomized response, for sharded execution
 /// (common/thread_pool.h): randomizes rows [begin, end) of `column`
-/// drawing from `rng`. Kernels over disjoint ranges may run concurrently
-/// on one column — writes go through the raw typed storage and skip the
-/// shared null bookkeeping, so the caller must invoke
+/// drawing from `rng`, one Bernoulli(p) per row and one UniformInt(N)
+/// only on replacement (p == 0 draws nothing). This is the one kernel of
+/// every discrete mechanism family: `ApplyGrr` calls it at the family's
+/// p_eff (privacy/mechanism.h). Kernels over disjoint ranges may run
+/// concurrently on one column — writes go through the raw typed storage
+/// and skip the shared null bookkeeping, so the caller must invoke
 /// `column->RecomputeNullCount()` after all shards finish.
 ///
 /// `domain_codes` must be the table returned by PrepareDomainCodes for
@@ -65,121 +68,6 @@ Status ApplyRandomizedResponseShard(Column* column, const Domain& domain,
                                     const uint32_t* original_indices,
                                     uint8_t* coverage,
                                     const uint32_t* domain_codes = nullptr);
-
-/// Sentinel a perturbation draw functor returns to keep a row's original
-/// value (no replacement).
-inline constexpr size_t kKeepRowDraw = static_cast<size_t>(-1);
-
-/// Generic row-range perturbation kernel shared by every registered
-/// mechanism (privacy/mechanism.h). `draw(rng, n)` decides each row's
-/// fate: `kKeepRowDraw` keeps the original value, any other return is
-/// the domain index of the replacement. The functor owns the mechanism's
-/// entire draw sequence, so two mechanisms differ *only* in their
-/// functor — storage writes, coverage tracking, and the dictionary fast
-/// path are identical. The legacy GRR kernel
-/// (ApplyRandomizedResponseShard) is the `Bernoulli(p)` +
-/// `UniformInt(n)` instantiation of this template, byte-for-byte.
-///
-/// Contract is identical to ApplyRandomizedResponseShard below:
-/// `domain_codes` from PrepareDomainCodes is required for string
-/// columns, `coverage`/`original_indices` track Theorem 2 domain
-/// preservation, and the caller recomputes the null count after all
-/// shards finish.
-template <typename DrawFn>
-Status PerturbCodesShard(Column* column, const Domain& domain, DrawFn&& draw,
-                         Rng& rng, size_t begin, size_t end,
-                         const uint32_t* original_indices, uint8_t* coverage,
-                         const uint32_t* domain_codes) {
-  if (column == nullptr) {
-    return Status::InvalidArgument("column must not be null");
-  }
-  if (domain.empty()) {
-    return Status::FailedPrecondition(
-        "randomized response requires a non-empty domain");
-  }
-  if (end > column->size() || begin > end) {
-    return Status::OutOfRange("randomization range out of bounds");
-  }
-  if (coverage != nullptr && original_indices == nullptr) {
-    return Status::InvalidArgument(
-        "coverage tracking requires the original domain indices");
-  }
-  if (column->type() == ValueType::kString && domain_codes == nullptr) {
-    return Status::InvalidArgument(
-        "string columns require the PrepareDomainCodes table");
-  }
-
-  uint8_t* valid = column->mutable_validity()->data();
-  const size_t n = domain.size();
-
-  if (column->type() == ValueType::kString) {
-    // Dictionary fast path: a replacement is one table lookup and one
-    // aligned 4-byte store. The draw sequence lives entirely in the
-    // functor, so the string and boxed paths produce bit-identical
-    // columns from the same stream.
-    uint32_t* codes = column->mutable_codes()->data();
-    for (size_t r = begin; r < end; ++r) {
-      size_t j = draw(rng, n);
-      if (j == kKeepRowDraw) {
-        if (coverage != nullptr && original_indices[r] != UINT32_MAX) {
-          coverage[original_indices[r]] = 1;
-        }
-        continue;
-      }
-      uint32_t code = domain_codes[j];
-      codes[r] = code;
-      valid[r] = (code == kNullCode) ? 0 : 1;
-      if (coverage != nullptr) coverage[j] = 1;
-    }
-    return Status::OK();
-  }
-
-  for (size_t r = begin; r < end; ++r) {
-    size_t j = draw(rng, n);
-    if (j == kKeepRowDraw) {
-      // UINT32_MAX flags a row whose original value is outside the
-      // domain (possible only with a caller-supplied domain); it
-      // contributes no coverage.
-      if (coverage != nullptr && original_indices[r] != UINT32_MAX) {
-        coverage[original_indices[r]] = 1;
-      }
-      continue;
-    }
-    const Value& v = domain.value(j);
-    if (v.is_null()) {
-      switch (column->type()) {
-        case ValueType::kInt64:
-          (*column->mutable_ints())[r] = 0;
-          break;
-        case ValueType::kDouble:
-          (*column->mutable_doubles())[r] = 0.0;
-          break;
-        default:
-          return Status::Internal("unexpected column type");
-      }
-      valid[r] = 0;
-    } else {
-      if (v.type() != column->type()) {
-        return Status::InvalidArgument(
-            std::string("cannot set ") + ValueTypeToString(v.type()) +
-            " value in " + ValueTypeToString(column->type()) + " column");
-      }
-      switch (column->type()) {
-        case ValueType::kInt64:
-          (*column->mutable_ints())[r] = v.AsInt64();
-          break;
-        case ValueType::kDouble:
-          (*column->mutable_doubles())[r] = v.AsDouble();
-          break;
-        default:
-          return Status::Internal("unexpected column type");
-      }
-      valid[r] = 1;
-    }
-    if (coverage != nullptr) coverage[j] = 1;
-  }
-  return Status::OK();
-}
 
 /// Transition probabilities of randomized response for a predicate that
 /// selects l of the N distinct values (paper §5.3). These are the

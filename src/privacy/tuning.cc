@@ -63,8 +63,9 @@ Result<TuningResult> TunePrivacyParameters(const Table& table,
 
   TuningResult result;
   result.p = p;
-  // ε implied by p; p < 1 here so the log argument exceeds 1 and ε > 0.
-  result.per_attribute_epsilon = std::log(3.0 / p - 2.0);
+  // ε implied by p; 0 < p < 1 here, so ε > 0.
+  PCLEAN_ASSIGN_OR_RETURN(result.per_attribute_epsilon,
+                          EpsilonForRandomizedResponse(p));
 
   // Step 3: b_j = Δ_j / ε so each numerical attribute matches ε.
   const Schema& schema = table.schema();

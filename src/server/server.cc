@@ -20,8 +20,8 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "core/release.h"
 #include "privacy/ledger.h"
-#include "server/release_cache.h"
 
 namespace privateclean {
 namespace server {
@@ -64,11 +64,9 @@ Status FillSocketAddress(const std::string& path, sockaddr_un* addr) {
 }  // namespace
 
 struct Server::Impl {
-  explicit Impl(const ExecutionOptions& exec) : cache(exec) {}
   ~Impl() { TearDown(/*graceful=*/false); }
 
   ServerOptions options;
-  ReleaseCache cache;
   std::optional<BudgetLedger> ledger;
   std::map<std::string, std::shared_ptr<const OpenedRelease>> releases;
   std::string default_release;
@@ -267,7 +265,7 @@ Result<Server> Server::Start(const ServerOptions& options) {
   sockaddr_un addr;
   PCLEAN_RETURN_NOT_OK(FillSocketAddress(options.socket_path, &addr));
 
-  auto impl = std::make_unique<Impl>(options.query_exec);
+  auto impl = std::make_unique<Impl>();
   impl->options = options;
   for (const std::string& dir : options.release_dirs) {
     std::string name = BindName(dir);
@@ -280,8 +278,16 @@ Result<Server> Server::Start(const ServerOptions& options) {
           "two release directories share the bind name '" + name +
           "': sessions could not tell them apart in HELLO");
     }
-    PCLEAN_ASSIGN_OR_RETURN(auto release, impl->cache.Acquire(dir));
-    impl->releases.emplace(std::move(name), std::move(release));
+    PCLEAN_ASSIGN_OR_RETURN(PrivateTable table,
+                            OpenRelease(dir, options.query_exec));
+    // PrivateTable fills its caches lazily under no lock, so every entry
+    // a read-only query can reach is built here, before any session can
+    // bind the shared table.
+    PCLEAN_RETURN_NOT_OK(table.WarmCaches(options.query_exec));
+    std::string relation = table.metadata().relation_name;
+    impl->releases.emplace(
+        std::move(name), std::make_shared<const OpenedRelease>(
+                             dir, std::move(table), std::move(relation)));
   }
   impl->default_release = BindName(options.release_dirs.front());
   if (!options.ledger_dir.empty()) {

@@ -17,10 +17,10 @@ namespace server {
 struct ServerOptions {
   /// Unix-domain socket path the server listens on.
   std::string socket_path;
-  /// Release directories to serve, opened read-only at startup. Each is
-  /// bound under its directory basename; a HELLO with an empty release
-  /// gets the first one. Sessions binding the same release share one
-  /// dictionary-encoded table (ReleaseCache).
+  /// Release directories to serve, each opened read-only once at
+  /// startup and bound under its directory basename; a HELLO with an
+  /// empty release gets the first one. Sessions binding the same release
+  /// share its one table.
   std::vector<std::string> release_dirs;
   /// Budget-ledger directory; empty runs the server without admission
   /// control (anonymous sessions only).

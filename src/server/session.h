@@ -16,10 +16,31 @@
 #include "core/private_table.h"
 #include "privacy/ledger.h"
 #include "server/protocol.h"
-#include "server/release_cache.h"
 
 namespace privateclean {
 namespace server {
+
+/// One release opened for serving: the analyst-side PrivateTable plus
+/// the identity a session binds to. Immutable once constructed — the
+/// server never cleans or mutates a shared table, and Server::Start runs
+/// PrivateTable::WarmCaches before any session can bind: it builds the
+/// provenance graph of every discrete attribute and the moments
+/// (μ_p, σ_p²) of every numeric column, which SUM/AVG would otherwise
+/// compute on first use. Concurrent read-only queries on the one
+/// instance therefore only read the table's caches and never race on
+/// filling them; the cache entries live until the table does (only
+/// Clean() drops them).
+struct OpenedRelease {
+  std::string dir;
+  PrivateTable table;
+  /// The MANIFEST `relation:` name the release answers to.
+  std::string relation;
+
+  OpenedRelease(std::string dir, PrivateTable table, std::string relation)
+      : dir(std::move(dir)),
+        table(std::move(table)),
+        relation(std::move(relation)) {}
+};
 
 /// Where a session is in its lifecycle.
 enum class SessionState {

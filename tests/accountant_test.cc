@@ -98,7 +98,7 @@ TEST(AccountantTest, EmptyMetadataIsZero) {
 
 // --- Mechanism-aware accounting -------------------------------------------
 
-PrivateRelationMetadata MetadataWithMechanism(const MechanismSpec& spec,
+PrivateRelationMetadata MetadataWithMechanism(MechanismFamily family,
                                               double param, size_t n) {
   std::vector<Value> values;
   for (size_t i = 0; i < n; ++i) {
@@ -107,15 +107,14 @@ PrivateRelationMetadata MetadataWithMechanism(const MechanismSpec& spec,
   PrivateRelationMetadata meta;
   meta.dataset_size = 100;
   meta.discrete.emplace(
-      "d", DiscreteAttributeMeta{param, Domain::FromValues(values),
-                                 *MakeMechanism(spec, param)});
-  meta.mechanism_spec = spec;
+      "d", DiscreteAttributeMeta{param, Domain::FromValues(values)});
+  meta.mechanism = family;
   return meta;
 }
 
 TEST(AccountantTest, HlmAttributeSpendsExactlyItsTarget) {
   PrivacyReport report = *AccountPrivacy(
-      MetadataWithMechanism(MechanismSpec{"hlm", {}}, 1.3, 8));
+      MetadataWithMechanism(MechanismFamily::kHlm, 1.3, 8));
   EXPECT_DOUBLE_EQ(report.per_attribute_epsilon.at("d"), 1.3);
   EXPECT_TRUE(report.fully_private);
 }
@@ -124,47 +123,16 @@ TEST(AccountantTest, HlmSingleValueDomainIsZeroEpsilon) {
   // One domain value: the output is constant whatever the input, so the
   // attribute leaks nothing even at a generous target.
   PrivacyReport report = *AccountPrivacy(
-      MetadataWithMechanism(MechanismSpec{"hlm", {}}, 5.0, 1));
+      MetadataWithMechanism(MechanismFamily::kHlm, 5.0, 1));
   EXPECT_DOUBLE_EQ(report.per_attribute_epsilon.at("d"), 0.0);
   EXPECT_TRUE(report.fully_private);
-}
-
-TEST(AccountantTest, SamplingReportsExactEpsilonWithinAmplificationBound) {
-  const double beta = 0.5;
-  const double p0 = 0.25;
-  const size_t n = 4;
-  MechanismSpec spec{"sampling", {{"beta", beta}}};
-  PrivacyReport report =
-      *AccountPrivacy(MetadataWithMechanism(spec, p0, n));
-
-  // Exact accounting: ln(diag/off) of the combined confusion matrix,
-  // which the matrix-free EpsilonFromConfusionMatrix agrees with …
-  MechanismPtr m = *MakeMechanism(spec, p0);
-  EXPECT_NEAR(report.per_attribute_epsilon.at("d"),
-              *EpsilonFromConfusionMatrix((*m->Confusion(n)).Dense()),
-              1e-12);
-  // … and the subsampling amplification theorem dominates.
-  const double nd = static_cast<double>(n);
-  const double inner_eps = std::log(nd / p0 - nd + 1.0);
-  EXPECT_LE(report.per_attribute_epsilon.at("d"),
-            *SamplingAmplifiedEpsilon(inner_eps, beta) + 1e-12);
-  EXPECT_TRUE(report.fully_private);
-}
-
-TEST(AccountantTest, NonPrivateSamplingConfigurationIsInfinite) {
-  // beta == 1 with p0 == 0 never replaces a value: no guarantee.
-  PrivacyReport report = *AccountPrivacy(
-      MetadataWithMechanism(MechanismSpec{"sampling", {{"beta", 1.0}}},
-                            0.0, 4));
-  EXPECT_TRUE(std::isinf(report.per_attribute_epsilon.at("d")));
-  EXPECT_FALSE(report.fully_private);
 }
 
 TEST(AccountantTest, EmptyDomainIsTypedInvalidArgument) {
   // An infeasible (parameter, domain-size) combination surfaces as a
   // typed error, not a crash or a silent infinity.
   PrivateRelationMetadata meta =
-      MetadataWithMechanism(MechanismSpec{"hlm", {}}, 1.0, 8);
+      MetadataWithMechanism(MechanismFamily::kHlm, 1.0, 8);
   meta.discrete.at("d").domain = Domain::FromValues({});
   auto report = AccountPrivacy(meta);
   ASSERT_FALSE(report.ok());

@@ -250,6 +250,46 @@ TEST_F(CliTest, FlagParsingErrors) {
   EXPECT_EQ(Run({"info"}), 1);  // Missing required flag.
 }
 
+TEST_F(CliTest, UnknownFlagIsRejectedBeforeAnyIo) {
+  // One misspelled flag per subcommand. Every path named here is missing,
+  // so a failure that named anything but the flag would mean the
+  // subcommand ran (and did I/O) before checking its flags.
+  const std::string nope = base_ + "/nope";
+  const std::vector<std::vector<std::string>> cases = {
+      {"privatize", "--input", nope, "--output", nope, "--epsilon", "3",
+       "--epsilom", "1"},
+      {"privatize", "--input", nope, "--output", nope, "--epsilon", "3",
+       "--beta", "0.5"},
+      {"info", "--release", nope, "--verbose", "1"},
+      {"verify", nope, "--strict", "1"},
+      {"export", "--release", nope, "--output", nope, "--delimiter", ","},
+      {"query", "--release", nope, "--sql", "SELECT count(1) FROM r",
+       "--confidance", "0.5"},
+      {"budget", "show", "--ledger", nope, "--tenat", "alice"},
+      {"serve", nope, "--socket", nope + ".sock", "--pool-thread", "2"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    const std::string& flag = args[args.size() - 2];
+    EXPECT_EQ(Run(args), 1) << flag;
+    EXPECT_NE(err_.str().find("unknown flag " + flag + " for pclean " +
+                              args[0]),
+              std::string::npos)
+        << err_.str();
+  }
+  EXPECT_FALSE(std::filesystem::exists(nope));
+}
+
+TEST_F(CliTest, PrivatizeRejectsUnknownMechanism) {
+  EXPECT_EQ(Run({"privatize", "--input", csv_path_, "--output", release_dir_,
+                 "--epsilon", "3", "--mechanism", "sampling"}),
+            1);
+  EXPECT_NE(err_.str().find("unknown mechanism 'sampling'"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_NE(err_.str().find("grr, hlm"), std::string::npos) << err_.str();
+  EXPECT_FALSE(std::filesystem::exists(release_dir_));
+}
+
 TEST_F(CliTest, FlagEqualsSyntax) {
   ASSERT_EQ(Run({"privatize", "--input=" + csv_path_,
                  "--output=" + release_dir_, "--epsilon=3.0",

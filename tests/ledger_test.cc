@@ -299,22 +299,6 @@ TEST_F(LedgerTest, ConcurrentChargesNeverJointlyOverdraft) {
   EXPECT_EQ(reopened->Budget("t")->spent, 2.0);
 }
 
-TEST_F(LedgerTest, SerialFsyncModeMatchesGroupCommitState) {
-  for (bool group : {true, false}) {
-    const std::string dir = Dir(group ? "group" : "serial");
-    BudgetLedger::Options options;
-    options.group_commit = group;
-    auto ledger = BudgetLedger::Open(dir, options);
-    ASSERT_TRUE(ledger.ok());
-    ASSERT_TRUE(ledger->Grant("t", 4.0).ok());
-    for (int i = 0; i < 8; ++i) ASSERT_TRUE(ledger->Charge("t", 0.5).ok());
-    EXPECT_TRUE(ledger->Charge("t", 0.5).IsResourceExhausted());
-    auto reopened = BudgetLedger::Open(dir);
-    ASSERT_TRUE(reopened.ok());
-    EXPECT_EQ(reopened->Budget("t")->spent, 4.0);
-  }
-}
-
 TEST_F(LedgerTest, SnapshotListsAllTenantsSorted) {
   auto ledger = BudgetLedger::Open(Dir("snapshot"));
   ASSERT_TRUE(ledger.ok());

@@ -250,7 +250,6 @@ TEST_F(LedgerTortureTest, RandomizedMultiSiteFuzzKeepsMonotonicity) {
     SCOPED_TRACE("round " + std::to_string(round));
     const std::string dir = Dir("fuzz" + std::to_string(round));
     BudgetLedger::Options options;
-    options.group_commit = rng.Bernoulli(0.5);
     options.checkpoint_every = rng.Bernoulli(0.5) ? 3 : 0;
     std::optional<BudgetLedger> ledger;
     {

@@ -1,9 +1,10 @@
-// Statistical acceptance suite for the mechanism zoo (`ctest -L
-// statistical`): empirical confusion matrices against the analytic
-// matrices (chi-squared), Monte-Carlo unbiasedness and variance of the
-// count estimator under every family, the arXiv 2112.07397 utility-bound
-// identities, and a Kolmogorov–Smirnov check of the Laplace numeric path
-// through the interface.
+// Statistical acceptance suite for the mechanism families (`ctest -L
+// statistical`): empirical confusion matrices of the randomized-response
+// kernel at each family's p_eff against the analytic matrices
+// (chi-squared), Monte-Carlo unbiasedness and variance of the count
+// estimator under every family, the arXiv 2112.07397 utility-bound
+// identities, and a Kolmogorov–Smirnov check of the Laplace numeric
+// kernel that every family uses.
 //
 // Every test draws from a fixed seed, so each run is deterministic: a
 // threshold either always passes or always fails for a given build. The
@@ -27,8 +28,10 @@
 #include "common/random.h"
 #include "common/statistics.h"
 #include "core/estimators.h"
+#include "privacy/laplace_mechanism.h"
 #include "privacy/mechanism.h"
 #include "privacy/privacy_params.h"
+#include "privacy/randomized_response.h"
 #include "query/aggregate.h"
 #include "table/column.h"
 #include "table/domain.h"
@@ -38,18 +41,30 @@ namespace {
 
 struct NamedMechanism {
   std::string label;
-  MechanismPtr mechanism;
+  MechanismFamily family;
+  double param;
+
+  double ReplacementProbability(size_t n) const {
+    return *privateclean::ReplacementProbability(family, param, n);
+  }
 };
 
 // One representative configuration per family, moderate privacy so both
 // kept and replaced rows are plentiful.
-std::vector<NamedMechanism> ZooConfigurations() {
+std::vector<NamedMechanism> FamilyConfigurations() {
   return {
-      {"grr(p=0.4)", *MakeMechanism(MechanismSpec{}, 0.4)},
-      {"hlm(eps=1.2)", *MakeMechanism(MechanismSpec{"hlm", {}}, 1.2)},
-      {"sampling(p0=0.3,beta=0.6)",
-       *MakeMechanism(MechanismSpec{"sampling", {{"beta", 0.6}}}, 0.3)},
+      {"grr(p=0.4)", MechanismFamily::kGrr, 0.4},
+      {"hlm(eps=1.2)", MechanismFamily::kHlm, 1.2},
   };
+}
+
+// The n x n matrix of uniform replacement at p_eff, row-major:
+// diagonal (1 - p) + p/n, off-diagonal p/n.
+std::vector<std::vector<double>> Confusion(double p, size_t n) {
+  const double off = p / static_cast<double>(n);
+  std::vector<std::vector<double>> m(n, std::vector<double>(n, off));
+  for (size_t i = 0; i < n; ++i) m[i][i] = (1.0 - p) + off;
+  return m;
 }
 
 Domain IntDomain(size_t n) {
@@ -60,15 +75,15 @@ Domain IntDomain(size_t n) {
   return Domain::FromValues(values);
 }
 
-// Perturbs a copy of `input` in one shard with a fresh Rng(seed).
-Column Perturb(const Mechanism& mechanism, const Column& input,
+// Perturbs a copy of `input` with the kernel at the configuration's
+// p_eff and a fresh Rng(seed).
+Column Perturb(const NamedMechanism& config, const Column& input,
                const Domain& domain, uint64_t seed) {
   Column column = input;
   Rng rng(seed);
-  Status s = mechanism.PerturbShard(&column, domain, rng, 0, column.size(),
-                                    nullptr, nullptr, nullptr);
+  Status s = ApplyRandomizedResponse(
+      &column, domain, config.ReplacementProbability(domain.size()), rng);
   EXPECT_TRUE(s.ok()) << s.message();
-  column.RecomputeNullCount();
   return column;
 }
 
@@ -82,14 +97,15 @@ TEST(MechanismStatisticalTest, EmpiricalConfusionMatrixMatchesAnalytic) {
   const double threshold = *ChiSquaredQuantile(n - 1, 0.999);
 
   uint64_t seed = 1001;
-  for (const NamedMechanism& zoo : ZooConfigurations()) {
-    ConfusionMatrix confusion = *zoo.mechanism->Confusion(n);
+  for (const NamedMechanism& config : FamilyConfigurations()) {
+    const std::vector<std::vector<double>> confusion =
+        Confusion(config.ReplacementProbability(n), n);
     for (size_t true_value : {size_t{0}, size_t{3}}) {
       Column input = *Column::Make(ValueType::kInt64);
       for (size_t r = 0; r < rows; ++r) {
         input.AppendInt64(static_cast<int64_t>(true_value));
       }
-      Column output = Perturb(*zoo.mechanism, input, domain, seed++);
+      Column output = Perturb(config, input, domain, seed++);
 
       std::vector<double> observed(n, 0.0);
       for (size_t r = 0; r < rows; ++r) {
@@ -97,12 +113,11 @@ TEST(MechanismStatisticalTest, EmpiricalConfusionMatrixMatchesAnalytic) {
       }
       std::vector<double> expected(n);
       for (size_t j = 0; j < n; ++j) {
-        expected[j] =
-            static_cast<double>(rows) * confusion.At(true_value, j);
+        expected[j] = static_cast<double>(rows) * confusion[true_value][j];
       }
       double stat = *ChiSquaredStatistic(observed, expected);
       EXPECT_LT(stat, threshold)
-          << zoo.label << " true value " << true_value;
+          << config.label << " true value " << true_value;
     }
   }
 }
@@ -127,17 +142,16 @@ TEST(MechanismStatisticalTest, CountEstimatorUnbiasedWithCltVariance) {
   const double truth = static_cast<double>(rows / n);  // count of value 0
 
   uint64_t seed = 20001;
-  for (const NamedMechanism& zoo : ZooConfigurations()) {
+  for (const NamedMechanism& config : FamilyConfigurations()) {
     EstimationInputs in;
-    in.mechanism = zoo.mechanism;
-    in.p = *zoo.mechanism->ReplacementProbability(n);
+    in.p = config.ReplacementProbability(n);
     in.l = 1.0;
     in.n = static_cast<double>(n);
 
     std::vector<double> estimates;
     estimates.reserve(trials);
     for (size_t t = 0; t < trials; ++t) {
-      Column output = Perturb(*zoo.mechanism, base, domain, seed++);
+      Column output = Perturb(config, base, domain, seed++);
       QueryScanStats stats;
       stats.total_rows = rows;
       for (size_t r = 0; r < rows; ++r) {
@@ -148,7 +162,7 @@ TEST(MechanismStatisticalTest, CountEstimatorUnbiasedWithCltVariance) {
 
     const double mean = *Mean(estimates);
     const double variance = *SampleVariance(estimates);
-    TransitionProbabilities tau = *zoo.mechanism->Transitions(1.0, n);
+    TransitionProbabilities tau = *ComputeTransitionProbabilities(in.p, 1.0, n);
     const double tp = tau.true_positive;
     const double fp = tau.false_positive;
     const double analytic_variance =
@@ -158,11 +172,11 @@ TEST(MechanismStatisticalTest, CountEstimatorUnbiasedWithCltVariance) {
     // 4-sigma band around the Monte-Carlo mean.
     const double band =
         4.0 * std::sqrt(analytic_variance / static_cast<double>(trials));
-    EXPECT_NEAR(mean, truth, band) << zoo.label;
+    EXPECT_NEAR(mean, truth, band) << config.label;
     // Sample variance of 200 trials concentrates within ~±35%; the
     // [0.6, 1.6] ratio window is ~4 sigma wide for chi-squared_{199}.
-    EXPECT_GT(variance, 0.6 * analytic_variance) << zoo.label;
-    EXPECT_LT(variance, 1.6 * analytic_variance) << zoo.label;
+    EXPECT_GT(variance, 0.6 * analytic_variance) << config.label;
+    EXPECT_LT(variance, 1.6 * analytic_variance) << config.label;
   }
 }
 
@@ -170,17 +184,18 @@ TEST(MechanismStatisticalTest, CountEstimatorUnbiasedWithCltVariance) {
 // d - q <= (e^eps - 1)/(e^eps + N - 1), where d and q are the diagonal
 // and off-diagonal retention probabilities. Every diagonal-constant
 // mechanism attains the bound with equality at its *exact* epsilon
-// ln(d/q) — an identity the whole zoo must satisfy.
+// ln(d/q) — an identity every family must satisfy.
 TEST(MechanismStatisticalTest, UtilityBoundAttainedWithEqualityAtExactEps) {
-  for (const NamedMechanism& zoo : ZooConfigurations()) {
+  for (const NamedMechanism& config : FamilyConfigurations()) {
     for (size_t n : {4u, 10u}) {
-      ConfusionMatrix c = *zoo.mechanism->Confusion(n);
-      const double exact_eps = *EpsilonFromConfusionMatrix(c.Dense());
+      const std::vector<std::vector<double>> c =
+          Confusion(config.ReplacementProbability(n), n);
+      const double exact_eps = *EpsilonFromConfusionMatrix(c);
       const double bound = std::expm1(exact_eps) /
                            (std::exp(exact_eps) + static_cast<double>(n) -
                             1.0);
-      EXPECT_NEAR(c.diagonal - c.off_diagonal, bound, 1e-10)
-          << zoo.label << " n=" << n;
+      EXPECT_NEAR(c[0][0] - c[0][1], bound, 1e-10)
+          << config.label << " n=" << n;
     }
   }
 }
@@ -193,17 +208,18 @@ TEST(MechanismStatisticalTest, UtilityBoundAttainedWithEqualityAtExactEps) {
 TEST(MechanismStatisticalTest, HlmCalibratesExactlyGrrPaperInversionDoesNot) {
   const double target = 1.0;
 
-  MechanismPtr hlm = *MakeMechanism(MechanismSpec{"hlm", {}}, target);
   for (size_t n : {2u, 3u, 8u, 32u}) {
-    ConfusionMatrix c = *hlm->Confusion(n);
-    EXPECT_NEAR(*EpsilonFromConfusionMatrix(c.Dense()), target, 1e-9)
+    const double p_eff =
+        *ReplacementProbability(MechanismFamily::kHlm, target, n);
+    EXPECT_NEAR(*EpsilonFromConfusionMatrix(Confusion(p_eff, n)), target,
+                1e-9)
         << "hlm n=" << n;
   }
 
-  const double p = *RandomizationForEpsilon(target);
-  MechanismPtr grr = *MakeMechanism(MechanismSpec{}, p);
+  const double p = *ParamForEpsilon(MechanismFamily::kGrr, target);
   auto exact_eps = [&](size_t n) {
-    return *EpsilonFromConfusionMatrix((*grr->Confusion(n)).Dense());
+    return *EpsilonFromConfusionMatrix(Confusion(
+        *ReplacementProbability(MechanismFamily::kGrr, p, n), n));
   };
   EXPECT_NEAR(exact_eps(3), target, 1e-9);
   EXPECT_GT(exact_eps(8), target + 0.1);
@@ -211,32 +227,9 @@ TEST(MechanismStatisticalTest, HlmCalibratesExactlyGrrPaperInversionDoesNot) {
   EXPECT_LT(exact_eps(2), target - 0.1);
 }
 
-// The sampling family's exact epsilon never exceeds the subsampling
-// amplification bound ln(1 + beta(e^{eps0} - 1)) over a parameter grid,
-// with equality when beta == 1 (no subsampling).
-TEST(MechanismStatisticalTest, SamplingExactEpsilonWithinAmplificationBound) {
-  for (double beta : {0.25, 0.5, 0.9, 1.0}) {
-    for (double p0 : {0.1, 0.3, 0.7}) {
-      for (size_t n : {4u, 16u}) {
-        MechanismPtr m =
-            *MakeMechanism(MechanismSpec{"sampling", {{"beta", beta}}}, p0);
-        const double nd = static_cast<double>(n);
-        const double inner_eps = std::log(nd / p0 - nd + 1.0);
-        const double bound = *SamplingAmplifiedEpsilon(inner_eps, beta);
-        const double exact = *m->Epsilon(n);
-        EXPECT_LE(exact, bound + 1e-12)
-            << "beta=" << beta << " p0=" << p0 << " n=" << n;
-        if (beta == 1.0) {
-          EXPECT_NEAR(exact, bound, 1e-12) << "p0=" << p0 << " n=" << n;
-        }
-      }
-    }
-  }
-}
-
-// The numeric path of the interface: noise from NoiseNumericShard must
-// be Laplace(0, b) under every family (all three inherit the default
-// Laplace kernel today; the KS test pins the contract, not the sharing).
+// Every family noises numeric columns with the one Laplace kernel, so a
+// single Kolmogorov–Smirnov check covers them all: noise from
+// ApplyLaplaceMechanismShard must be Laplace(0, b).
 TEST(MechanismStatisticalTest, NumericNoiseIsLaplaceUnderEveryFamily) {
   const size_t rows = 5000;
   const double b = 2.0;
@@ -246,23 +239,18 @@ TEST(MechanismStatisticalTest, NumericNoiseIsLaplaceUnderEveryFamily) {
   // Asymptotic KS critical value at alpha = 0.001.
   const double critical = 1.949 / std::sqrt(static_cast<double>(rows));
 
-  uint64_t seed = 30001;
-  for (const NamedMechanism& zoo : ZooConfigurations()) {
-    Column column = *Column::Make(ValueType::kDouble);
-    for (size_t r = 0; r < rows; ++r) column.AppendDouble(0.0);
-    Rng rng(seed++);
-    ASSERT_TRUE(zoo.mechanism
-                    ->NoiseNumericShard(&column, b, rng, 0, column.size())
-                    .ok())
-        << zoo.label;
-    std::vector<double> samples;
-    samples.reserve(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      samples.push_back(column.ValueAt(r).AsDouble());
-    }
-    double ks = *KolmogorovSmirnovStatistic(std::move(samples), laplace_cdf);
-    EXPECT_LT(ks, critical) << zoo.label;
+  Column column = *Column::Make(ValueType::kDouble);
+  for (size_t r = 0; r < rows; ++r) column.AppendDouble(0.0);
+  Rng rng(30001);
+  ASSERT_TRUE(
+      ApplyLaplaceMechanismShard(&column, b, rng, 0, column.size()).ok());
+  std::vector<double> samples;
+  samples.reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    samples.push_back(column.ValueAt(r).AsDouble());
   }
+  double ks = *KolmogorovSmirnovStatistic(std::move(samples), laplace_cdf);
+  EXPECT_LT(ks, critical);
 }
 
 }  // namespace

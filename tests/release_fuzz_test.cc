@@ -145,7 +145,7 @@ PrivateRelationMetadata CoveringMetadata(const Table& table) {
       Domain domain = *Domain::FromColumn(table, field.name,
                                           /*include_null=*/true);
       metadata.discrete.emplace(field.name,
-                                DiscreteAttributeMeta{0.2, domain, nullptr});
+                                DiscreteAttributeMeta{0.2, domain});
     } else {
       metadata.numeric.emplace(field.name, NumericAttributeMeta{1.0, 10.0});
     }

@@ -485,7 +485,7 @@ TEST_F(ReleaseTest, NullLiteralRowsRoundTripThroughDictionary) {
 
 // --- Mechanism identity (MANIFEST `mechanism:` line) ----------------------
 
-GrrOutput MakeWithMechanism(const MechanismSpec& mechanism, double param,
+GrrOutput MakeWithMechanism(MechanismFamily mechanism, double param,
                             uint64_t seed = 3) {
   Schema s = *Schema::Make(
       {Field::Discrete("major"),
@@ -537,19 +537,18 @@ TEST_F(ReleaseTest, ManifestRecordsMechanismIdentity) {
   std::string manifest = *io::ReadFileToString(dir_ + "/MANIFEST");
   EXPECT_NE(manifest.find("mechanism: grr\n"), std::string::npos);
   LoadedRelease loaded = *ReadRelease(dir_);
-  EXPECT_EQ(loaded.metadata.mechanism_spec.name, "grr");
-  EXPECT_TRUE(loaded.metadata.mechanism_spec.params.empty());
+  EXPECT_EQ(loaded.metadata.mechanism, MechanismFamily::kGrr);
 }
 
 TEST_F(ReleaseTest, RoundTripsHlmMechanismIdentity) {
-  GrrOutput grr = MakeWithMechanism(MechanismSpec{"hlm", {}}, 1.2);
+  GrrOutput grr = MakeWithMechanism(MechanismFamily::kHlm, 1.2);
   ASSERT_TRUE(WriteRelease(grr, dir_).ok());
+  std::string manifest = *io::ReadFileToString(dir_ + "/MANIFEST");
+  EXPECT_NE(manifest.find("mechanism: hlm\n"), std::string::npos);
   LoadedRelease loaded = *ReadRelease(dir_);
-  EXPECT_EQ(loaded.metadata.mechanism_spec.name, "hlm");
+  EXPECT_EQ(loaded.metadata.mechanism, MechanismFamily::kHlm);
   for (const auto& [name, meta] : loaded.metadata.discrete) {
-    MechanismPtr m = *MechanismFor(meta);
-    EXPECT_STREQ(m->name(), "hlm") << name;
-    EXPECT_DOUBLE_EQ(m->param(), 1.2) << name;
+    EXPECT_DOUBLE_EQ(meta.p, 1.2) << name;
   }
   // The loaded release accounts and estimates exactly like the writer's
   // in-process metadata — the wrong-estimator failure mode the MANIFEST
@@ -563,24 +562,6 @@ TEST_F(ReleaseTest, RoundTripsHlmMechanismIdentity) {
   EXPECT_DOUBLE_EQ(pt.Count(pred)->estimate, direct.Count(pred)->estimate);
 }
 
-TEST_F(ReleaseTest, RoundTripsSamplingMechanismIdentityWithBeta) {
-  GrrOutput grr = MakeWithMechanism(
-      MechanismSpec{"sampling", {{"beta", 0.5}}}, 0.25);
-  ASSERT_TRUE(WriteRelease(grr, dir_).ok());
-  std::string manifest = *io::ReadFileToString(dir_ + "/MANIFEST");
-  EXPECT_NE(manifest.find("mechanism: sampling beta=0.5\n"),
-            std::string::npos);
-  LoadedRelease loaded = *ReadRelease(dir_);
-  EXPECT_EQ(loaded.metadata.mechanism_spec.name, "sampling");
-  ASSERT_EQ(loaded.metadata.mechanism_spec.params.count("beta"), 1u);
-  EXPECT_DOUBLE_EQ(loaded.metadata.mechanism_spec.params.at("beta"), 0.5);
-  for (const auto& [name, meta] : loaded.metadata.discrete) {
-    MechanismPtr m = *MechanismFor(meta);
-    EXPECT_STREQ(m->name(), "sampling") << name;
-    EXPECT_DOUBLE_EQ(m->param(), 0.25) << name;
-  }
-}
-
 TEST_F(ReleaseTest, UnknownMechanismNameInManifestIsFailedPrecondition) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   PatchManifestMechanism(dir_, std::string("mechanism: staircase"));
@@ -592,25 +573,31 @@ TEST_F(ReleaseTest, UnknownMechanismNameInManifestIsFailedPrecondition) {
   EXPECT_NE(r.status().message().find("staircase"), std::string::npos);
 }
 
-TEST_F(ReleaseTest, CorruptMechanismParameterBlockIsDataLoss) {
+TEST_F(ReleaseTest, SamplingMechanismInManifestIsFailedPrecondition) {
+  // The MANIFEST line an older build wrote for its subsample-then-
+  // randomize family. This build supports only grr and hlm, so such a
+  // release is from a build it cannot decode, not damaged.
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  PatchManifestMechanism(dir_, std::string("mechanism: sampling beta=zebra"));
+  PatchManifestMechanism(dir_, std::string("mechanism: sampling beta=0.5"));
+  auto r = ReadRelease(dir_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsFailedPrecondition()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("sampling"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("grr, hlm"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST_F(ReleaseTest, TrailingTokensAfterMechanismNameAreDataLoss) {
+  // A known family takes no parameters: anything after its name means
+  // the entry is damaged.
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+  PatchManifestMechanism(dir_, std::string("mechanism: grr beta=0.5"));
   auto r = ReadRelease(dir_);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
   EXPECT_NE(r.status().message().find("MANIFEST"), std::string::npos)
       << r.status().ToString();
-}
-
-TEST_F(ReleaseTest, KnownMechanismWithInfeasibleParametersIsDataLoss) {
-  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
-  // Known family, parameter block this build can parse but not satisfy
-  // (sampling without its required beta): the entry is damaged, not
-  // from-the-future.
-  PatchManifestMechanism(dir_, std::string("mechanism: sampling"));
-  auto r = ReadRelease(dir_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsDataLoss()) << r.status().ToString();
 }
 
 TEST_F(ReleaseTest, EndToEndProviderAnalystSeparation) {

@@ -1,9 +1,12 @@
 #include "tools/pclean_cli.h"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <initializer_list>
 #include <map>
+#include <string_view>
 #include <thread>
 
 #include "common/io_util.h"
@@ -39,6 +42,19 @@ struct ParsedArgs {
     auto it = flags.find(name);
     return it == flags.end() ? kEmpty : it->second;
   }
+
+  /// InvalidArgument naming the first flag that `command` does not read:
+  /// a misspelled flag must fail, not fall back to the flag's default.
+  Status OnlyFlags(const char* command,
+                   std::initializer_list<std::string_view> known) const {
+    for (const auto& flag : flags) {
+      if (std::find(known.begin(), known.end(), flag.first) == known.end()) {
+        return Status::InvalidArgument("unknown flag --" + flag.first +
+                                       " for pclean " + command);
+      }
+    }
+    return Status::OK();
+  }
 };
 
 Result<ParsedArgs> ParseFlags(const std::vector<std::string>& args,
@@ -73,22 +89,6 @@ Result<double> ParseFlagDouble(const ParsedArgs& args,
   return ParseDouble(text);
 }
 
-/// --mechanism NAME [--beta B]: the randomization family for discrete
-/// attributes (privacy/mechanism.h). Defaults to the paper's GRR; the
-/// spec is validated here so a typo'd family name fails before any I/O.
-Result<MechanismSpec> ParseMechanismFlags(const ParsedArgs& args) {
-  MechanismSpec mechanism;
-  if (args.Has("mechanism")) {
-    PCLEAN_ASSIGN_OR_RETURN(mechanism.name, args.One("mechanism"));
-  }
-  if (args.Has("beta")) {
-    PCLEAN_ASSIGN_OR_RETURN(double beta, ParseFlagDouble(args, "beta"));
-    mechanism.params["beta"] = beta;
-  }
-  PCLEAN_RETURN_NOT_OK(ValidateMechanismSpec(mechanism));
-  return mechanism;
-}
-
 /// --threads N: scan/randomization parallelism. 1 = single-threaded
 /// (default), 0 = all hardware threads. Output is identical at every
 /// setting; only wall-clock time changes.
@@ -110,7 +110,7 @@ void PrintUsage(std::ostream& out) {
          "\n"
          "  pclean privatize --input data.csv --output release_dir\n"
          "         (--epsilon E | --p P --b B | --count-error TARGET)\n"
-         "         [--mechanism grr|hlm|sampling] [--beta B]\n"
+         "         [--mechanism grr|hlm]\n"
          "         [--seed N] [--threads N]\n"
          "  pclean info --release release_dir\n"
          "  pclean verify release_dir\n"
@@ -136,11 +136,9 @@ void PrintUsage(std::ostream& out) {
          "  export writes the release's private relation as CSV, NULL as \\N.\n"
          "\n"
          "  --mechanism picks the discrete randomization family: grr\n"
-         "  (paper generalized randomized response, the default), hlm\n"
+         "  (paper generalized randomized response, the default) or hlm\n"
          "  (Holohan-Leith-Mason optimal RR; --p is the per-attribute\n"
-         "  target epsilon), or sampling (subsample-then-randomize; --p is\n"
-         "  the inner randomization probability, --beta the sampling\n"
-         "  rate in (0, 1]). --count-error tuning is grr-only.\n"
+         "  target epsilon). --count-error tuning is grr-only.\n"
          "  --threads N uses N worker threads for randomization and query\n"
          "  scans (0 = all hardware threads); results are independent of N.\n"
          "  --bootstrap R wraps median/percentile/var/std estimates in a\n"
@@ -166,6 +164,17 @@ void PrintUsage(std::ostream& out) {
 }
 
 Status RunPrivatize(const ParsedArgs& args, std::ostream& out) {
+  PCLEAN_RETURN_NOT_OK(args.OnlyFlags(
+      "privatize", {"input", "output", "epsilon", "p", "b", "count-error",
+                    "mechanism", "seed", "threads"}));
+  // The randomization family for discrete attributes
+  // (privacy/mechanism.h), the paper's GRR by default; parsed here so a
+  // misspelled name fails before any I/O.
+  MechanismFamily mechanism = MechanismFamily::kGrr;
+  if (args.Has("mechanism")) {
+    PCLEAN_ASSIGN_OR_RETURN(std::string name, args.One("mechanism"));
+    PCLEAN_ASSIGN_OR_RETURN(mechanism, ParseMechanismFamily(name));
+  }
   PCLEAN_ASSIGN_OR_RETURN(std::string input, args.One("input"));
   PCLEAN_ASSIGN_OR_RETURN(std::string output, args.One("output"));
 
@@ -187,19 +196,18 @@ Status RunPrivatize(const ParsedArgs& args, std::ostream& out) {
   }
   Rng rng(seed != 0 ? seed : 0x9E3779B97F4A7C15ULL);
 
-  PCLEAN_ASSIGN_OR_RETURN(MechanismSpec mechanism,
-                          ParseMechanismFlags(args));
-
   GrrParams params;
   if (args.Has("epsilon")) {
     PCLEAN_ASSIGN_OR_RETURN(double epsilon, ParseFlagDouble(args, "epsilon"));
     PCLEAN_ASSIGN_OR_RETURN(
         params, AllocateEpsilonBudget(table, epsilon, {}, mechanism));
   } else if (args.Has("count-error")) {
-    if (mechanism.name != "grr") {
+    if (mechanism != MechanismFamily::kGrr) {
       return Status::InvalidArgument(
-          "--count-error tuning models the paper's GRR estimator; use "
-          "--epsilon (or --p/--b) with --mechanism " + mechanism.name);
+          std::string("--count-error tuning models the paper's GRR "
+                      "estimator; use --epsilon (or --p/--b) with "
+                      "--mechanism ") +
+          MechanismName(mechanism));
     }
     PCLEAN_ASSIGN_OR_RETURN(double target,
                             ParseFlagDouble(args, "count-error"));
@@ -208,8 +216,7 @@ Status RunPrivatize(const ParsedArgs& args, std::ostream& out) {
     params = ToGrrParams(tuning);
   } else if (args.Has("p") && args.Has("b")) {
     // --p is the family's per-attribute parameter: the replacement
-    // probability for grr, the target epsilon for hlm, the inner
-    // randomization probability p0 for sampling.
+    // probability for grr, the target epsilon for hlm.
     PCLEAN_ASSIGN_OR_RETURN(double p, ParseFlagDouble(args, "p"));
     PCLEAN_ASSIGN_OR_RETURN(double b, ParseFlagDouble(args, "b"));
     params = GrrParams::Uniform(p, b);
@@ -228,8 +235,7 @@ Status RunPrivatize(const ParsedArgs& args, std::ostream& out) {
                           AccountPrivacy(grr.metadata));
   out << "wrote release: " << output << "\n";
   out << "  rows: " << grr.table.num_rows() << "\n";
-  out << "  mechanism: " << RenderMechanismSpec(grr.metadata.mechanism_spec)
-      << "\n";
+  out << "  mechanism: " << MechanismName(grr.metadata.mechanism) << "\n";
   out << "  total epsilon: " << FormatDouble(report.total_epsilon) << "\n";
   if (grr.total_regenerations > 0) {
     out << "  regenerations: " << grr.total_regenerations << "\n";
@@ -238,14 +244,15 @@ Status RunPrivatize(const ParsedArgs& args, std::ostream& out) {
 }
 
 Status RunInfo(const ParsedArgs& args, std::ostream& out) {
+  PCLEAN_RETURN_NOT_OK(args.OnlyFlags("info", {"release"}));
   PCLEAN_ASSIGN_OR_RETURN(std::string dir, args.One("release"));
   PCLEAN_ASSIGN_OR_RETURN(LoadedRelease release, ReadRelease(dir));
   PCLEAN_ASSIGN_OR_RETURN(PrivacyReport report,
                           AccountPrivacy(release.metadata));
   out << "release: " << dir << "\n";
   out << "  rows: " << release.relation.num_rows() << "\n";
-  out << "  mechanism: "
-      << RenderMechanismSpec(release.metadata.mechanism_spec) << "\n";
+  out << "  mechanism: " << MechanismName(release.metadata.mechanism)
+      << "\n";
   out << "  attributes:\n";
   const Schema& schema = release.relation.schema();
   for (size_t i = 0; i < schema.num_fields(); ++i) {
@@ -271,6 +278,7 @@ Status RunInfo(const ParsedArgs& args, std::ostream& out) {
 }
 
 Status RunVerify(const ParsedArgs& args, std::string dir, std::ostream& out) {
+  PCLEAN_RETURN_NOT_OK(args.OnlyFlags("verify", {"release"}));
   if (dir.empty()) {
     PCLEAN_ASSIGN_OR_RETURN(dir, args.One("release"));
   }
@@ -291,6 +299,7 @@ Status RunVerify(const ParsedArgs& args, std::string dir, std::ostream& out) {
 /// Writes the private relation as CSV: the interchange form of a
 /// release, with `\N` for NULL so NULL and the empty string stay apart.
 Status RunExport(const ParsedArgs& args, std::ostream& out) {
+  PCLEAN_RETURN_NOT_OK(args.OnlyFlags("export", {"release", "output"}));
   PCLEAN_ASSIGN_OR_RETURN(std::string dir, args.One("release"));
   PCLEAN_ASSIGN_OR_RETURN(std::string output, args.One("output"));
   PCLEAN_ASSIGN_OR_RETURN(LoadedRelease release, ReadRelease(dir));
@@ -383,6 +392,10 @@ Status RunServedQuery(const ParsedArgs& args, std::ostream& out) {
 }
 
 Status RunQuery(const ParsedArgs& args, std::ostream& out) {
+  PCLEAN_RETURN_NOT_OK(args.OnlyFlags(
+      "query", {"release", "sql", "direct", "confidence", "threads",
+                "bootstrap", "seed", "replace", "ledger", "tenant",
+                "connect"}));
   if (args.Has("connect")) return RunServedQuery(args, out);
   PCLEAN_ASSIGN_OR_RETURN(std::string dir, args.One("release"));
   PCLEAN_ASSIGN_OR_RETURN(std::string sql, args.One("sql"));
@@ -456,6 +469,9 @@ void HandleServeSignal(int) { g_serve_stop = 1; }
 Status RunServe(const ParsedArgs& args,
                 const std::vector<std::string>& release_dirs,
                 std::ostream& out) {
+  PCLEAN_RETURN_NOT_OK(args.OnlyFlags(
+      "serve", {"socket", "ledger", "pool-threads", "threads",
+                "idle-timeout-ms", "serve-for-ms"}));
   if (release_dirs.empty()) {
     return Status::InvalidArgument(
         "serve expects at least one release directory");
@@ -531,6 +547,8 @@ void PrintTenantBudget(const std::string& tenant, const TenantBudget& budget,
 /// success; show is read-only.
 Status RunBudget(const ParsedArgs& args, const std::string& action,
                  std::ostream& out) {
+  PCLEAN_RETURN_NOT_OK(
+      args.OnlyFlags("budget", {"ledger", "tenant", "epsilon"}));
   if (action.empty()) {
     return Status::InvalidArgument(
         "budget expects an action: grant, relax, or show");
