@@ -89,11 +89,11 @@ int main() {
   }
 
   PrintFigure(
-      "Figure 10 (count): IntelWireless count error %% vs privacy p "
+      "Figure 10 (count): IntelWireless count error % vs privacy p "
       "(epsilon-matched b)",
       "p", p_values, {count_pc, count_direct, count_ref});
   PrintFigure(
-      "Figure 10 (avg): IntelWireless avg(temp) error %% vs privacy p "
+      "Figure 10 (avg): IntelWireless avg(temp) error % vs privacy p "
       "(epsilon-matched b)",
       "p", p_values, {avg_pc, avg_direct, avg_ref});
   return 0;

@@ -63,10 +63,10 @@ int main() {
   }
 
   PrintFigure(
-      "Figure 11 (count): MCAFE count(isEurope) error %% vs privacy p",
+      "Figure 11 (count): MCAFE count(isEurope) error % vs privacy p",
       "p", p_values, {count_pc, count_direct});
   PrintFigure(
-      "Figure 11 (avg): MCAFE avg(enthusiasm) error %% vs privacy p",
+      "Figure 11 (avg): MCAFE avg(enthusiasm) error % vs privacy p",
       "p", p_values, {avg_pc, avg_direct});
   return 0;
 }

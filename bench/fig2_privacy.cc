@@ -81,13 +81,13 @@ int main() {
     return std::vector<Series>{pc, direct};
   };
 
-  PrintFigure("Figure 2a: count error %% vs discrete privacy p (b=10)",
+  PrintFigure("Figure 2a: count error % vs discrete privacy p (b=10)",
               "p", p_values, run_panel(true, false, p_values));
-  PrintFigure("Figure 2b: sum error %% vs discrete privacy p (b=10)",
+  PrintFigure("Figure 2b: sum error % vs discrete privacy p (b=10)",
               "p", p_values, run_panel(true, true, p_values));
-  PrintFigure("Figure 2c: count error %% vs numerical privacy b (p=0.1)",
+  PrintFigure("Figure 2c: count error % vs numerical privacy b (p=0.1)",
               "b", b_values, run_panel(false, false, b_values));
-  PrintFigure("Figure 2d: sum error %% vs numerical privacy b (p=0.1)",
+  PrintFigure("Figure 2d: sum error % vs numerical privacy b (p=0.1)",
               "b", b_values, run_panel(false, true, b_values));
   return 0;
 }

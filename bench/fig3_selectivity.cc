@@ -45,9 +45,9 @@ int main() {
     return std::vector<Series>{pc, direct};
   };
 
-  PrintFigure("Figure 3a: sum error %% vs selectivity (p=0.1, b=10)",
+  PrintFigure("Figure 3a: sum error % vs selectivity (p=0.1, b=10)",
               "selectivity", selectivities, run_panel(true));
-  PrintFigure("Figure 3b: count error %% vs selectivity (p=0.1, b=10)",
+  PrintFigure("Figure 3b: count error % vs selectivity (p=0.1, b=10)",
               "selectivity", selectivities, run_panel(false));
   return 0;
 }

@@ -43,9 +43,9 @@ int main() {
     return std::vector<Series>{pc, direct};
   };
 
-  PrintFigure("Figure 4a: count error %% vs Zipfian skew z (p=0.1, b=10)",
+  PrintFigure("Figure 4a: count error % vs Zipfian skew z (p=0.1, b=10)",
               "z", skews, run_panel(false));
-  PrintFigure("Figure 4b: sum error %% vs Zipfian skew z (p=0.1, b=10)",
+  PrintFigure("Figure 4b: sum error % vs Zipfian skew z (p=0.1, b=10)",
               "z", skews, run_panel(true));
   return 0;
 }

@@ -73,10 +73,10 @@ int main() {
   };
 
   PrintFigure(
-      "Figure 5a: count error %% vs data error rate (p=0.1, b=10)",
+      "Figure 5a: count error % vs data error rate (p=0.1, b=10)",
       "error rate", error_rates, run_panel(false));
   PrintFigure(
-      "Figure 5b: sum error %% vs data error rate (p=0.1, b=10)",
+      "Figure 5b: sum error % vs data error rate (p=0.1, b=10)",
       "error rate", error_rates, run_panel(true));
   return 0;
 }

@@ -72,10 +72,10 @@ int main() {
   };
 
   PrintFigure(
-      "Figure 6a: count error %% vs merge rate (error rate 0.5, p=0.1)",
+      "Figure 6a: count error % vs merge rate (error rate 0.5, p=0.1)",
       "merge rate", merge_fractions, run_panel(false));
   PrintFigure(
-      "Figure 6b: sum error %% vs merge rate (error rate 0.5, p=0.1)",
+      "Figure 6b: sum error % vs merge rate (error rate 0.5, p=0.1)",
       "merge rate", merge_fractions, run_panel(true));
   return 0;
 }

@@ -106,7 +106,7 @@ int main() {
   }
   PrintFigure(
       "Figure 7: multi-attribute cleaning (Example 6 imputation), count "
-      "error %% vs missing-instructor rate (p=0.15)",
+      "error % vs missing-instructor rate (p=0.15)",
       "null rate", null_rates, {pcw, pcu, direct});
   return 0;
 }

@@ -74,7 +74,7 @@ int main() {
       direct.values.push_back(r.ok() ? r->direct_pct : -1);
     }
     PrintFigure(
-        "Figure 8a: GROUP BY ca_state count error %% vs #state "
+        "Figure 8a: GROUP BY ca_state count error % vs #state "
         "corruptions (FD repair, p=0.1)",
         "corruptions", corruption_counts, {pc, direct});
   }
@@ -116,7 +116,7 @@ int main() {
       direct.values.push_back(r.ok() ? r->direct_pct : -1);
     }
     PrintFigure(
-        "Figure 8b: GROUP BY ca_country count error %% vs #country "
+        "Figure 8b: GROUP BY ca_country count error % vs #country "
         "corruptions (MD repair, p=0.1)",
         "corruptions", corruption_counts, {pc, direct});
   }

@@ -67,12 +67,12 @@ int main() {
   };
 
   PrintFigure(
-      "Figure 9a: sum error %% vs distinct fraction N/S "
-      "(5%% error rate, p=0.1, b=10)",
+      "Figure 9a: sum error % vs distinct fraction N/S "
+      "(5% error rate, p=0.1, b=10)",
       "N/S", distinct_fractions, run_panel(true));
   PrintFigure(
-      "Figure 9b: count error %% vs distinct fraction N/S "
-      "(5%% error rate, p=0.1, b=10)",
+      "Figure 9b: count error % vs distinct fraction N/S "
+      "(5% error rate, p=0.1, b=10)",
       "N/S", distinct_fractions, run_panel(false));
   return 0;
 }

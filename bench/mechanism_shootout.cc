@@ -69,7 +69,7 @@ int main() {
   }
 
   PrintFigure(
-      "Mechanism shootout: count error %% vs per-attribute epsilon "
+      "Mechanism shootout: count error % vs per-attribute epsilon "
       "(equal nominal budget)",
       "eps", eps_values, series);
   return failed ? 1 : 0;

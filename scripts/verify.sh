@@ -27,10 +27,15 @@
 #      teardown), where torn files and mid-error cleanup paths are most
 #      likely to hide memory bugs.
 #   The randomized differentials labeled `determinism fuzz`
-#   (csv_split_fuzz_test, dictionary_test) run in both passes 4 and 5;
-#   dictionary_test drives the provenance build's per-slot indexing,
-#   which reads a snapshot dictionary and a current one that grew after
-#   the snapshot.
+#   (csv_split_fuzz_test, dictionary_test, exact_sum_test,
+#   value_sums_test) run in both passes 4 and 5; dictionary_test drives
+#   the provenance build's per-slot indexing, which reads a snapshot
+#   dictionary and a current one that grew after the snapshot;
+#   exact_sum_test checks the exact accumulator's exponent-dependent
+#   shifts against a big-integer reference, and value_sums_test the
+#   cached per-value SUM/AVG against the exact scan. The `server` suite
+#   races SUM/AVG sessions on one warmed release, so TSan sees the
+#   shared caches read concurrently.
 #
 # Usage: scripts/verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail

@@ -20,7 +20,10 @@ namespace privateclean {
 /// Thread count never affects results: work is split into shards whose
 /// layout depends only on the input size (see ShardCountForRows), and any
 /// per-shard randomness is forked by shard index, so a fixed seed yields
-/// bit-identical output at 1, 2, or 64 threads.
+/// bit-identical output at 1, 2, or 64 threads. A pass whose partials
+/// merge exactly (counts, common/exact_sum.h sums) may instead give each
+/// thread one contiguous range: there the split depends on the thread
+/// count, the result cannot.
 struct ExecutionOptions {
   /// Worker threads to use. 1 (the default) runs inline on the calling
   /// thread; 0 means "use the hardware concurrency".

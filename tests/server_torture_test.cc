@@ -32,6 +32,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "table/table_builder.h"
 
 // Concurrency torture for `pclean serve` (ctest labels: server,
 // failpoint). The claims under test:
@@ -324,12 +325,13 @@ TEST_F(ServerTortureTest, ConcurrentSameTenantChargesAdmitExactlyK) {
 }
 
 TEST_F(ServerTortureTest, FirstSumAndAvgRacingOnAFreshServerMatchLocal) {
-  // SUM/AVG intervals read the numeric column's moments from the shared
-  // table's cache. On a freshly started server no query has run, so
-  // sessions whose first SUM/AVG arrives at the same moment must find
-  // that cache warmed at release open, never fill it themselves (the
-  // TSan pass of the `server` label checks this), and each must print
-  // exactly what a local query prints.
+  // SUM/AVG read the numeric column's moments and the per-value exact
+  // sums of the predicate's attribute from the shared table's caches. On
+  // a freshly started server no query has run, so sessions whose first
+  // SUM/AVG arrives at the same moment must find those caches warmed at
+  // release open, never fill them themselves (the TSan pass of the
+  // `server` label checks this), and each must print exactly what a
+  // local query prints.
   const std::vector<std::string> sqls = {
       "SELECT sum(value) FROM r WHERE category = 'c1'",
       "SELECT avg(value) FROM r WHERE category = 'c2'",
@@ -374,6 +376,48 @@ TEST_F(ServerTortureTest, FirstSumAndAvgRacingOnAFreshServerMatchLocal) {
     ASSERT_TRUE(replies[i].ok()) << replies[i].status().ToString();
     EXPECT_EQ(*replies[i], expected[i % sqls.size()]);
   }
+}
+
+TEST_F(ServerTortureTest, CountAllIsTheRowCountWithNullsInEveryColumn) {
+  // `SELECT count(1) FROM r` counts rows, NULL or not, and is read off
+  // the row count with no pass: locally, through Direct, and served.
+  TableBuilder b(*Schema::Make(
+      {Field::Discrete("category"), Field::Discrete("zone"),
+       Field::Numerical("value", ValueType::kDouble)}));
+  for (size_t r = 0; r < 500; ++r) {
+    b.Row({r % 7 == 0 ? Value::Null() : Value("c" + std::to_string(r % 5)),
+           r % 3 == 0 ? Value::Null() : Value("z" + std::to_string(r % 4)),
+           r % 5 == 0 ? Value::Null() : Value(0.5 * static_cast<double>(r))});
+  }
+  Rng grr_rng(5);
+  GrrOutput grr = *ApplyGrr(*b.Finish(), GrrParams::Uniform(0.25, 4.0),
+                            GrrOptions{}, grr_rng);
+  const std::string dir = base_ + "/nulls";
+  ASSERT_TRUE(WriteRelease(grr, dir).ok());
+  PrivateTable local = *OpenRelease(dir);
+  for (size_t i = 0; i < local.relation().num_columns(); ++i) {
+    EXPECT_GT(local.relation().column(i).null_count(), 0u);
+  }
+  const char* sql = "SELECT count(1) FROM r";
+  const double rows = static_cast<double>(local.size());
+  EXPECT_EQ(ExecuteSql(local, sql)->estimate, rows);
+  EXPECT_EQ(ExecuteSqlDirect(local, sql)->estimate, rows);
+  SqlResultSet rs = *ExecuteSqlQuery(local, sql);
+  std::ostringstream expected;
+  RenderSqlResultText(rs, /*direct=*/false, QueryOptions().confidence,
+                      expected);
+  EXPECT_EQ(expected.str(), "estimate: 500\n");
+
+  ServerOptions options = BaseOptions(NewSocketPath(), false);
+  options.release_dirs = {dir};
+  Server srv = *Server::Start(options);
+  auto client = Client::Connect(srv.socket_path());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto served = client->Query(sql);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(*served, expected.str());
+  ASSERT_TRUE(client->Bye().ok());
+  ASSERT_TRUE(srv.Drain().ok());
 }
 
 #ifdef PCLEAN_BINARY

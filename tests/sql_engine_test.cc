@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
@@ -26,6 +28,7 @@
 
 #include "common/random.h"
 #include "core/privateclean.h"
+#include "exact_sum_reference.h"
 
 namespace privateclean {
 namespace {
@@ -237,8 +240,9 @@ TEST(SqlEngineDifferentialTest, WhereTreeMasksMatchRecursiveReference) {
 
 TEST(SqlEngineDifferentialTest, AggregatesMatchBoxedRowLoop) {
   // COUNT and SUM re-derived from the reference mask and boxed getters;
-  // the vectorized count must agree exactly, the sum to within FP merge
-  // reassociation (per-shard partials vs one running total).
+  // the vectorized count must agree exactly, and so must the sum: it is
+  // the correctly rounded exact sum, whatever the shard layout, so it
+  // equals the big-integer reference bit for bit.
   const Table& table = SharedTable();
   const Column& score = **table.ColumnByName("score");
   for (const std::string& condition : TreeBattery()) {
@@ -246,10 +250,11 @@ TEST(SqlEngineDifferentialTest, AggregatesMatchBoxedRowLoop) {
     SqlExpr expr = *ParseWhere(condition);
     std::vector<uint8_t> mask = ReferenceMask(table, expr);
     double ref_count = static_cast<double>(CountMask(mask));
-    double ref_sum = 0.0;
+    std::vector<double> matching;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (mask[r] && !score.IsNull(r)) ref_sum += score.DoubleAt(r);
+      if (mask[r] && !score.IsNull(r)) matching.push_back(score.DoubleAt(r));
     }
+    const double ref_sum = testing_reference::ReferenceExactSum(matching);
     CompiledPredicate compiled = *CompiledPredicate::Compile(table, expr);
     AggregateQuery count_query;
     count_query.agg = AggregateType::kCount;
@@ -257,8 +262,10 @@ TEST(SqlEngineDifferentialTest, AggregatesMatchBoxedRowLoop) {
     AggregateQuery sum_query;
     sum_query.agg = AggregateType::kSum;
     sum_query.numeric_attribute = "score";
-    EXPECT_NEAR(*ExecuteAggregate(table, sum_query, compiled), ref_sum,
-                1e-9 * (1.0 + std::abs(ref_sum)));
+    auto sum = ExecuteAggregate(table, sum_query, compiled);
+    ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(*sum), std::bit_cast<uint64_t>(ref_sum))
+        << *sum << " vs " << ref_sum;
   }
 }
 
