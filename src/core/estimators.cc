@@ -116,7 +116,15 @@ Result<QueryResult> EstimateSum(const QueryScanStats& stats,
 Result<QueryResult> EstimateAvg(const QueryScanStats& stats,
                                 const EstimationInputs& in) {
   PCLEAN_ASSIGN_OR_RETURN(QueryResult sum, EstimateSum(stats, in));
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult count, EstimateCount(stats, in));
+  if (stats.total_non_null == 0) {
+    return Status::FailedPrecondition(
+        "avg undefined: every value of the attribute is NULL");
+  }
+  // The count side counts the rows AVG divides by: those with a value.
+  QueryScanStats counted = stats;
+  counted.total_rows = stats.total_non_null;
+  counted.matching_rows = stats.matching_non_null;
+  PCLEAN_ASSIGN_OR_RETURN(QueryResult count, EstimateCount(counted, in));
   if (count.estimate == 0.0) {
     return Status::FailedPrecondition("avg undefined: estimated count is 0");
   }
@@ -138,7 +146,7 @@ Result<QueryResult> EstimateAvg(const QueryScanStats& stats,
                        sum.ci.hi / c_lo, sum.ci.hi / c_hi};
   result.ci = ConfidenceInterval{*std::min_element(corners, corners + 4),
                                  *std::max_element(corners, corners + 4)};
-  double nominal_count = static_cast<double>(stats.matching_rows);
+  double nominal_count = static_cast<double>(stats.matching_non_null);
   FillDiagnostics(&result, stats, in,
                   nominal_count > 0.0 ? stats.matching_sum / nominal_count
                                       : 0.0);
@@ -166,14 +174,14 @@ QueryResult DirectSum(const QueryScanStats& stats) {
 }
 
 Result<QueryResult> DirectAvg(const QueryScanStats& stats) {
-  if (stats.matching_rows == 0) {
+  if (stats.matching_non_null == 0) {
     return Status::FailedPrecondition(
-        "avg undefined: no rows match the predicate");
+        "avg undefined: no row with a value matches the predicate");
   }
   QueryResult r;
   r.estimator = EstimatorKind::kDirect;
   r.estimate =
-      stats.matching_sum / static_cast<double>(stats.matching_rows);
+      stats.matching_sum / static_cast<double>(stats.matching_non_null);
   r.nominal = r.estimate;
   r.ci = ConfidenceInterval{r.estimate, r.estimate};
   r.s = stats.total_rows;

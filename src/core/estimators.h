@@ -40,16 +40,19 @@ Result<QueryResult> EstimateCount(const QueryScanStats& stats,
 Result<QueryResult> EstimateSum(const QueryScanStats& stats,
                                 const EstimationInputs& in);
 
-/// AVG estimator (§5.6): avg = ĥ/ĉ (conditionally unbiased). The
-/// interval is the conservative corner-ratio interval — upper CI of ĥ
-/// over lower CI of ĉ and vice versa — exactly as the paper prescribes.
-/// Errors with FailedPrecondition if the count interval straddles zero.
+/// AVG estimator (§5.6): avg = ĥ/ĉ (conditionally unbiased). ĉ, its
+/// interval and the nominal average count only rows whose numeric value
+/// is non-null (`total_non_null`, `matching_non_null`), as SQL's AVG
+/// does. The interval is the conservative corner-ratio interval — upper
+/// CI of ĥ over lower CI of ĉ and vice versa — exactly as the paper
+/// prescribes. Errors with FailedPrecondition if every numeric value is
+/// NULL or the count interval straddles zero.
 Result<QueryResult> EstimateAvg(const QueryScanStats& stats,
                                 const EstimationInputs& in);
 
 /// Direct (baseline) estimators: the nominal private values, no
-/// re-weighting (§8.1). Supplied for symmetry and for the experiment
-/// harnesses.
+/// re-weighting (§8.1). DirectAvg divides by `matching_non_null`.
+/// Supplied for symmetry and for the experiment harnesses.
 QueryResult DirectCount(const QueryScanStats& stats);
 QueryResult DirectSum(const QueryScanStats& stats);
 Result<QueryResult> DirectAvg(const QueryScanStats& stats);

@@ -27,6 +27,9 @@ QueryScanStats Stats(size_t total, size_t matching, double sum_match = 0.0,
   stats.complement_sum = sum_comp;
   stats.numeric_mean = mean;
   stats.numeric_variance = var;
+  // No NULL values: AVG's count side counts every row.
+  stats.total_non_null = total;
+  stats.matching_non_null = matching;
   return stats;
 }
 
@@ -168,6 +171,27 @@ TEST(AvgEstimatorTest, CornerRatioInterval) {
                         sum.ci.hi / count.ci.hi, sum.ci.lo / count.ci.hi}),
               1e-9);
   EXPECT_TRUE(avg.ci.Contains(avg.estimate));
+}
+
+TEST(AvgEstimatorTest, CountSideCountsOnlyNonNullValues) {
+  // 1000 rows, 200 with a NULL value; 250 match, 50 of those NULL.
+  QueryScanStats stats = Stats(1000, 250, 1000.0, 2000.0, 3.0, 1.0);
+  stats.total_non_null = 800;
+  stats.matching_non_null = 200;
+  EstimationInputs in = Inputs(0.1, 5.0, 50.0);
+  QueryResult avg = *EstimateAvg(stats, in);
+  QueryResult sum = *EstimateSum(stats, in);
+  QueryResult count = *EstimateCount(Stats(800, 200), in);
+  EXPECT_EQ(avg.estimate, sum.estimate / count.estimate);
+  EXPECT_EQ(avg.nominal, 1000.0 / 200.0);
+  EXPECT_EQ(avg.s, 1000u);
+  EXPECT_EQ(DirectAvg(stats)->estimate, 1000.0 / 200.0);
+
+  QueryScanStats all_null = Stats(1000, 250, 0.0, 0.0);
+  all_null.total_non_null = 0;
+  all_null.matching_non_null = 0;
+  EXPECT_TRUE(EstimateAvg(all_null, in).status().IsFailedPrecondition());
+  EXPECT_TRUE(DirectAvg(all_null).status().IsFailedPrecondition());
 }
 
 TEST(AvgEstimatorTest, FailsWhenCountIntervalStraddlesZero) {

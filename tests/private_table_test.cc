@@ -269,5 +269,61 @@ TEST(PrivateTableTest, ProvenanceForExposesGraph) {
   EXPECT_FALSE(pt.ProvenanceFor("score").ok());
 }
 
+TEST(PrivateTableTest, AvgDividesByNonNullValuesOnly) {
+  // SQL's AVG divides by the rows whose value is non-null. On a p = 0,
+  // b = 0 release (no noise) the corrected AVG, the Direct AVG and the
+  // compound-predicate Direct AVG all equal the mean of the non-null
+  // scores, and a match whose values are all NULL is a typed error.
+  TableBuilder b(*Schema::Make({Field::Discrete("city"),
+                                Field::Numerical("score", ValueType::kDouble)}));
+  std::vector<double> c2_scores;
+  for (size_t i = 0; i < 20000; ++i) {
+    const std::string city = "c" + std::to_string(i % 5);
+    const double score = static_cast<double>(i % 97) / 7.0;
+    const bool null_score = i % 13 == 4;
+    b.Row({Value(city), null_score ? Value::Null() : Value(score)});
+    if (city == "c2" && !null_score) c2_scores.push_back(score);
+  }
+  for (size_t i = 0; i < 50; ++i) b.Row({Value("c9"), Value::Null()});
+  Rng rng(7);
+  PrivateTable pt = *PrivateTable::Create(
+      *b.Finish(), GrrParams::Uniform(0.0, 0.0), GrrOptions{}, rng);
+  double sum = 0.0;
+  for (double x : c2_scores) sum += x;
+  const double mean = sum / static_cast<double>(c2_scores.size());
+
+  auto corrected = ExecuteSql(pt, "SELECT avg(score) FROM r WHERE city = 'c2'");
+  ASSERT_TRUE(corrected.ok()) << corrected.status().ToString();
+  EXPECT_DOUBLE_EQ(corrected->estimate, mean);
+  EXPECT_DOUBLE_EQ(corrected->nominal, mean);
+  auto direct =
+      ExecuteSqlDirect(pt, "SELECT avg(score) FROM r WHERE city = 'c2'");
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_DOUBLE_EQ(direct->estimate, mean);
+  auto compound = ExecuteSqlDirect(
+      pt, "SELECT avg(score) FROM r WHERE city = 'c2' AND score > -1");
+  ASSERT_TRUE(compound.ok()) << compound.status().ToString();
+  EXPECT_DOUBLE_EQ(compound->estimate, mean);
+  // The three read the same sum, so they agree to the bit.
+  EXPECT_EQ(corrected->estimate, direct->estimate);
+  EXPECT_EQ(direct->estimate, compound->estimate);
+
+  for (const char* sql :
+       {"SELECT avg(score) FROM r WHERE city = 'c9'",
+        "SELECT avg(score) FROM r WHERE city = 'c9' AND city != 'c1'"}) {
+    SCOPED_TRACE(sql);
+    EXPECT_TRUE(ExecuteSql(pt, sql).status().IsFailedPrecondition())
+        << ExecuteSql(pt, sql).status().ToString();
+    EXPECT_TRUE(ExecuteSqlDirect(pt, sql).status().IsFailedPrecondition())
+        << ExecuteSqlDirect(pt, sql).status().ToString();
+  }
+  EXPECT_TRUE(
+      ExecuteSqlDirect(pt,
+                       "SELECT avg(score) FROM r WHERE city = 'c9' AND "
+                       "score > -1")
+          .status()
+          .IsFailedPrecondition());
+}
+
 }  // namespace
 }  // namespace privateclean
