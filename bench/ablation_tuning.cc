@@ -33,6 +33,8 @@ int main() {
     if (!tuning.ok()) {
       std::printf("%-10.3f (unattainable: %s)\n", target,
                   tuning.status().message().c_str());
+      FailPoint("tuning for target " + std::to_string(target) + ": " +
+                tuning.status().ToString());
       continue;
     }
     // Collect selectivity-scale count errors over random queries and
@@ -49,9 +51,12 @@ int main() {
         Rng rng(31000 + 100 * q + t);
         auto pt = PrivateTable::Create(data, ToGrrParams(*tuning),
                                        GrrOptions{}, rng);
-        if (!pt.ok()) continue;
-        auto r = pt->Count(pred);
-        if (!r.ok()) continue;
+        auto r = pt.ok() ? pt->Count(pred) : Result<QueryResult>(pt.status());
+        if (!r.ok()) {
+          FailPoint("target " + std::to_string(target) + ": " +
+                    r.status().ToString());
+          continue;
+        }
         errors.push_back(std::abs(r->estimate - truth) / s);
       }
     }
@@ -65,5 +70,5 @@ int main() {
   }
   std::printf("\n(errors are in selectivity units, |est-truth|/S, as in "
               "Eq. 4)\n");
-  return 0;
+  return ExitCode();
 }

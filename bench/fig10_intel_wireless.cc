@@ -96,5 +96,5 @@ int main() {
       "Figure 10 (avg): IntelWireless avg(temp) error % vs privacy p "
       "(epsilon-matched b)",
       "p", p_values, {avg_pc, avg_direct, avg_ref});
-  return 0;
+  return ExitCode();
 }

@@ -68,5 +68,5 @@ int main() {
   PrintFigure(
       "Figure 11 (avg): MCAFE avg(enthusiasm) error % vs privacy p",
       "p", p_values, {avg_pc, avg_direct});
-  return 0;
+  return ExitCode();
 }

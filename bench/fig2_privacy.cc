@@ -89,5 +89,5 @@ int main() {
               "b", b_values, run_panel(false, false, b_values));
   PrintFigure("Figure 2d: sum error % vs numerical privacy b (p=0.1)",
               "b", b_values, run_panel(false, true, b_values));
-  return 0;
+  return ExitCode();
 }

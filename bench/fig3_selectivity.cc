@@ -49,5 +49,5 @@ int main() {
               "selectivity", selectivities, run_panel(true));
   PrintFigure("Figure 3b: count error % vs selectivity (p=0.1, b=10)",
               "selectivity", selectivities, run_panel(false));
-  return 0;
+  return ExitCode();
 }

@@ -47,5 +47,5 @@ int main() {
               "z", skews, run_panel(false));
   PrintFigure("Figure 4b: sum error % vs Zipfian skew z (p=0.1, b=10)",
               "z", skews, run_panel(true));
-  return 0;
+  return ExitCode();
 }

@@ -78,5 +78,5 @@ int main() {
   PrintFigure(
       "Figure 5b: sum error % vs data error rate (p=0.1, b=10)",
       "error rate", error_rates, run_panel(true));
-  return 0;
+  return ExitCode();
 }

@@ -77,5 +77,5 @@ int main() {
   PrintFigure(
       "Figure 6b: sum error % vs merge rate (error rate 0.5, p=0.1)",
       "merge rate", merge_fractions, run_panel(true));
-  return 0;
+  return ExitCode();
 }

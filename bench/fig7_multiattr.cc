@@ -108,5 +108,5 @@ int main() {
       "Figure 7: multi-attribute cleaning (Example 6 imputation), count "
       "error % vs missing-instructor rate (p=0.15)",
       "null rate", null_rates, {pcw, pcu, direct});
-  return 0;
+  return ExitCode();
 }

@@ -120,5 +120,5 @@ int main() {
         "corruptions (MD repair, p=0.1)",
         "corruptions", corruption_counts, {pc, direct});
   }
-  return 0;
+  return ExitCode();
 }

@@ -74,5 +74,5 @@ int main() {
       "Figure 9b: count error % vs distinct fraction N/S "
       "(5% error rate, p=0.1, b=10)",
       "N/S", distinct_fractions, run_panel(false));
-  return 0;
+  return ExitCode();
 }

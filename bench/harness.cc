@@ -6,6 +6,19 @@
 namespace privateclean {
 namespace bench {
 
+namespace {
+
+bool failed_point = false;
+
+}  // namespace
+
+void FailPoint(const std::string& what) {
+  std::fprintf(stderr, "failed point: %s\n", what.c_str());
+  failed_point = true;
+}
+
+int ExitCode() { return failed_point ? 1 : 0; }
+
 void PrintFigure(const std::string& title, const std::string& x_label,
                  const std::vector<double>& xs,
                  const std::vector<Series>& series) {
@@ -21,7 +34,10 @@ void PrintFigure(const std::string& title, const std::string& x_label,
   for (size_t i = 0; i < xs.size(); ++i) {
     std::printf("%-14.4g", xs[i]);
     for (const Series& s : series) {
-      if (i < s.values.size() && std::isfinite(s.values[i])) {
+      if (i < s.values.size() && s.values[i] < 0.0) {
+        std::printf("  %-18s", "failed");
+        failed_point = true;
+      } else if (i < s.values.size() && std::isfinite(s.values[i])) {
         std::printf("  %-18.3f", s.values[i]);
       } else {
         std::printf("  %-18s", "n/a");

@@ -17,10 +17,20 @@ struct Series {
 };
 
 /// Prints a paper-style figure as an aligned ASCII table: one row per x
-/// value, one column per series (mean relative error %).
+/// value, one column per series (mean relative error %). A negative value
+/// marks a failed point (an error is never negative): it prints as
+/// "failed" and sets ExitCode() to 1.
 void PrintFigure(const std::string& title, const std::string& x_label,
                  const std::vector<double>& xs,
                  const std::vector<Series>& series);
+
+/// Records a failed point that no figure prints, with the reason on
+/// stderr, and sets ExitCode() to 1.
+void FailPoint(const std::string& what);
+
+/// What every bench's main returns: 1 once any point failed, else 0, so
+/// a failed point fails the bench's ctest after every figure printed.
+int ExitCode();
 
 /// Specification of one experiment point: privatize `data` with `params`,
 /// optionally clean, run `query` against the PrivateClean and Direct

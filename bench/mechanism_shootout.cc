@@ -39,7 +39,6 @@ int main() {
   const std::vector<double> eps_values{0.5, 1.0, 2.0, 3.0, 5.0};
 
   std::vector<Series> series;
-  bool failed = false;
   for (MechanismFamily family : kMechanismFamilies) {
     Series s{MechanismName(family), {}};
     for (double eps : eps_values) {
@@ -60,7 +59,6 @@ int main() {
                      MechanismName(family), eps,
                      r.status().ToString().c_str());
         s.values.push_back(-1);
-        failed = true;
         continue;
       }
       s.values.push_back(r->privateclean_pct);
@@ -72,5 +70,5 @@ int main() {
       "Mechanism shootout: count error % vs per-attribute epsilon "
       "(equal nominal budget)",
       "eps", eps_values, series);
-  return failed ? 1 : 0;
+  return ExitCode();
 }

@@ -73,9 +73,9 @@ Status ValidateDiscreteAttribute(const Table& table,
 /// (a double column's -0.0 and +0.0 rows share one domain entry, and an
 /// untouched row keeps its own sign). Every result is checked against
 /// the column type before anything is interned or written, so a failing
-/// call leaves the column as it was. String columns are rewritten as a
-/// code gather, with new values interned in the domain's
-/// first-appearance order; other columns through boxed SetValue.
+/// call leaves the column as it was. New strings are interned in the
+/// domain's first-appearance order, and the rows are rewritten in one
+/// pass over their codes (table/domain.h's ColumnCodes).
 Status RemapDistinctValues(
     Table* table, const std::string& attribute,
     const std::function<std::optional<Value>(const Value&, const Domain&)>&

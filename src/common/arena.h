@@ -29,8 +29,8 @@ struct ArenaSiteStats {
 
 /// Process-wide registry of per-call-site arena statistics, in the style
 /// of a malloc-shim profiler: every Arena registers under its `site` tag
-/// and streams its allocation traffic into the tag's counters. Snapshot()
-/// is what `QueryResult::memory` surfaces.
+/// and streams its allocation traffic into the tag's counters, read on
+/// demand through Snapshot() and Totals().
 class ArenaProfiler {
  public:
   /// Stats for every site that has ever allocated, sorted by site name

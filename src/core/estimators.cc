@@ -88,10 +88,15 @@ Result<QueryResult> EstimateSum(const QueryScanStats& stats,
                           ComputeTransitionProbabilities(in.p, in.l, in.n));
   double denom = t.true_positive - t.false_positive;  // == 1 − p.
 
-  // Eq. 5 / Appendix C closed form.
-  double estimate = ((1.0 - t.false_positive) * stats.matching_sum -
-                     t.false_positive * stats.complement_sum) /
-                    denom;
+  // Eq. 5 / Appendix C closed form. At τ_n = 0 (p = 0) the complement
+  // term weighs nothing and adds nothing, even when h_p^c is ±inf or NaN
+  // (where 0·h_p^c would be NaN).
+  const double complement_term =
+      t.false_positive == 0.0 ? 0.0
+                              : t.false_positive * stats.complement_sum;
+  double estimate =
+      ((1.0 - t.false_positive) * stats.matching_sum - complement_term) /
+      denom;
 
   // Interval (§5.5): bound via the moments of the private numeric
   // attribute. sd(h_p) <= sqrt(S·(s_p(1−s_p)·μ_p² + σ_p²)); the paper
@@ -151,41 +156,6 @@ Result<QueryResult> EstimateAvg(const QueryScanStats& stats,
                   nominal_count > 0.0 ? stats.matching_sum / nominal_count
                                       : 0.0);
   return result;
-}
-
-QueryResult DirectCount(const QueryScanStats& stats) {
-  QueryResult r;
-  r.estimator = EstimatorKind::kDirect;
-  r.estimate = static_cast<double>(stats.matching_rows);
-  r.nominal = r.estimate;
-  r.ci = ConfidenceInterval{r.estimate, r.estimate};
-  r.s = stats.total_rows;
-  return r;
-}
-
-QueryResult DirectSum(const QueryScanStats& stats) {
-  QueryResult r;
-  r.estimator = EstimatorKind::kDirect;
-  r.estimate = stats.matching_sum;
-  r.nominal = r.estimate;
-  r.ci = ConfidenceInterval{r.estimate, r.estimate};
-  r.s = stats.total_rows;
-  return r;
-}
-
-Result<QueryResult> DirectAvg(const QueryScanStats& stats) {
-  if (stats.matching_non_null == 0) {
-    return Status::FailedPrecondition(
-        "avg undefined: no row with a value matches the predicate");
-  }
-  QueryResult r;
-  r.estimator = EstimatorKind::kDirect;
-  r.estimate =
-      stats.matching_sum / static_cast<double>(stats.matching_non_null);
-  r.nominal = r.estimate;
-  r.ci = ConfidenceInterval{r.estimate, r.estimate};
-  r.s = stats.total_rows;
-  return r;
 }
 
 }  // namespace privateclean

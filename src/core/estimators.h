@@ -50,13 +50,6 @@ Result<QueryResult> EstimateSum(const QueryScanStats& stats,
 Result<QueryResult> EstimateAvg(const QueryScanStats& stats,
                                 const EstimationInputs& in);
 
-/// Direct (baseline) estimators: the nominal private values, no
-/// re-weighting (§8.1). DirectAvg divides by `matching_non_null`.
-/// Supplied for symmetry and for the experiment harnesses.
-QueryResult DirectCount(const QueryScanStats& stats);
-QueryResult DirectSum(const QueryScanStats& stats);
-Result<QueryResult> DirectAvg(const QueryScanStats& stats);
-
 }  // namespace privateclean
 
 #endif  // PRIVATECLEAN_CORE_ESTIMATORS_H_

@@ -5,28 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/exact_sum.h"
 #include "privacy/allocation.h"
 
 namespace privateclean {
-
-namespace {
-
-/// Stamps QueryResult::memory with the scanned relation's footprint and
-/// the process-wide arena totals at result time.
-void StampMemoryStats(const Table& relation, QueryResult* r) {
-  ColumnMemory m = relation.MemoryUsage();
-  r->memory.relation_payload_bytes = m.payload_bytes;
-  r->memory.dictionary_bytes = m.dictionary_bytes;
-  r->memory.dictionary_entries = m.dictionary_entries;
-  ArenaSiteStats totals = ArenaProfiler::Totals();
-  r->memory.arena_live_bytes = totals.live_bytes;
-  r->memory.arena_peak_bytes = totals.peak_live_bytes;
-  r->memory.arena_alloc_calls = totals.alloc_calls;
-}
-
-}  // namespace
 
 Result<PrivateTable> PrivateTable::Create(const Table& original,
                                           const GrrParams& params,
@@ -253,52 +235,39 @@ Result<EstimationInputs> PrivateTable::InputsForPredicate(
   return in;
 }
 
-Result<QueryScanStats> PrivateTable::Scan(const Predicate& predicate,
-                                          const std::string& numeric_attribute,
-                                          const ExecutionOptions& exec) const {
-  PCLEAN_ASSIGN_OR_RETURN(
-      QueryScanStats stats,
-      ScanPredicateSums(relation_, predicate, numeric_attribute, exec));
-  if (!numeric_attribute.empty()) {
-    PCLEAN_ASSIGN_OR_RETURN(NumericMoments moments,
-                            CachedMomentsFor(numeric_attribute, exec));
-    stats.numeric_mean = moments.mean;
-    stats.numeric_variance = moments.variance;
-  }
-  return stats;
-}
-
 Result<QueryScanStats> PrivateTable::SumStats(
     const Predicate& predicate, const std::string& numeric_attribute,
     const std::vector<Value>& m_pred, size_t m_pred_rows,
     const ExecutionOptions& exec) const {
   PCLEAN_ASSIGN_OR_RETURN(const Column* key,
                           relation_.ColumnByName(predicate.attribute()));
+  QueryScanStats stats;
   if (key->type() != ValueType::kString) {
-    return Scan(predicate, numeric_attribute, exec);
+    PCLEAN_ASSIGN_OR_RETURN(
+        stats, ScanPredicateSums(relation_, predicate, numeric_attribute, exec));
+  } else {
+    PCLEAN_ASSIGN_OR_RETURN(
+        const ValueSums* sums,
+        CachedValueSumsFor(predicate.attribute(), numeric_attribute, exec));
+    ExactSum matching;
+    for (const Value& value : m_pred) {
+      const uint32_t code = value.is_null()
+                                ? kNullCode
+                                : key->dictionary().Find(value.AsString());
+      if (code == kNullCode && !value.is_null()) continue;  // No rows.
+      sums->sums.AddTo(sums->SlotOf(code), &matching);
+    }
+    ExactSum complement = sums->total;
+    complement.Subtract(matching);
+    stats.total_rows = relation_.num_rows();
+    stats.matching_rows = m_pred_rows;
+    stats.matching_sum = matching.Round();
+    stats.complement_sum = complement.Round();
+    stats.matching_non_null = matching.count();
+    stats.total_non_null = sums->total.count();
   }
-  PCLEAN_ASSIGN_OR_RETURN(
-      const ValueSums* sums,
-      CachedValueSumsFor(predicate.attribute(), numeric_attribute, exec));
   PCLEAN_ASSIGN_OR_RETURN(NumericMoments moments,
                           CachedMomentsFor(numeric_attribute, exec));
-  ExactSum matching;
-  for (const Value& value : m_pred) {
-    const uint32_t code = value.is_null()
-                              ? kNullCode
-                              : key->dictionary().Find(value.AsString());
-    if (code == kNullCode && !value.is_null()) continue;  // No rows.
-    sums->sums.AddTo(sums->SlotOf(code), &matching);
-  }
-  ExactSum complement = sums->total;
-  complement.Subtract(matching);
-  QueryScanStats stats;
-  stats.total_rows = relation_.num_rows();
-  stats.matching_rows = m_pred_rows;
-  stats.matching_sum = matching.Round();
-  stats.complement_sum = complement.Round();
-  stats.matching_non_null = matching.count();
-  stats.total_non_null = sums->total.count();
   stats.numeric_mean = moments.mean;
   stats.numeric_variance = moments.variance;
   return stats;
@@ -313,7 +282,6 @@ Result<QueryResult> PrivateTable::Count(const Predicate& predicate,
       EstimationInputs in,
       InputsForPredicate(predicate, "", options, &stats.matching_rows));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateCount(stats, in));
-  StampMemoryStats(relation_, &r);
   return r;
 }
 
@@ -330,7 +298,6 @@ Result<QueryResult> PrivateTable::Sum(const std::string& numeric_attribute,
                           SumStats(predicate, numeric_attribute, m_pred,
                                    m_pred_rows, options.exec));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateSum(stats, in));
-  StampMemoryStats(relation_, &r);
   return r;
 }
 
@@ -347,7 +314,6 @@ Result<QueryResult> PrivateTable::Avg(const std::string& numeric_attribute,
                           SumStats(predicate, numeric_attribute, m_pred,
                                    m_pred_rows, options.exec));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateAvg(stats, in));
-  StampMemoryStats(relation_, &r);
   return r;
 }
 
@@ -363,7 +329,6 @@ Result<QueryResult> PrivateTable::CountConjunctive(
       ScanConjunctive(relation_, cond_a, cond_b, options.exec));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r,
                           EstimateConjunctiveCount(stats, in_a, in_b));
-  StampMemoryStats(relation_, &r);
   return r;
 }
 
@@ -401,7 +366,6 @@ PrivateTable::GroupByCountEstimate(const std::string& attribute,
     stats.total_rows = relation_.num_rows();
     stats.matching_rows = clean_domain.frequency(i);
     PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateCount(stats, in));
-    StampMemoryStats(relation_, &r);
     groups.emplace_back(clean_domain.value(i), std::move(r));
   }
   return groups;
@@ -459,60 +423,27 @@ Result<QueryResult> PrivateTable::Execute(const AggregateQuery& query,
     half = (s > 0.0) ? z * std::sqrt(2.0 * b * b / s) : 0.0;
   }
   r.ci = ConfidenceInterval{r.estimate - half, r.estimate + half};
-  StampMemoryStats(relation_, &r);
   return r;
 }
 
 Result<QueryResult> PrivateTable::ExecuteDirect(
     const AggregateQuery& query, const QueryOptions& options) const {
-  if (query.agg == AggregateType::kMin || query.agg == AggregateType::kMax) {
-    // Direct answers extremes nominally — the whole point of the
-    // baseline is reading noised values as-is.
-    PCLEAN_ASSIGN_OR_RETURN(
-        double nominal, ExecuteAggregate(relation_, query, options.exec));
-    QueryResult r;
-    r.estimator = EstimatorKind::kDirect;
-    r.estimate = nominal;
-    r.nominal = nominal;
-    r.ci = ConfidenceInterval{nominal, nominal};
-    r.s = relation_.num_rows();
-    StampMemoryStats(relation_, &r);
-    return r;
-  }
-  if (query.agg != AggregateType::kCount &&
-      query.agg != AggregateType::kSum && query.agg != AggregateType::kAvg) {
+  // Direct reads nominal values as they are, extremes included: the
+  // whole point of the baseline.
+  if (query.agg != AggregateType::kCount && query.agg != AggregateType::kSum &&
+      query.agg != AggregateType::kAvg && query.agg != AggregateType::kMin &&
+      query.agg != AggregateType::kMax) {
     return Status::InvalidArgument(
         "ExecuteDirect supports sum/count/avg aggregates");
   }
-  if (!query.predicate.has_value()) {
-    PCLEAN_ASSIGN_OR_RETURN(
-        double nominal, ExecuteAggregate(relation_, query, options.exec));
-    QueryResult r;
-    r.estimator = EstimatorKind::kDirect;
-    r.estimate = nominal;
-    r.nominal = nominal;
-    r.ci = ConfidenceInterval{nominal, nominal};
-    r.s = relation_.num_rows();
-    StampMemoryStats(relation_, &r);
-    return r;
-  }
-  PCLEAN_ASSIGN_OR_RETURN(
-      QueryScanStats stats,
-      Scan(*query.predicate,
-           query.agg == AggregateType::kCount ? "" : query.numeric_attribute,
-           options.exec));
-  Result<QueryResult> direct = [&]() -> Result<QueryResult> {
-    switch (query.agg) {
-      case AggregateType::kCount:
-        return DirectCount(stats);
-      case AggregateType::kSum:
-        return DirectSum(stats);
-      default:
-        return DirectAvg(stats);
-    }
-  }();
-  PCLEAN_ASSIGN_OR_RETURN(QueryResult r, std::move(direct));
-  StampMemoryStats(relation_, &r);
+  PCLEAN_ASSIGN_OR_RETURN(double nominal,
+                          ExecuteAggregate(relation_, query, options.exec));
+  QueryResult r;
+  r.estimator = EstimatorKind::kDirect;
+  r.estimate = nominal;
+  r.nominal = nominal;
+  r.ci = ConfidenceInterval{nominal, nominal};
+  r.s = relation_.num_rows();
   return r;
 }
 
@@ -659,7 +590,6 @@ Result<QueryResult> PrivateTable::BootstrapExtendedAggregate(
   result.s = rows;
   result.replicates_requested = replicates;
   result.replicates_effective = effective;
-  StampMemoryStats(relation_, &result);
   return result;
 }
 

@@ -161,8 +161,9 @@ class PrivateTable {
   /// --- Baselines and extensions ----------------------------------------
 
   /// The Direct estimator (§8.1): nominal value on the cleaned private
-  /// relation, no re-weighting. Only `options.exec` is consulted (Direct
-  /// has no confidence interval or provenance cut to configure).
+  /// relation, no re-weighting — ExecuteAggregate's answer, with its null
+  /// rules. Only `options.exec` is consulted (Direct has no confidence
+  /// interval or provenance cut to configure).
   Result<QueryResult> ExecuteDirect(
       const AggregateQuery& query,
       const QueryOptions& options = QueryOptions()) const;
@@ -238,10 +239,6 @@ class PrivateTable {
 
  private:
   PrivateTable() = default;
-
-  Result<QueryScanStats> Scan(const Predicate& predicate,
-                              const std::string& numeric_attribute,
-                              const ExecutionOptions& exec = {}) const;
 
   /// The stats of a corrected Sum/Avg: merged from the cached per-value
   /// sums of `m_pred` (covering `m_pred_rows` rows) when the predicate's

@@ -7,20 +7,6 @@
 
 namespace privateclean {
 
-/// Memory accounting captured when a query result was produced: the
-/// footprint of the relation the query scanned, plus the process-wide
-/// arena profiler totals (common/arena.h). Dictionary bytes live in
-/// per-column arenas, so `dictionary_bytes` is the interned-string
-/// portion of `arena_live_bytes`.
-struct MemoryStats {
-  size_t relation_payload_bytes = 0;  ///< Code/value/validity vectors.
-  size_t dictionary_bytes = 0;        ///< Interned string bytes (arenas).
-  size_t dictionary_entries = 0;      ///< Distinct strings across columns.
-  size_t arena_live_bytes = 0;        ///< Live bytes across all arena sites.
-  size_t arena_peak_bytes = 0;        ///< Summed per-site high-water marks.
-  size_t arena_alloc_calls = 0;       ///< Cumulative arena allocations.
-};
-
 /// Which estimator produced a result.
 enum class EstimatorKind {
   kDirect = 0,        ///< Nominal value read off the private relation.
@@ -49,10 +35,6 @@ struct QueryResult {
   // interval quality should compare the two.
   size_t replicates_requested = 0;  ///< Bootstrap replicates asked for.
   size_t replicates_effective = 0;  ///< Replicates the CI was computed on.
-
-  /// Relation/arena memory accounting at result time (zeroed for results
-  /// built outside PrivateTable's query entry points).
-  MemoryStats memory;
 };
 
 }  // namespace privateclean

@@ -1,6 +1,6 @@
 #include "privacy/grr.h"
 
-#include <limits>
+#include <algorithm>
 
 #include "common/thread_pool.h"
 #include "privacy/laplace_mechanism.h"
@@ -10,55 +10,28 @@ namespace privateclean {
 
 namespace {
 
-constexpr uint32_t kNoDomainIndex = std::numeric_limits<uint32_t>::max();
-
 /// Domain index of every row of `column` before randomization, so the
 /// sharded kernels can track Theorem 2 domain coverage during the
 /// randomization pass itself (a retry round then costs one pass, not a
-/// randomize-then-rescan pair). Rows whose value is somehow outside the
-/// domain (cannot happen when the domain was taken from this column; be
-/// safe) get a sentinel the kernels skip.
+/// randomize-then-rescan pair). Each distinct value is resolved against
+/// the domain once; a row whose value is outside it (a NaN, which equals
+/// nothing) gets UINT32_MAX, which the kernels skip.
 std::vector<uint32_t> DomainIndices(const Column& column, const Domain& domain,
                                     const ExecutionOptions& exec) {
-  std::vector<uint32_t> indices(column.size(), kNoDomainIndex);
+  const ColumnCodes codes(column);
+  const std::vector<uint32_t> slot_index = codes.IndicesIn(domain);
+  const uint32_t* row_codes = codes.codes();
+  const uint32_t null_slot = codes.null_slot();
+  std::vector<uint32_t> indices(column.size());
   // Read-only on the column and domain, so sharding is safe; the result
   // does not depend on the shard layout.
-  if (column.type() == ValueType::kString) {
-    // Dictionary fast path: resolve each *distinct* value against the
-    // domain once (O(distinct) hash lookups), then the per-row pass is a
-    // pair of array reads. Null rows resolve through the null member's
-    // domain index, exactly as IndexOf(Value::Null()) would.
-    const StringDictionary& dict = column.dictionary();
-    std::vector<uint32_t> code_to_index(dict.size(), kNoDomainIndex);
-    for (uint32_t c = 0; c < dict.size(); ++c) {
-      auto idx = domain.IndexOf(Value(std::string(dict.At(c))));
-      if (idx.ok()) code_to_index[c] = static_cast<uint32_t>(*idx);
-    }
-    uint32_t null_index = kNoDomainIndex;
-    if (auto idx = domain.IndexOf(Value::Null()); idx.ok()) {
-      null_index = static_cast<uint32_t>(*idx);
-    }
-    const uint32_t* codes = column.codes().data();
-    (void)ParallelFor(
-        column.size(), ShardCountForRows(column.size()), exec,
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t r = begin; r < end; ++r) {
-            indices[r] = codes[r] == kNullCode ? null_index
-                                               : code_to_index[codes[r]];
-          }
-          return Status::OK();
-        });
-    return indices;
-  }
-  (void)ParallelFor(
-      column.size(), ShardCountForRows(column.size()), exec,
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          auto idx = domain.IndexOf(column.ValueAt(r));
-          if (idx.ok()) indices[r] = static_cast<uint32_t>(*idx);
-        }
-        return Status::OK();
-      });
+  (void)ParallelFor(column.size(), ShardCountForRows(column.size()), exec,
+                    [&](size_t, size_t begin, size_t end) -> Status {
+                      for (size_t r = begin; r < end; ++r) {
+                        indices[r] = slot_index[std::min(row_codes[r], null_slot)];
+                      }
+                      return Status::OK();
+                    });
   return indices;
 }
 
@@ -86,10 +59,11 @@ Status RandomizeDiscreteColumn(Column* col, const Column& original,
     coverage.resize(shards);
   }
 
-  // Single-writer dictionary step before the parallel section: intern
-  // every string domain value so the sharded kernels write plain codes.
-  PCLEAN_ASSIGN_OR_RETURN(std::vector<uint32_t> domain_codes,
-                          PrepareDomainCodes(col, domain));
+  // Single-writer step before the parallel section: the domain as the
+  // column stores it (string values interned), so the sharded kernels
+  // write plain words.
+  PCLEAN_ASSIGN_OR_RETURN(PreparedValues domain_values,
+                          col->PrepareValues(domain.values()));
 
   size_t attempts = 0;
   for (;;) {
@@ -106,10 +80,9 @@ Status RandomizeDiscreteColumn(Column* col, const Column& original,
             shard_coverage = coverage[shard].data();
             indices = original_indices.data();
           }
-          return ApplyRandomizedResponseShard(
-              col, domain, p_eff, shard_rngs[shard], begin, end, indices,
-              shard_coverage,
-              domain_codes.empty() ? nullptr : domain_codes.data());
+          return ApplyRandomizedResponseShard(col, domain_values, p_eff,
+                                              shard_rngs[shard], begin, end,
+                                              indices, shard_coverage);
         }));
     col->RecomputeNullCount();
     if (!track_coverage) return Status::OK();
@@ -137,9 +110,9 @@ Status RandomizeDiscreteColumn(Column* col, const Column& original,
     }
     // Restore the original values and retry with fresh randomness. The
     // restore also restores the original's dictionary, so the domain
-    // codes must be re-prepared against it before the next attempt.
+    // must be re-prepared against it before the next attempt.
     *col = original;
-    PCLEAN_ASSIGN_OR_RETURN(domain_codes, PrepareDomainCodes(col, domain));
+    PCLEAN_ASSIGN_OR_RETURN(domain_values, col->PrepareValues(domain.values()));
   }
 }
 

@@ -1,8 +1,6 @@
 #ifndef PRIVATECLEAN_PRIVACY_RANDOMIZED_RESPONSE_H_
 #define PRIVATECLEAN_PRIVACY_RANDOMIZED_RESPONSE_H_
 
-#include <vector>
-
 #include "common/random.h"
 #include "common/result.h"
 #include "table/column.h"
@@ -25,20 +23,6 @@ namespace privateclean {
 Status ApplyRandomizedResponse(Column* column, const Domain& domain,
                                double p, Rng& rng);
 
-/// Pre-interns every string domain value into the dictionary of a string
-/// `column` and returns the domain-index -> dictionary-code table (the
-/// null domain member maps to kNullCode). This is the single-writer step
-/// that must run *before* sharded randomization: with the table in hand,
-/// the parallel kernels replace a row with one Bernoulli draw, one
-/// uniform integer draw, and a plain `uint32_t` store — no string copies
-/// and no dictionary mutation. Rejects non-string domain members with
-/// InvalidArgument (they could never be stored in the column).
-///
-/// For non-string columns returns an empty table; the kernels then write
-/// through the typed numeric storage as before.
-Result<std::vector<uint32_t>> PrepareDomainCodes(Column* column,
-                                                 const Domain& domain);
-
 /// Row-range kernel of randomized response, for sharded execution
 /// (common/thread_pool.h): randomizes rows [begin, end) of `column`
 /// drawing from `rng`, one Bernoulli(p) per row and one UniformInt(N)
@@ -49,25 +33,26 @@ Result<std::vector<uint32_t>> PrepareDomainCodes(Column* column,
 /// and skip the shared null bookkeeping, so the caller must invoke
 /// `column->RecomputeNullCount()` after all shards finish.
 ///
-/// `domain_codes` must be the table returned by PrepareDomainCodes for
-/// this (column, domain) pair; it is required for string columns (the
-/// kernel writes codes, never strings) and ignored for numeric ones.
+/// `domain_values` is the randomization domain (N = its size) prepared
+/// for this column by `column->PrepareValues(domain.values())`, the
+/// single-writer step before the sharded pass: a replacement is then one
+/// table lookup and one store, whatever the column type.
 ///
-/// If `coverage` is non-null it must point at `domain.size()` flags; the
-/// kernel sets the flag of every domain value that appears in the range
-/// *after* randomization — replaced rows mark the drawn index, untouched
-/// rows mark `original_indices[r]` (the domain index of the row's
+/// If `coverage` is non-null it must point at N flags; the kernel sets
+/// the flag of every domain value that appears in the range *after*
+/// randomization — replaced rows mark the drawn index, untouched rows
+/// mark `original_indices[r]` (the domain index of the row's
 /// pre-randomization value, which the caller computes once per column;
 /// UINT32_MAX marks a value outside the domain and contributes nothing).
 /// This is how `ApplyGrr` tracks Theorem 2 domain preservation in the
 /// same pass as the randomization instead of rescanning the column.
 /// `original_indices` may be null when `coverage` is null.
-Status ApplyRandomizedResponseShard(Column* column, const Domain& domain,
+Status ApplyRandomizedResponseShard(Column* column,
+                                    const PreparedValues& domain_values,
                                     double p, Rng& rng, size_t begin,
                                     size_t end,
                                     const uint32_t* original_indices,
-                                    uint8_t* coverage,
-                                    const uint32_t* domain_codes = nullptr);
+                                    uint8_t* coverage);
 
 /// Transition probabilities of randomized response for a predicate that
 /// selects l of the N distinct values (paper §5.3). These are the

@@ -1,5 +1,6 @@
 #include "provenance/provenance_graph.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 
@@ -10,35 +11,15 @@ namespace privateclean {
 
 namespace {
 
-/// Per-shard partial of the boxed clean-domain discovery pass: the
-/// shard's distinct values in local first-appearance order with
-/// occurrence counts. Concatenating the partials in shard index order
-/// and deduping reproduces the global first-appearance order exactly.
-struct CleanDomainPartial {
-  std::vector<Value> values;
-  std::vector<size_t> counts;
-  std::unordered_map<Value, size_t, ValueHash> local_index;
-
-  void Add(const Value& v) {
-    auto [it, inserted] = local_index.emplace(v, values.size());
-    if (inserted) {
-      values.push_back(v);
-      counts.push_back(1);
-    } else {
-      ++counts[it->second];
-    }
-  }
-};
-
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
-/// One shard's (snapshot slot, current slot) row counts for
-/// dictionary-encoded columns; a slot is a dictionary code, with one
-/// extra slot past the dictionary for null. A shard holds at most
-/// kRowsPerShard rows, so 32-bit counters suffice. Each snapshot slot
-/// keeps the first current slot it pairs with as its primary; the
-/// further pairs of a forked dirty value (multi-attribute cleaning, §7)
-/// go to `forks`, keyed snapshot slot × current slots + current slot.
+/// One shard's (snapshot slot, current slot) row counts, where a slot is
+/// a ColumnCodes slot (a code, or the null slot past the codes). A shard
+/// holds at most kRowsPerShard rows, so 32-bit counters suffice. Each
+/// snapshot slot keeps the first current slot it pairs with as its
+/// primary; the further pairs of a forked dirty value (multi-attribute
+/// cleaning, §7) go to `forks`, keyed snapshot slot × current slots +
+/// current slot.
 struct CodePairPartial {
   std::vector<uint32_t> current_counts;
   std::vector<uint32_t> current_order;  ///< First-appearance order.
@@ -47,54 +28,35 @@ struct CodePairPartial {
   std::unordered_map<uint64_t, uint32_t> forks;
 };
 
-/// Domain index of every dictionary slot of `column` (slot dict.size() =
-/// null), resolved once per distinct value; kNoSlot for values outside
-/// `domain`.
-std::vector<uint32_t> SlotDomainIndices(const Column& column,
-                                        const Domain& domain) {
-  const StringDictionary& dict = column.dictionary();
-  std::vector<uint32_t> slot_to_index(dict.size() + 1, kNoSlot);
-  for (uint32_t c = 0; c < dict.size(); ++c) {
-    auto idx = domain.IndexOf(Value(std::string(dict.At(c))));
-    if (idx.ok()) slot_to_index[c] = static_cast<uint32_t>(*idx);
-  }
-  if (auto idx = domain.IndexOf(Value::Null()); idx.ok()) {
-    slot_to_index[dict.size()] = static_cast<uint32_t>(*idx);
-  }
-  return slot_to_index;
-}
-
 Status MissingSnapshotValue(const Column& dirty_snapshot, size_t row) {
   return Status::InvalidArgument(
       "snapshot value '" + dirty_snapshot.ValueAt(row).ToString() +
       "' at row " + std::to_string(row) + " is not in the dirty domain");
 }
 
-/// Both Build paths yield the clean domain and the row count of every
-/// (dirty index, clean index) pair, keyed dirty * |clean domain| + clean
-/// so the map iterates in ascending (dirty, clean) order.
+/// The row count of every (dirty index, clean index) pair, keyed
+/// dirty * |clean domain| + clean so the map iterates in ascending
+/// (dirty, clean) order.
 using PairCounts = std::map<uint64_t, size_t>;
 
-/// The dictionary path: one sharded pass over (snapshot code, current
-/// code) with vector indexing and no per-row hashing. The shard-order
-/// merge rebuilds the clean domain in global first-appearance order and
-/// resolves each distinct slot to its domain index once.
+/// One sharded pass over (snapshot slot, current slot) with vector
+/// indexing and no per-row hashing, for every column type. The
+/// shard-order merge rebuilds the clean domain in global first-appearance
+/// order and resolves each distinct snapshot slot to its dirty-domain
+/// index once.
 Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
                       const Domain& dirty_domain, const ExecutionOptions& exec,
                       Domain* clean_domain, PairCounts* pairs) {
+  const ColumnCodes dirty(dirty_snapshot);
+  const ColumnCodes clean(clean_current);
   const size_t rows = clean_current.size();
   const size_t shards = ShardCountForRows(rows);
-  const StringDictionary& clean_dict = clean_current.dictionary();
-  const uint32_t* dirty_codes = dirty_snapshot.codes().data();
-  const uint32_t* clean_codes = clean_current.codes().data();
-  const uint32_t dirty_null_slot =
-      static_cast<uint32_t>(dirty_snapshot.dictionary().size());
-  const uint32_t clean_null_slot = static_cast<uint32_t>(clean_dict.size());
-  const size_t dirty_slots = size_t{dirty_null_slot} + 1;
-  const size_t clean_slots = size_t{clean_null_slot} + 1;
-  auto dirty_slot = [&](size_t r) {
-    return dirty_codes[r] == kNullCode ? dirty_null_slot : dirty_codes[r];
-  };
+  const uint32_t* dirty_codes = dirty.codes();
+  const uint32_t* clean_codes = clean.codes();
+  const uint32_t dirty_null_slot = dirty.null_slot();
+  const uint32_t clean_null_slot = clean.null_slot();
+  const size_t dirty_slots = dirty.num_slots();
+  const size_t clean_slots = clean.num_slots();
 
   std::vector<CodePairPartial> partials(shards);
   PCLEAN_RETURN_NOT_OK(ParallelFor(
@@ -104,7 +66,10 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
         part.primary.assign(dirty_slots, kNoSlot);
         part.primary_counts.assign(dirty_slots, 0);
         for (size_t r = begin; r < end; ++r) {
-          const uint32_t d = dirty_slot(r);
+          // A branch, not std::min: null rows are rare, and the captured
+          // null slots are then loaded only on their rows.
+          const uint32_t d =
+              dirty_codes[r] == kNullCode ? dirty_null_slot : dirty_codes[r];
           const uint32_t c =
               clean_codes[r] == kNullCode ? clean_null_slot : clean_codes[r];
           if (part.current_counts[c]++ == 0) part.current_order.push_back(c);
@@ -152,13 +117,14 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
     }
   }
 
-  const std::vector<uint32_t> dirty_index =
-      SlotDomainIndices(dirty_snapshot, dirty_domain);
+  const std::vector<uint32_t> dirty_index = dirty.IndicesIn(dirty_domain);
   for (size_t d = 0; d < dirty_slots; ++d) {
     if (primary[d] != kNoSlot && dirty_index[d] == kNoSlot) {
       // Error path only: rescan for the first row with an unknown value.
       size_t r = 0;
-      while (dirty_index[dirty_slot(r)] != kNoSlot) ++r;
+      while (dirty_index[std::min(dirty_codes[r], dirty_null_slot)] != kNoSlot) {
+        ++r;
+      }
       return MissingSnapshotValue(dirty_snapshot, r);
     }
   }
@@ -168,9 +134,7 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
   std::vector<uint32_t> clean_index(clean_slots, kNoSlot);
   for (uint32_t c : clean_order) {
     clean_index[c] = static_cast<uint32_t>(values.size());
-    values.push_back(c == clean_null_slot
-                         ? Value::Null()
-                         : Value(std::string(clean_dict.At(c))));
+    values.push_back(clean.ValueOf(c));
     counts.push_back(clean_totals[c]);
   }
   *clean_domain = Domain::FromValueCounts(values, counts);
@@ -182,53 +146,6 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
   }
   for (const auto& [slots, n] : forks) {
     (*pairs)[key(slots / clean_slots, slots % clean_slots)] += n;
-  }
-  return Status::OK();
-}
-
-/// The boxed path (int64/double attributes): clean-domain discovery,
-/// then hashed (dirty, clean) pair counts, both sharded and merged in
-/// shard order.
-Status CountValuePairs(const Column& dirty_snapshot,
-                       const Column& clean_current, const Domain& dirty_domain,
-                       const ExecutionOptions& exec, Domain* clean_domain,
-                       PairCounts* pairs) {
-  const size_t rows = clean_current.size();
-  const size_t shards = ShardCountForRows(rows);
-  std::vector<CleanDomainPartial> domain_partials(shards);
-  PCLEAN_RETURN_NOT_OK(ParallelFor(
-      rows, shards, exec, [&](size_t shard, size_t begin, size_t end) -> Status {
-        CleanDomainPartial& part = domain_partials[shard];
-        for (size_t r = begin; r < end; ++r) {
-          part.Add(clean_current.ValueAt(r));
-        }
-        return Status::OK();
-      }));
-  std::vector<Value> merged_values;
-  std::vector<size_t> merged_counts;
-  for (const CleanDomainPartial& part : domain_partials) {
-    merged_values.insert(merged_values.end(), part.values.begin(),
-                         part.values.end());
-    merged_counts.insert(merged_counts.end(), part.counts.begin(),
-                         part.counts.end());
-  }
-  *clean_domain = Domain::FromValueCounts(merged_values, merged_counts);
-
-  const uint64_t n_clean = clean_domain->size();
-  std::vector<std::unordered_map<uint64_t, size_t>> pair_partials(shards);
-  PCLEAN_RETURN_NOT_OK(ParallelFor(
-      rows, shards, exec, [&](size_t shard, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          auto d_idx = dirty_domain.IndexOf(dirty_snapshot.ValueAt(r));
-          if (!d_idx.ok()) return MissingSnapshotValue(dirty_snapshot, r);
-          size_t c_idx =
-              clean_domain->IndexOf(clean_current.ValueAt(r)).ValueOrDie();
-          ++pair_partials[shard][*d_idx * n_clean + c_idx];
-        }
-        return Status::OK();
-      }));
-  for (const auto& part : pair_partials) {
-    for (const auto& [key, count] : part) (*pairs)[key] += count;
   }
   return Status::OK();
 }
@@ -247,23 +164,16 @@ Result<ProvenanceGraph> ProvenanceGraph::Build(const Column& dirty_snapshot,
     return Status::InvalidArgument("dirty domain must be non-empty");
   }
   // Injection point after argument validation, before the sharded
-  // passes: a fault here models the lazy graph build failing when a
-  // query first touches a cleaned attribute.
+  // pass: a fault here models the lazy graph build failing when a query
+  // first touches a cleaned attribute.
   PCLEAN_FAILPOINT("provenance.graph.build", "");
 
   ProvenanceGraph graph;
   graph.dirty_domain_ = dirty_domain;
   PairCounts pairs;
-  if (dirty_snapshot.type() == ValueType::kString &&
-      clean_current.type() == ValueType::kString) {
-    PCLEAN_RETURN_NOT_OK(CountCodePairs(dirty_snapshot, clean_current,
-                                        dirty_domain, exec,
-                                        &graph.clean_domain_, &pairs));
-  } else {
-    PCLEAN_RETURN_NOT_OK(CountValuePairs(dirty_snapshot, clean_current,
-                                         dirty_domain, exec,
-                                         &graph.clean_domain_, &pairs));
-  }
+  PCLEAN_RETURN_NOT_OK(CountCodePairs(dirty_snapshot, clean_current,
+                                      dirty_domain, exec,
+                                      &graph.clean_domain_, &pairs));
 
   // Assemble edges in ascending (dirty, clean) key order.
   const size_t n_dirty = dirty_domain.size();

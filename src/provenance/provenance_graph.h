@@ -42,10 +42,11 @@ class ProvenanceGraph {
   /// Construction is sharded per `exec` (common/thread_pool.h) with
   /// per-shard partials merged in shard index order, so the graph
   /// (domain order, edge order, weights) is identical at every thread
-  /// count. String columns take one row pass over (snapshot code,
-  /// current code) pairs; int64/double columns take two boxed passes,
-  /// clean-domain discovery and then (dirty, clean) pair counting. The
-  /// clean domain's frequencies are the clean values' row counts.
+  /// count. Every column type takes one row pass over (snapshot code,
+  /// current code) pairs, with codes from ColumnCodes (table/domain.h):
+  /// values that Value== folds (-0.0 and +0.0) share a node, and each NaN
+  /// row is a clean node of its own. The clean domain's frequencies are
+  /// the clean values' row counts.
   static Result<ProvenanceGraph> Build(const Column& dirty_snapshot,
                                        const Column& clean_current,
                                        const Domain& dirty_domain,

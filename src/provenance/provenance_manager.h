@@ -16,11 +16,11 @@ namespace privateclean {
 /// The manager snapshots every discrete column of the private relation V
 /// at creation time (the "dirty" side). After any sequence of cleaners
 /// has mutated the relation, `GraphFor` reconstructs the bipartite graph
-/// for an attribute from O(S) (snapshot, current) pairs: one pass over
-/// code pairs for string attributes, two boxed passes otherwise. This
-/// composes automatically: no matter how many Merge/Transform operations
-/// ran, the graph always maps the original dirty domain to the *final*
-/// clean domain, which is exactly what the estimators need.
+/// for an attribute from O(S) (snapshot, current) pairs in one pass over
+/// their codes, whatever the attribute's type. This composes
+/// automatically: no matter how many Merge/Transform operations ran, the
+/// graph always maps the original dirty domain to the *final* clean
+/// domain, which is exactly what the estimators need.
 ///
 /// Attributes created by Extract cleaners are registered with
 /// `RegisterDerivedAttribute(new, source)`; their graphs map the source

@@ -150,6 +150,37 @@ Status Column::SetValue(size_t row, const Value& v) {
   return Status::OK();
 }
 
+Result<PreparedValues> Column::PrepareValues(const std::vector<Value>& values) {
+  for (const Value& v : values) {
+    if (!v.is_null() && v.type() != type_) {
+      return Status::InvalidArgument(
+          std::string("cannot set ") + ValueTypeToString(v.type()) +
+          " value in " + ValueTypeToString(type_) + " column");
+    }
+  }
+  PreparedValues out;
+  out.words_.reserve(values.size());
+  out.valid_.reserve(values.size());
+  for (const Value& v : values) {
+    uint64_t word = type_ == ValueType::kString ? kNullCode : 0;
+    if (!v.is_null()) {
+      switch (type_) {
+        case ValueType::kInt64:
+          word = static_cast<uint64_t>(v.AsInt64());
+          break;
+        case ValueType::kDouble:
+          word = std::bit_cast<uint64_t>(v.AsDouble());
+          break;
+        default:
+          word = dict_.Intern(v.AsString());
+      }
+    }
+    out.words_.push_back(word);
+    out.valid_.push_back(v.is_null() ? 0 : 1);
+  }
+  return out;
+}
+
 uint32_t Column::InternString(std::string_view v) {
   PCLEAN_CHECK(type_ == ValueType::kString);
   return dict_.Intern(v);

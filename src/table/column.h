@@ -1,9 +1,11 @@
 #ifndef PRIVATECLEAN_TABLE_COLUMN_H_
 #define PRIVATECLEAN_TABLE_COLUMN_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -18,6 +20,36 @@ struct ColumnMemory {
   size_t payload_bytes = 0;     ///< Typed vectors + validity (capacities).
   size_t dictionary_bytes = 0;  ///< Arena bytes of the string dictionary.
   size_t dictionary_entries = 0;
+};
+
+/// Values as one column stores them (Column::PrepareValues): per value,
+/// the word of the column's typed vector (a dictionary code, an int64 or
+/// a double's bits) and its validity byte. A bulk writer's row loop, run
+/// inside Column::VisitWords, reads words() and validity() through
+/// locals and stores As<Word>(word) and the validity byte.
+class PreparedValues {
+ public:
+  size_t size() const { return valid_.size(); }
+  bool empty() const { return valid_.empty(); }
+
+  const uint64_t* words() const { return words_.data(); }
+  const uint8_t* validity() const { return valid_.data(); }
+
+  /// A storage word as the typed vector `Word` (uint32_t codes, int64_t
+  /// or double) holds it.
+  template <typename Word>
+  static Word As(uint64_t word) {
+    if constexpr (std::is_same_v<Word, double>) {
+      return std::bit_cast<double>(word);
+    } else {
+      return static_cast<Word>(word);
+    }
+  }
+
+ private:
+  friend class Column;
+  std::vector<uint64_t> words_;
+  std::vector<uint8_t> valid_;
 };
 
 /// Typed column with a validity vector.
@@ -76,6 +108,34 @@ class Column {
   /// Overwrites row with a boxed value (type-checked; null allowed).
   Status SetValue(size_t row, const Value& v);
 
+  /// --- Bulk writes (randomized response, the cleaners' remap) ----------
+
+  /// `values` ready for bulk writers to store: the single-writer step
+  /// before a sharded pass, so the parallel kernels write plain words. A
+  /// string is interned into the dictionary (in `values` order), a null
+  /// becomes the column's placeholder word, invalid. A non-null value of
+  /// another type is InvalidArgument before anything is interned.
+  Result<PreparedValues> PrepareValues(const std::vector<Value>& values);
+
+  /// Calls `fn(words)` with the typed storage (int64_t*, double*, or the
+  /// uint32_t* codes of a string column), so a bulk writer's row loop is
+  /// written once for every type. Writes through it bypass the null
+  /// bookkeeping, like mutable_validity(): call RecomputeNullCount() once
+  /// all writers have finished.
+  template <typename Fn>
+  void VisitWords(Fn&& fn) {
+    switch (type_) {
+      case ValueType::kInt64:
+        fn(ints_.data());
+        break;
+      case ValueType::kDouble:
+        fn(doubles_.data());
+        break;
+      default:
+        fn(codes_.data());
+    }
+  }
+
   /// --- Dictionary access (string columns only) -------------------------
 
   /// The column's distinct-value table. Codes index into it.
@@ -83,8 +143,7 @@ class Column {
 
   /// Interns `v` into the dictionary (without appending a row) and
   /// returns its code. Single-writer: must not race with readers of the
-  /// dictionary. This is how callers pre-intern a randomization domain
-  /// before a sharded pass so the parallel kernels write plain codes.
+  /// dictionary.
   uint32_t InternString(std::string_view v);
 
   /// --- Raw access for fast scans ---------------------------------------
@@ -99,12 +158,12 @@ class Column {
   /// double column.
   std::vector<double>* mutable_doubles() { return &doubles_; }
   std::vector<int64_t>* mutable_ints() { return &ints_; }
-  /// Mutable code array / validity for sharded in-place mutation
-  /// (randomized response). Writers touching disjoint row ranges through
-  /// these may run concurrently — codes must already be interned — but
-  /// they bypass the null bookkeeping: keep codes_[r] == kNullCode in
-  /// lockstep with valid_[r] == 0 and call RecomputeNullCount() once all
-  /// writers have finished.
+  /// Mutable code array / validity for sharded in-place mutation.
+  /// Writers touching disjoint row ranges through these may run
+  /// concurrently — codes must already be interned — but they bypass the
+  /// null bookkeeping: keep codes_[r] == kNullCode in lockstep with
+  /// valid_[r] == 0 and call RecomputeNullCount() once all writers have
+  /// finished.
   std::vector<uint32_t>* mutable_codes() { return &codes_; }
   std::vector<uint8_t>* mutable_validity() { return &valid_; }
 

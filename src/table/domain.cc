@@ -1,39 +1,89 @@
 #include "table/domain.h"
 
+#include <algorithm>
+
 namespace privateclean {
+
+namespace {
+
+/// Codes of an int64/double column: first-appearance order under Value
+/// equality, kNullCode for null rows.
+template <typename T>
+void AssignCodes(const std::vector<T>& data, const std::vector<uint8_t>& valid,
+                 std::vector<uint32_t>* codes, std::vector<size_t>* first_row) {
+  std::unordered_map<T, uint32_t> index;
+  codes->resize(data.size());
+  for (size_t r = 0; r < data.size(); ++r) {
+    uint32_t code = kNullCode;
+    if (valid[r] != 0) {
+      code = static_cast<uint32_t>(first_row->size());
+      // A NaN equals nothing, so it never finds an earlier row's code.
+      if (data[r] == data[r]) code = index.emplace(data[r], code).first->second;
+      if (code == first_row->size()) first_row->push_back(r);
+    }
+    (*codes)[r] = code;
+  }
+}
+
+}  // namespace
+
+ColumnCodes::ColumnCodes(const Column& column) : column_(column) {
+  switch (column.type()) {
+    case ValueType::kInt64:
+      AssignCodes(column.ints(), column.validity(), &assigned_, &first_row_);
+      break;
+    case ValueType::kDouble:
+      AssignCodes(column.doubles(), column.validity(), &assigned_,
+                  &first_row_);
+      break;
+    default:
+      codes_ = column.codes().data();
+      null_slot_ = static_cast<uint32_t>(column.dictionary().size());
+      return;
+  }
+  codes_ = assigned_.data();
+  null_slot_ = static_cast<uint32_t>(first_row_.size());
+}
+
+Value ColumnCodes::ValueOf(uint32_t slot) const {
+  if (slot == null_slot_) return Value::Null();
+  if (column_.type() == ValueType::kString) {
+    return Value(std::string(column_.dictionary().At(slot)));
+  }
+  return column_.ValueAt(first_row_[slot]);
+}
+
+std::vector<uint32_t> ColumnCodes::IndicesIn(const Domain& domain) const {
+  std::vector<uint32_t> indices(num_slots(), kNullCode);
+  for (uint32_t slot = 0; slot < num_slots(); ++slot) {
+    if (auto i = domain.IndexOf(ValueOf(slot)); i.ok()) {
+      indices[slot] = static_cast<uint32_t>(*i);
+    }
+  }
+  return indices;
+}
 
 Result<Domain> Domain::FromColumn(const Table& table,
                                   const std::string& field,
                                   bool include_null) {
   PCLEAN_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(field));
-  if (col->type() == ValueType::kString) {
-    // Dictionary fast path: tally per-code frequencies with vector
-    // indexing (no per-row hashing), recording codes in row-order
-    // first-appearance order — exactly the order the boxed loop below
-    // would produce. The extra slot past the dictionary is null.
-    const std::vector<uint32_t>& codes = col->codes();
-    const StringDictionary& dict = col->dictionary();
-    const size_t null_slot = dict.size();
-    std::vector<size_t> counts(dict.size() + 1, 0);
-    std::vector<size_t> order;
-    for (uint32_t code : codes) {
-      size_t slot = code == kNullCode ? null_slot : code;
-      if (slot == null_slot && !include_null) continue;
-      if (counts[slot]++ == 0) order.push_back(slot);
-    }
-    Domain d;
-    for (size_t slot : order) {
-      d.AddCount(slot == null_slot ? Value::Null()
-                                   : Value(std::string(dict.At(slot))),
-                 counts[slot]);
-    }
-    return d;
+  return FromCodes(ColumnCodes(*col), include_null);
+}
+
+Domain Domain::FromCodes(const ColumnCodes& codes, bool include_null) {
+  // Per-slot frequencies by vector indexing (no per-row hashing), with
+  // the slots recorded in row first-appearance order.
+  const uint32_t* row_codes = codes.codes();
+  const uint32_t null_slot = codes.null_slot();
+  std::vector<size_t> counts(codes.num_slots(), 0);
+  std::vector<uint32_t> order;
+  for (size_t r = 0, rows = codes.size(); r < rows; ++r) {
+    const uint32_t slot = std::min(row_codes[r], null_slot);
+    if (slot == null_slot && !include_null) continue;
+    if (counts[slot]++ == 0) order.push_back(slot);
   }
   Domain d;
-  for (size_t r = 0; r < col->size(); ++r) {
-    if (col->IsNull(r) && !include_null) continue;
-    d.Add(col->ValueAt(r));
-  }
+  for (uint32_t slot : order) d.AddCount(codes.ValueOf(slot), counts[slot]);
   return d;
 }
 

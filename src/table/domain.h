@@ -9,6 +9,54 @@
 
 namespace privateclean {
 
+class Domain;
+
+/// The rows of a discrete column as codes over its distinct values: the
+/// one place that decides which rows hold the same value, for every
+/// column type. A string column's dictionary codes are borrowed as they
+/// are (its dictionary may hold values no row carries). An int64/double
+/// column gets codes assigned once, in row first-appearance order under
+/// Value equality, as Domain compares: -0.0 and +0.0 share a code, and a
+/// NaN equals nothing, so each NaN row gets a code of its own. Null rows
+/// hold kNullCode.
+///
+/// Per-value tables are indexed by slot: a row's code, or null_slot()
+/// (one past the last code) for a null row — std::min(code, null_slot()),
+/// since kNullCode is the largest code. Row loops read codes() and
+/// null_slot() into locals. Borrowed codes stay valid while the column's
+/// rows are not resized; interning new strings into its dictionary does
+/// not disturb them.
+class ColumnCodes {
+ public:
+  explicit ColumnCodes(const Column& column);
+  ColumnCodes(const ColumnCodes&) = delete;
+  ColumnCodes& operator=(const ColumnCodes&) = delete;
+
+  size_t size() const { return column_.size(); }
+
+  /// Per-row codes (kNullCode for null rows).
+  const uint32_t* codes() const { return codes_; }
+
+  /// One slot per code, then the null slot.
+  size_t num_slots() const { return size_t{null_slot_} + 1; }
+  uint32_t null_slot() const { return null_slot_; }
+
+  /// The value a slot stands for (Value::Null() for the null slot): the
+  /// value of the slot's first row for an int64/double column.
+  Value ValueOf(uint32_t slot) const;
+
+  /// Per slot, the index of its value in `domain`, or kNullCode where
+  /// `domain` lacks it (always for a NaN): one lookup per distinct value.
+  std::vector<uint32_t> IndicesIn(const Domain& domain) const;
+
+ private:
+  const Column& column_;
+  std::vector<uint32_t> assigned_;  ///< int64/double: the assigned codes.
+  std::vector<size_t> first_row_;   ///< int64/double: each code's first row.
+  const uint32_t* codes_ = nullptr;
+  uint32_t null_slot_ = 0;
+};
+
 /// The active domain of a discrete attribute: its distinct values with
 /// frequencies, in first-appearance order.
 ///
@@ -24,6 +72,10 @@ class Domain {
   static Result<Domain> FromColumn(const Table& table,
                                    const std::string& field,
                                    bool include_null = true);
+
+  /// The domain of the column behind `codes`: its slots tallied in row
+  /// first-appearance order.
+  static Domain FromCodes(const ColumnCodes& codes, bool include_null = true);
 
   /// Computes a domain from an explicit list of values (deduplicated,
   /// frequencies counted).

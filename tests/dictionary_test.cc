@@ -22,6 +22,7 @@
 #include "common/random.h"
 #include "core/private_table.h"
 #include "parallel_harness.h"
+#include "privacy/grr.h"
 #include "privacy/randomized_response.h"
 #include "provenance/provenance_graph.h"
 #include "query/aggregate.h"
@@ -185,6 +186,43 @@ Table MakeStringTable(size_t rows, uint64_t seed) {
   return *b.Finish();
 }
 
+/// An int64 or double discrete column `v` with NULLs, and a string `s`
+/// that mostly follows it. The double column holds -0.0 (its first row)
+/// and +0.0, which Value== folds into one value; values from the upper
+/// half of the pool first appear in the last quarter of the rows, i.e.
+/// in later shards.
+Table MakeNumericTable(ValueType type, size_t rows, uint64_t seed) {
+  TableBuilder b(*Schema::Make(
+      {Field{"v", type, AttributeKind::kDiscrete}, Field::Discrete("s")}));
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t pool = r < rows * 3 / 4 ? 12 : 24;
+    const uint64_t k = r == 0 ? 0 : rng.UniformInt(pool);
+    Value v = type == ValueType::kInt64
+                  ? Value(static_cast<int64_t>(k) - 5)
+                  : Value(k == 0 ? -0.0 : static_cast<double>(k) * 0.5 - 1.0);
+    if (r > 0 && rng.Bernoulli(0.08)) v = Value::Null();
+    const uint64_t s = rng.Bernoulli(0.9) ? k % 3 : rng.UniformInt(3);
+    b.Row({v, Value("s" + std::to_string(s))});
+  }
+  return *b.Finish();
+}
+
+/// Asserts two columns hold the same values row by row: validity, Value
+/// equality, and for doubles the same bits (so -0.0 and +0.0 differ).
+void ExpectSameRows(const Column& got, const Column& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.validity(), want.validity());
+  EXPECT_EQ(got.null_count(), want.null_count());
+  if (want.type() == ValueType::kDouble) {
+    ExpectColumnsBitIdentical(got, want, "double rows");
+    return;
+  }
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got.ValueAt(r), want.ValueAt(r)) << "row " << r;
+  }
+}
+
 TEST(DictionaryDifferentialTest, PredicateEvaluateMatchesRowWiseReference) {
   Table t = MakeStringTable(4000, 91);
   const Column& col = t.column(0);
@@ -204,56 +242,105 @@ TEST(DictionaryDifferentialTest, PredicateEvaluateMatchesRowWiseReference) {
 }
 
 TEST(DictionaryDifferentialTest, DomainFromColumnMatchesFirstAppearance) {
-  Table t = MakeStringTable(3000, 17);
-  const Column& col = t.column(0);
-  for (bool include_null : {true, false}) {
-    Domain fast = *Domain::FromColumn(t, "city", include_null);
-    // Naive reference: boxed values in row order, first appearance wins.
-    std::vector<Value> order;
-    std::unordered_set<Value, ValueHash> seen;
-    for (size_t r = 0; r < col.size(); ++r) {
-      Value v = col.ValueAt(r);
-      if (v.is_null() && !include_null) continue;
-      if (seen.insert(v).second) order.push_back(v);
-    }
-    ASSERT_EQ(fast.size(), order.size()) << include_null;
-    for (size_t i = 0; i < order.size(); ++i) {
-      EXPECT_EQ(fast.value(i), order[i]) << "slot " << i;
+  // String, int64 and double columns (NULLs, and -0.0 before +0.0) across
+  // several shards. The sharded graph build's clean domain is the same
+  // first-appearance tally, so it must match at 1, 2 and 8 threads.
+  const Table strings = MakeStringTable(3000, 17);
+  const Table ints = MakeNumericTable(ValueType::kInt64, 40000, 17);
+  const Table doubles = MakeNumericTable(ValueType::kDouble, 40000, 18);
+  for (const Table* t : {&strings, &ints, &doubles}) {
+    const Column& col = t->column(0);
+    const std::string name = t->schema().field(0).name;
+    SCOPED_TRACE(ValueTypeToString(col.type()));
+    for (bool include_null : {true, false}) {
+      Domain fast = *Domain::FromColumn(*t, name, include_null);
+      // Naive reference: boxed values in row order, first appearance
+      // wins, with its row count.
+      std::vector<Value> order;
+      std::unordered_map<Value, size_t, ValueHash> counts;
+      for (size_t r = 0; r < col.size(); ++r) {
+        Value v = col.ValueAt(r);
+        if (v.is_null() && !include_null) continue;
+        if (counts[v]++ == 0) order.push_back(v);
+      }
+      ASSERT_EQ(fast.size(), order.size()) << include_null;
+      ByteSink want;
+      for (const Value& v : order) {
+        want.AppendValue(v);
+        want.AppendU64(counts[v]);
+      }
+      const std::string want_bytes = std::move(want).Finish();
+      auto domain_bytes = [](const Domain& d) {
+        ByteSink sink;
+        for (size_t i = 0; i < d.size(); ++i) {
+          sink.AppendValue(d.value(i));
+          sink.AppendU64(d.frequency(i));
+        }
+        return std::move(sink).Finish();
+      };
+      EXPECT_TRUE(domain_bytes(fast) == want_bytes) << include_null;
+      if (!include_null) continue;
+      ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
+        const std::string got = domain_bytes(
+            ProvenanceGraph::Build(col, col, fast, exec)->clean_domain());
+        EXPECT_TRUE(got == want_bytes) << "graph clean domain";
+        return got;
+      });
     }
   }
 }
 
 TEST(DictionaryDifferentialTest,
      RandomizedResponseMatchesBoxedReferenceStream) {
-  Table t = MakeStringTable(2500, 5);
-  Domain domain = *Domain::FromColumn(t, "city", /*include_null=*/true);
+  // The kernel against the paper's draw sequence (one Bernoulli per row,
+  // one uniform draw only on replacement) applied through boxed
+  // SetValue: whole-column on one stream, and sharded by ApplyGrr at 1,
+  // 2 and 8 threads on one forked stream per shard.
+  const Table strings = MakeStringTable(2500, 5);
+  const Table ints = MakeNumericTable(ValueType::kInt64, 40000, 5);
+  const Table doubles = MakeNumericTable(ValueType::kDouble, 40000, 6);
+  auto replay = [](Column* col, const Domain& domain, Rng& rng, size_t begin,
+                   size_t end) {
+    for (size_t r = begin; r < end; ++r) {
+      if (!rng.Bernoulli(0.35)) continue;
+      size_t j = static_cast<size_t>(rng.UniformInt(domain.size()));
+      ASSERT_TRUE(col->SetValue(r, domain.value(j)).ok());
+    }
+  };
+  for (const Table* t : {&strings, &ints, &doubles}) {
+    SCOPED_TRACE(ValueTypeToString(t->column(0).type()));
+    const std::string name = t->schema().field(0).name;
+    const Domain domain = *Domain::FromColumn(*t, name, /*include_null=*/true);
 
-  Column fast = t.column(0).SelectRows([&] {
-    std::vector<size_t> all(t.num_rows());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    return all;
-  }());
-  Rng rng_fast(1234);
-  ASSERT_TRUE(ApplyRandomizedResponse(&fast, domain, 0.35, rng_fast).ok());
+    Column fast = t->column(0);
+    Rng rng_fast(1234);
+    ASSERT_TRUE(ApplyRandomizedResponse(&fast, domain, 0.35, rng_fast).ok());
+    Column ref = t->column(0);
+    Rng rng_ref(1234);
+    replay(&ref, domain, rng_ref, 0, ref.size());
+    ExpectSameRows(fast, ref);
 
-  // Reference: identical draw sequence (one Bernoulli per row, one
-  // uniform draw only on replacement), applied through boxed SetValue.
-  Column ref = t.column(0).SelectRows([&] {
-    std::vector<size_t> all(t.num_rows());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-    return all;
-  }());
-  Rng rng_ref(1234);
-  for (size_t r = 0; r < ref.size(); ++r) {
-    if (!rng_ref.Bernoulli(0.35)) continue;
-    size_t j = static_cast<size_t>(rng_ref.UniformInt(domain.size()));
-    ASSERT_TRUE(ref.SetValue(r, domain.value(j)).ok());
-  }
-
-  ASSERT_EQ(fast.size(), ref.size());
-  EXPECT_EQ(fast.null_count(), ref.null_count());
-  for (size_t r = 0; r < fast.size(); ++r) {
-    EXPECT_EQ(fast.ValueAt(r), ref.ValueAt(r)) << "row " << r;
+    // ApplyGrr forks the column's shard streams off its rng first.
+    Table one = *Table::Make(*Schema::Make({t->schema().field(0)}),
+                             {t->column(0)});
+    Column sharded_ref = t->column(0);
+    Rng fork_rng(99);
+    const size_t shards = ShardCountForRows(t->num_rows());
+    std::vector<Rng> streams = fork_rng.ForkStreams(shards);
+    for (size_t s = 0; s < shards; ++s) {
+      const ShardRange range = ShardBounds(t->num_rows(), shards, s);
+      replay(&sharded_ref, domain, streams[s], range.begin, range.end);
+    }
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      GrrOptions options;
+      options.ensure_domain_preserved = false;
+      options.exec.num_threads = threads;
+      Rng rng(99);
+      auto grr = ApplyGrr(one, GrrParams::Uniform(0.35, 0.0), options, rng);
+      ASSERT_TRUE(grr.ok()) << grr.status().ToString();
+      ExpectSameRows(grr->table.column(0), sharded_ref);
+    }
   }
 }
 
@@ -642,6 +729,98 @@ TEST(ProvenanceBuildDifferentialTest, OnePassMatchesBoxedReference) {
             << "graph differs from the boxed reference";
         return got_bytes;
       });
+    }
+  }
+
+  // int64 and double attributes (NULLs, -0.0 before +0.0) take the same
+  // code pass: merges, a transform to new values, to and from NULL, and
+  // a fork under a projection over (v, s).
+  auto num = [](ValueType type, double x) {
+    return type == ValueType::kInt64 ? Value(static_cast<int64_t>(x))
+                                     : Value(x);
+  };
+  for (ValueType type : {ValueType::kInt64, ValueType::kDouble}) {
+    const std::vector<Cleaning> numeric_cleanings = {
+        {"none", [](Table*) { return Status::OK(); }, "v", false},
+        {"merge, to and from NULL",
+         [&](Table* t) {
+           return FindReplace("v", {{num(type, 1), num(type, 0)},
+                                    {num(type, 2), num(type, 0)},
+                                    {num(type, 3), Value::Null()},
+                                    {Value::Null(), num(type, 100)},
+                                    {num(type, 6), num(type, -0.0)}})
+               .Apply(t);
+         },
+         "v", false},
+        {"new values interned after the snapshot",
+         [&](Table* t) {
+           return ValueTransform("v",
+                                 [&](const Value& v) {
+                                   if (v.is_null()) return v;
+                                   return type == ValueType::kInt64
+                                              ? Value(v.AsInt64() * 7 + 1)
+                                              : Value(v.AsDouble() * 7 + 1);
+                                 })
+               .Apply(t);
+         },
+         "v", false},
+        {"merge to NULL",
+         [&](Table* t) {
+           return MergeToNull("v",
+                              [&](const Value& v) {
+                                return v == num(type, 4) || v == num(type, 9);
+                              })
+               .Apply(t);
+         },
+         "v", false},
+        {"fork",
+         [&](Table* t) {
+           return ProjectionTransform(
+                      {"v", "s"},
+                      [&](const std::vector<Value>& row) {
+                        if (row[0].is_null() || row[1] != Value("s1")) {
+                          return row;
+                        }
+                        return std::vector<Value>{num(type, 1000), row[1]};
+                      })
+               .Apply(t);
+         },
+         "v", true},
+    };
+    for (size_t rows : {size_t{0}, size_t{1}, kRowsPerShard - 1, kRowsPerShard,
+                        kRowsPerShard + 1, size_t{40000}}) {
+      const Table base = MakeNumericTable(type, rows, 2000 + rows);
+      const Column& snapshot = base.column(0);
+      std::vector<Value> dirty_values = {num(type, 500)};
+      const Domain observed = *Domain::FromColumn(base, "v");
+      for (const Value& v : observed.values()) dirty_values.push_back(v);
+      dirty_values.push_back(num(type, 501));
+      const Domain dirty_domain = Domain::FromValues(dirty_values);
+      for (const Cleaning& cleaning : numeric_cleanings) {
+        SCOPED_TRACE(std::string(ValueTypeToString(type)) +
+                     " rows=" + std::to_string(rows) + " " + cleaning.name);
+        Table t = base.Clone();
+        ASSERT_TRUE(cleaning.apply(&t).ok());
+        const Column& current = t.column(0);
+        const ReferenceGraph reference =
+            *ReferenceGraph::Build(snapshot, current, dirty_domain);
+        if (rows >= kRowsPerShard) {
+          EXPECT_EQ(!reference.is_fork_free(), cleaning.forks);
+        }
+        ByteSink want;
+        AppendProvenanceGraph(&want, reference);
+        const std::string want_bytes = std::move(want).Finish();
+        ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
+          ByteSink got;
+          AppendProvenanceGraph(
+              &got,
+              *ProvenanceGraph::Build(snapshot, current, dirty_domain, exec));
+          std::string got_bytes = std::move(got).Finish();
+          EXPECT_TRUE(got_bytes == want_bytes)
+              << "graph differs from the boxed reference";
+          return got_bytes;
+        });
+      }
     }
   }
 }

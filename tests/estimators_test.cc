@@ -144,6 +144,19 @@ TEST(SumEstimatorTest, NoPrivacyIsIdentity) {
   EXPECT_DOUBLE_EQ(r.estimate, 444.0);
 }
 
+TEST(SumEstimatorTest, ZeroWeightComplementAddsNothing) {
+  // At p = 0 the complement weighs τ_n = 0, so a complement sum of ±inf
+  // or NaN must leave the estimate h_p (0·inf would make it NaN). AVG
+  // divides that estimate by the count: 1000 / 250.
+  const EstimationInputs in = Inputs(0.0, 1.0, 5.0);
+  for (double complement : {INFINITY, -INFINITY, NAN}) {
+    SCOPED_TRACE(complement);
+    const QueryScanStats stats = Stats(1000, 250, 1000.0, complement);
+    EXPECT_EQ(EstimateSum(stats, in)->estimate, 1000.0);
+    EXPECT_EQ(EstimateAvg(stats, in)->estimate, 4.0);
+  }
+}
+
 TEST(SumEstimatorTest, CiContainsEstimate) {
   QueryResult r = *EstimateSum(Stats(1000, 150, 900.0, 2100.0, 3.0, 1.0),
                                Inputs(0.2, 4.0, 20.0));
@@ -185,13 +198,11 @@ TEST(AvgEstimatorTest, CountSideCountsOnlyNonNullValues) {
   EXPECT_EQ(avg.estimate, sum.estimate / count.estimate);
   EXPECT_EQ(avg.nominal, 1000.0 / 200.0);
   EXPECT_EQ(avg.s, 1000u);
-  EXPECT_EQ(DirectAvg(stats)->estimate, 1000.0 / 200.0);
 
   QueryScanStats all_null = Stats(1000, 250, 0.0, 0.0);
   all_null.total_non_null = 0;
   all_null.matching_non_null = 0;
   EXPECT_TRUE(EstimateAvg(all_null, in).status().IsFailedPrecondition());
-  EXPECT_TRUE(DirectAvg(all_null).status().IsFailedPrecondition());
 }
 
 TEST(AvgEstimatorTest, FailsWhenCountIntervalStraddlesZero) {
@@ -205,19 +216,6 @@ TEST(AvgEstimatorTest, FailsWhenCountIntervalStraddlesZero) {
     // If it succeeded the interval must be sane.
     EXPECT_TRUE(r->ci.Contains(r->estimate));
   }
-}
-
-TEST(DirectEstimatorsTest, NominalPassThrough) {
-  QueryScanStats stats = Stats(100, 25, 75.0, 300.0, 3.75, 2.0);
-  EXPECT_DOUBLE_EQ(DirectCount(stats).estimate, 25.0);
-  EXPECT_DOUBLE_EQ(DirectSum(stats).estimate, 75.0);
-  EXPECT_DOUBLE_EQ(DirectAvg(stats)->estimate, 3.0);
-  EXPECT_EQ(DirectCount(stats).estimator, EstimatorKind::kDirect);
-}
-
-TEST(DirectEstimatorsTest, AvgWithNoMatchesFails) {
-  QueryScanStats stats = Stats(100, 0, 0.0, 300.0, 3.0, 2.0);
-  EXPECT_TRUE(DirectAvg(stats).status().IsFailedPrecondition());
 }
 
 TEST(EstimationInputsTest, ValidateChecksAllFields) {

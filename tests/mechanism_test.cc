@@ -279,7 +279,8 @@ TEST(MechanismDrawSequenceTest, GrrZeroPConsumesNoDraws) {
   const Domain domain = IntDomain(5);
   Column column = IntColumn(100, 5);
   Rng rng(55);
-  ASSERT_TRUE(ApplyRandomizedResponseShard(&column, domain, 0.0, rng, 0,
+  const PreparedValues domain_values = *column.PrepareValues(domain.values());
+  ASSERT_TRUE(ApplyRandomizedResponseShard(&column, domain_values, 0.0, rng, 0,
                                            column.size(), nullptr, nullptr)
                   .ok());
   Rng fresh(55);

@@ -323,6 +323,39 @@ TEST(PrivateTableTest, AvgDividesByNonNullValuesOnly) {
                        "score > -1")
           .status()
           .IsFailedPrecondition());
+  // Every Direct form answers through one engine, so a SUM whose matches
+  // are all NULL is the same typed error with one predicate or two.
+  for (const char* sql :
+       {"SELECT sum(score) FROM r WHERE city = 'c9'",
+        "SELECT sum(score) FROM r WHERE city = 'c9' AND city != 'c1'"}) {
+    SCOPED_TRACE(sql);
+    EXPECT_TRUE(ExecuteSqlDirect(pt, sql).status().IsFailedPrecondition())
+        << ExecuteSqlDirect(pt, sql).status().ToString();
+  }
+}
+
+TEST(PrivateTableTest, TransformToNanBuildsTheGraphAndCounts) {
+  // A ValueTransform maps the values >= 2 of a double discrete column to
+  // NaN. A NaN equals nothing, so each NaN row is a clean value of its
+  // own; the graph builds and a COUNT on another value answers.
+  TableBuilder b(*Schema::Make(
+      {Field{"x", ValueType::kDouble, AttributeKind::kDiscrete}}));
+  for (size_t i = 0; i < 300; ++i) {
+    b.Row({Value(static_cast<double>(i % 6) / 2.0)});
+  }
+  Rng rng(3);
+  PrivateTable pt = *PrivateTable::Create(
+      *b.Finish(), GrrParams::Uniform(0.0, 0.0), GrrOptions{}, rng);
+  ASSERT_TRUE(pt.Clean(ValueTransform("x", [](const Value& v) {
+                  return v.AsDouble() >= 2.0 ? Value(std::nan("")) : v;
+                })).ok());
+  auto graph = pt.ProvenanceFor("x");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph->num_dirty_values(), 6u);
+  EXPECT_EQ(graph->num_clean_values(), 4u + 100u);
+  auto count = pt.Count(Predicate::Equals("x", Value(0.5)));
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->estimate, 50.0);
 }
 
 }  // namespace
