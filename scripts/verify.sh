@@ -16,7 +16,7 @@
 #   4. thread-sanitizer pass: rebuild with PCLEAN_SANITIZE=thread and run
 #      the `determinism`- and `server`-labeled suites (the 1/2/8-thread
 #      bit-identity and statistical tests, plus the `pclean serve`
-#      concurrency torture — sessions, strand pump, drain, reaper), so
+#      concurrency torture — reactor, session strands, drain, teardown), so
 #      data races in the sharded and multiplexed paths are caught even
 #      when plain ctest happens to schedule them benignly;
 #   5. address+UB-sanitizer pass: rebuild with

@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -92,6 +93,33 @@ std::string FormatDouble(double v) {
     }
   }
   return buf;  // %.17g always round-trips for finite doubles.
+}
+
+std::string DoubleBitsHex(double v) {
+  uint64_t bits = std::bit_cast<uint64_t>(v);
+  std::string out(16, '0');
+  for (size_t i = 16; i-- > 0; bits >>= 4) {
+    out[i] = "0123456789abcdef"[bits & 0xF];
+  }
+  return out;
+}
+
+bool DoubleFromBitsHex(std::string_view hex, double* v) {
+  if (hex.size() != 16) return false;
+  uint64_t bits = 0;
+  for (char c : hex) {
+    uint64_t digit;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      digit = static_cast<uint64_t>(c - 'a' + 10);
+    } else {
+      return false;
+    }
+    bits = (bits << 4) | digit;
+  }
+  *v = std::bit_cast<double>(bits);
+  return true;
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

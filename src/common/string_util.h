@@ -31,6 +31,15 @@ Result<double> ParseDouble(std::string_view s);
 /// otherwise shortest round-trip representation.
 std::string FormatDouble(double v);
 
+/// The 16 lowercase hex digits of a double's IEEE-754 bit pattern. Ledger
+/// WAL records, release MANIFESTs and QUERY frames carry doubles this
+/// way, so a value read back is bit-identical to the one written.
+std::string DoubleBitsHex(double v);
+
+/// Inverse of DoubleBitsHex: false unless `hex` is exactly 16 lowercase
+/// hex digits, the only form any writer emits.
+bool DoubleFromBitsHex(std::string_view hex, double* v);
+
 /// True if `s` starts with / ends with the given prefix/suffix.
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);

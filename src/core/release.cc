@@ -6,7 +6,6 @@
 #include <atomic>
 #include <bit>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,6 +13,7 @@
 
 #include "common/failpoint.h"
 #include "common/io_util.h"
+#include "common/string_util.h"
 
 namespace privateclean {
 
@@ -269,24 +269,10 @@ Result<Column> DomainColumn(const Field& field, const Column& column,
   return out;
 }
 
-std::string DoubleBitsHex(double v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, std::bit_cast<uint64_t>(v));
-  return buf;
-}
-
-/// Strict parse of all of `text` as an unsigned number in `base`.
-bool ParseCount(std::string_view text, uint64_t* v, int base = 10) {
-  auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *v, base);
+/// Strict parse of all of `text` as an unsigned decimal number.
+bool ParseCount(std::string_view text, uint64_t* v) {
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), *v);
   return !text.empty() && ec == std::errc() && end == text.data() + text.size();
-}
-
-bool ParseDoubleBitsHex(std::string_view hex, double* v) {
-  uint64_t bits = 0;
-  if (hex.size() != 16 || !ParseCount(hex, &bits, 16)) return false;
-  *v = std::bit_cast<double>(bits);
-  return true;
 }
 
 /// (file name, rendered bytes) of the whole release, held in memory so
@@ -468,8 +454,8 @@ bool ParseColumnLine(std::string_view body, ManifestColumn* column) {
     if (f[1] == ValueTypeToString(type)) column->field.type = type;
   }
   return column->field.type != ValueType::kNull &&
-         ParseDoubleBitsHex(f[2], &column->param) &&
-         ParseDoubleBitsHex(f[3], &column->sensitivity) &&
+         DoubleFromBitsHex(f[2], &column->param) &&
+         DoubleFromBitsHex(f[3], &column->sensitivity) &&
          ParseCount(f[4], &column->domain_size) &&
          ParseCount(f[5], &column->entries) &&
          UnescapeManifestName(f[6], &column->field.name);

@@ -16,6 +16,7 @@
 
 #include "common/failpoint.h"
 #include "common/io_util.h"
+#include "common/string_util.h"
 
 namespace privateclean {
 
@@ -60,37 +61,6 @@ std::string FormatEps(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
-}
-
-/// ε values travel through the WAL as the hex of their IEEE-754 bit
-/// pattern, so replayed state is bit-identical to the acknowledged one.
-std::string DoubleBitsHex(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
-  }
-  return out;
-}
-
-bool DoubleFromBitsHex(std::string_view hex, double* v) {
-  if (hex.size() != 16) return false;
-  uint64_t bits = 0;
-  for (char c : hex) {
-    bits <<= 4;
-    if (c >= '0' && c <= '9') {
-      bits |= static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      bits |= static_cast<uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  std::memcpy(v, &bits, sizeof(bits));
-  return true;
 }
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }

@@ -13,19 +13,19 @@ namespace {
 
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
-/// One shard's (snapshot slot, current slot) row counts, where a slot is
-/// a ColumnCodes slot (a code, or the null slot past the codes). A shard
-/// holds at most kRowsPerShard rows, so 32-bit counters suffice. Each
-/// snapshot slot keeps the first current slot it pairs with as its
-/// primary; the further pairs of a forked dirty value (multi-attribute
-/// cleaning, §7) go to `forks`, keyed snapshot slot × current slots +
-/// current slot.
+/// One worker's (snapshot slot, current slot) row counts over its
+/// contiguous row range, where a slot is a ColumnCodes slot (a code, or
+/// the null slot past the codes). A range may span the whole table, so
+/// the counters are 64-bit. Each snapshot slot keeps the first current
+/// slot it pairs with as its primary; the further pairs of a forked
+/// dirty value (multi-attribute cleaning, §7) go to `forks`, keyed
+/// snapshot slot × current slots + current slot.
 struct CodePairPartial {
-  std::vector<uint32_t> current_counts;
+  std::vector<uint64_t> current_counts;
   std::vector<uint32_t> current_order;  ///< First-appearance order.
   std::vector<uint32_t> primary;        ///< kNoSlot: no row seen.
-  std::vector<uint32_t> primary_counts;
-  std::unordered_map<uint64_t, uint32_t> forks;
+  std::vector<uint64_t> primary_counts;
+  std::unordered_map<uint64_t, uint64_t> forks;
 };
 
 Status MissingSnapshotValue(const Column& dirty_snapshot, size_t row) {
@@ -39,18 +39,21 @@ Status MissingSnapshotValue(const Column& dirty_snapshot, size_t row) {
 /// (dirty, clean) order.
 using PairCounts = std::map<uint64_t, size_t>;
 
-/// One sharded pass over (snapshot slot, current slot) with vector
-/// indexing and no per-row hashing, for every column type. The
-/// shard-order merge rebuilds the clean domain in global first-appearance
-/// order and resolves each distinct snapshot slot to its dirty-domain
-/// index once.
+/// One pass over (snapshot slot, current slot) with vector indexing and
+/// no per-row hashing, for every column type. Each worker counts one
+/// contiguous row range into one partial, so memory is workers × distinct
+/// values, not shards × distinct values. The worker-order merge rebuilds
+/// the clean domain in global first-appearance order (the ranges are in
+/// row order) and resolves each distinct snapshot slot to its
+/// dirty-domain index once.
 Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
                       const Domain& dirty_domain, const ExecutionOptions& exec,
                       Domain* clean_domain, PairCounts* pairs) {
   const ColumnCodes dirty(dirty_snapshot);
   const ColumnCodes clean(clean_current);
   const size_t rows = clean_current.size();
-  const size_t shards = ShardCountForRows(rows);
+  const size_t workers =
+      std::min(exec.EffectiveThreads(), ShardCountForRows(rows));
   const uint32_t* dirty_codes = dirty.codes();
   const uint32_t* clean_codes = clean.codes();
   const uint32_t dirty_null_slot = dirty.null_slot();
@@ -58,10 +61,11 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
   const size_t dirty_slots = dirty.num_slots();
   const size_t clean_slots = clean.num_slots();
 
-  std::vector<CodePairPartial> partials(shards);
+  std::vector<CodePairPartial> partials(workers);
   PCLEAN_RETURN_NOT_OK(ParallelFor(
-      rows, shards, exec, [&](size_t shard, size_t begin, size_t end) -> Status {
-        CodePairPartial& part = partials[shard];
+      rows, workers, exec,
+      [&](size_t worker, size_t begin, size_t end) -> Status {
+        CodePairPartial& part = partials[worker];
         part.current_counts.assign(clean_slots, 0);
         part.primary.assign(dirty_slots, kNoSlot);
         part.primary_counts.assign(dirty_slots, 0);
@@ -86,7 +90,7 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
         return Status::OK();
       }));
 
-  // Shard-order merge. Pair counts are integers, so only the clean
+  // Worker-order merge. Pair counts are integers, so only the clean
   // domain's first-appearance order depends on the merge order.
   std::vector<size_t> clean_totals(clean_slots, 0);
   std::vector<uint32_t> clean_order;
@@ -102,7 +106,7 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
     }
   };
   for (const CodePairPartial& part : partials) {
-    if (part.current_counts.empty()) continue;  // Shard never ran (0 rows).
+    if (part.current_counts.empty()) continue;  // Worker never ran (0 rows).
     for (uint32_t c : part.current_order) {
       if (clean_totals[c] == 0) clean_order.push_back(c);
       clean_totals[c] += part.current_counts[c];

@@ -39,35 +39,6 @@ bool FrameTypeFromToken(std::string_view token, FrameType* type) {
   return false;
 }
 
-/// Doubles travel as the hex of their IEEE-754 bit pattern (the
-/// ledger-WAL idiom), so a confidence level crosses the wire bit-exact.
-std::string DoubleBitsHex(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(bits));
-  return buf;
-}
-
-bool DoubleFromBitsHex(std::string_view hex, double* v) {
-  if (hex.size() != 16) return false;
-  uint64_t bits = 0;
-  for (char c : hex) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    bits = (bits << 4) | static_cast<uint64_t>(digit);
-  }
-  std::memcpy(v, &bits, sizeof *v);
-  return true;
-}
-
 const char* kTimeoutMessage = "read timed out waiting for a frame";
 
 Status TornFrame(const std::string& why) {
@@ -144,45 +115,51 @@ bool FrameReader::IsReadTimeout(const Status& status) {
 }
 
 Result<size_t> FrameReader::Fill(int timeout_ms) {
-  struct pollfd pfd;
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  for (;;) {
-    int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("poll failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (ready == 0) return Status::OutOfRange(kTimeoutMessage);
-    break;
-  }
   char chunk[4096];
   for (;;) {
-    ssize_t n = ::read(fd_, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("frame read failed: " +
-                             std::string(std::strerror(errno)));
+    if (timeout_ms != 0) {
+      struct pollfd pfd;
+      pfd.fd = fd_;
+      pfd.events = POLLIN;
+      int ready = ::poll(&pfd, 1, timeout_ms);
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError("poll failed: " +
+                               std::string(std::strerror(errno)));
+      }
+      if (ready == 0) return Status::OutOfRange(kTimeoutMessage);
     }
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return static_cast<size_t>(n);
+    ssize_t n = ::recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
+    if (n >= 0) {
+      buffer_.append(chunk, static_cast<size_t>(n));
+      return static_cast<size_t>(n);
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (timeout_ms == 0) return Status::OutOfRange(kTimeoutMessage);
+      continue;  // a spurious wake-up: wait again
+    }
+    return Status::IOError("frame read failed: " +
+                           std::string(std::strerror(errno)));
   }
 }
 
-Result<std::optional<Frame>> FrameReader::Read(int timeout_ms) {
+Status FrameReader::AtEof() const {
+  if (buffer_.empty()) return Status::OK();
+  return TornFrame(buffer_.find('\n') == std::string::npos
+                       ? "connection closed mid-header"
+                       : "connection closed mid-payload");
+}
+
+Result<std::optional<Frame>> FrameReader::Next() {
   // Header: everything up to the first '\n', bounded.
-  size_t newline;
-  while ((newline = buffer_.find('\n')) == std::string::npos) {
+  const size_t newline = buffer_.find('\n');
+  if (newline == std::string::npos) {
     if (buffer_.size() > kMaxHeaderBytes) {
       return TornFrame("header exceeds " + std::to_string(kMaxHeaderBytes) +
                        " bytes without a newline");
     }
-    PCLEAN_ASSIGN_OR_RETURN(size_t n, Fill(timeout_ms));
-    if (n == 0) {
-      if (buffer_.empty()) return std::optional<Frame>();  // clean close
-      return TornFrame("connection closed mid-header");
-    }
+    return std::optional<Frame>();
   }
   std::string header = buffer_.substr(0, newline);
   std::vector<std::string> parts = Split(header, ' ');
@@ -203,10 +180,7 @@ Result<std::optional<Frame>> FrameReader::Read(int timeout_ms) {
     return TornFrame("bad payload checksum '" + parts[3] + "'");
   }
   const size_t payload_len = static_cast<size_t>(*len);
-  while (buffer_.size() < newline + 1 + payload_len) {
-    PCLEAN_ASSIGN_OR_RETURN(size_t n, Fill(timeout_ms));
-    if (n == 0) return TornFrame("connection closed mid-payload");
-  }
+  if (buffer_.size() < newline + 1 + payload_len) return std::optional<Frame>();
   frame.payload = buffer_.substr(newline + 1, payload_len);
   buffer_.erase(0, newline + 1 + payload_len);
   // A fault here models bytes damaged in flight: the length/CRC checks
@@ -221,6 +195,18 @@ Result<std::optional<Frame>> FrameReader::Read(int timeout_ms) {
     return TornFrame("payload checksum mismatch");
   }
   return std::optional<Frame>(std::move(frame));
+}
+
+Result<std::optional<Frame>> FrameReader::Read(int timeout_ms) {
+  for (;;) {
+    PCLEAN_ASSIGN_OR_RETURN(std::optional<Frame> frame, Next());
+    if (frame.has_value()) return frame;
+    PCLEAN_ASSIGN_OR_RETURN(size_t n, Fill(timeout_ms));
+    if (n == 0) {
+      PCLEAN_RETURN_NOT_OK(AtEof());
+      return std::optional<Frame>();  // clean close
+    }
+  }
 }
 
 std::string RenderStatusPayload(const Status& status) {

@@ -93,11 +93,14 @@ std::string EncodeFrame(const Frame& frame);
 /// exceeds kMaxPayloadBytes.
 Status WriteFrame(int fd, const Frame& frame);
 
-/// Buffered frame reader over a stream socket.
+/// Buffered frame reader over a stream socket: one parser (Next) over a
+/// buffer that a blocking Read fills for the client and that the
+/// server's strand task fills without blocking (Fill(0)).
 ///
-/// Read() returns:
+/// Read() and Next() return:
 ///   a Frame          — one complete, CRC-verified frame;
-///   std::nullopt     — the peer closed cleanly at a frame boundary;
+///   std::nullopt     — Read: the peer closed cleanly at a frame
+///                      boundary; Next: no complete frame is buffered;
 ///   DataLoss         — torn/corrupt frame (bad magic, oversize length,
 ///                      EOF mid-frame, CRC mismatch). The stream cannot
 ///                      be re-synchronized after this;
@@ -108,20 +111,34 @@ class FrameReader {
  public:
   explicit FrameReader(int fd) : fd_(fd) {}
 
+  /// Next(), filling the buffer while it holds no complete frame.
   /// `timeout_ms < 0` blocks indefinitely. The timeout applies to each
   /// wait for bytes; mid-frame waits use the same bound, so a stalled
   /// peer cannot wedge the reader forever.
   Result<std::optional<Frame>> Read(int timeout_ms = -1);
 
-  /// True for the typed status Read() returns when the timeout lapsed
-  /// with no bytes (the idle-session signal).
+  /// Parses one frame out of the buffer without reading. A header is
+  /// checked as soon as its line is buffered, the payload once all of it
+  /// is.
+  Result<std::optional<Frame>> Next();
+
+  /// Appends one chunk of what the socket holds, waiting up to
+  /// `timeout_ms` for it (< 0: forever; 0: not at all). Returns the byte
+  /// count, 0 at EOF, or the typed timeout / IOError.
+  Result<size_t> Fill(int timeout_ms);
+
+  /// At EOF: OK when the stream ended at a frame boundary, else the
+  /// DataLoss of the frame it cut short.
+  Status AtEof() const;
+
+  /// True while the buffer holds bytes not yet returned as a frame.
+  bool buffered() const { return !buffer_.empty(); }
+
+  /// True for the typed status Read() and Fill() return when the
+  /// timeout lapsed with no bytes.
   static bool IsReadTimeout(const Status& status);
 
  private:
-  /// Appends more bytes from the socket to `buffer_`. Returns the count
-  /// read (0 = EOF), or a typed error / timeout status.
-  Result<size_t> Fill(int timeout_ms);
-
   int fd_;
   std::string buffer_;
 };

@@ -2,7 +2,8 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/file.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -10,8 +11,11 @@
 
 #include <cstdio>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -28,9 +32,13 @@ namespace server {
 
 namespace {
 
-/// Accept-loop poll granularity: how often the acceptor reaps closed
-/// sessions and re-checks the stop flag.
-constexpr int kAcceptTickMs = 100;
+/// How long the reactor stops accepting after fd or buffer exhaustion
+/// (EMFILE and friends), when the listener would stay readable.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(100);
+
+/// How long Drain() waits for sessions to answer what they have buffered
+/// before hard-stopping the stragglers.
+constexpr auto kDrainGrace = std::chrono::seconds(10);
 
 /// The bind name of a release directory: its basename, trailing
 /// slashes stripped.
@@ -61,6 +69,14 @@ Status FillSocketAddress(const std::string& path, sockaddr_un* addr) {
   return Status::OK();
 }
 
+/// epoll_wait's timeout until `deadline`: -1 (none) for max().
+int TimeoutMs(SessionClock::time_point now, SessionClock::time_point deadline) {
+  if (deadline == SessionClock::time_point::max()) return -1;
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - now).count();
+  return static_cast<int>(std::clamp<int64_t>(ms, 0, INT_MAX));
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -72,186 +88,170 @@ struct Server::Impl {
   std::string default_release;
   std::unique_ptr<ThreadPool> pool;
   int listen_fd = -1;
+  int epoll_fd = -1;
+  /// eventfd that wakes the reactor out of epoll_wait to stop it.
+  int wake_fd = -1;
   /// True once we own the socket-path binding; TearDown only unlinks
   /// then (a failed Start must not delete a live sibling's socket).
   bool bound = false;
-  std::thread acceptor;
+  std::thread reactor;
   std::atomic<uint64_t> queries_served{0};
   bool torn_down = false;  // owner-thread only
 
   mutable std::mutex mu;
   std::condition_variable closed_cv;
+  /// Live sessions. Only the reactor inserts and erases (under mu), so it
+  /// reads the map without mu.
   std::map<uint64_t, std::unique_ptr<Session>> sessions;
-  std::vector<uint64_t> reapable;
   uint64_t next_id = 1;
   uint64_t accepted = 0;
-  size_t live = 0;  // sessions whose on_closed has not fired yet
   bool stop_accepting = false;
+  bool stop = false;
 
-  void AcceptLoop();
-  void AcceptOne(int fd);
-  void OnSessionClosed(uint64_t id);
-  void Reap();
-  void StopAccepting();
+  void ReactorLoop();
+  /// Accepts one connection and says when to re-arm the listener: at
+  /// once (time_point::min()), after kAcceptBackoff on fd or buffer
+  /// exhaustion, or never (time_point::max()) after an unexpected error.
+  SessionClock::time_point Accept();
+  void Destroy(Session* session);
   void TearDown(bool graceful);
 };
 
-void Server::Impl::AcceptLoop() {
+void Server::Impl::ReactorLoop() {
+  epoll_event events[64];
+  auto resume_accept = SessionClock::time_point::max();
   for (;;) {
-    Reap();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (stop_accepting) return;
+    const auto now = SessionClock::now();
+    if (now >= resume_accept) {
+      resume_accept = SessionClock::time_point::max();
+      ArmOneShot(epoll_fd, EPOLL_CTL_MOD, listen_fd, &listen_fd);
     }
-    struct pollfd pfd;
-    pfd.fd = listen_fd;
-    pfd.events = POLLIN;
-    int ready = ::poll(&pfd, 1, kAcceptTickMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      // Listener unusable; Drain/TearDown still cleans up.
-      std::fprintf(stderr,
-                   "pclean serve: poll on '%s' failed (%s); no further "
-                   "sessions will be accepted\n",
-                   options.socket_path.c_str(), std::strerror(errno));
-      return;
-    }
-    if (ready == 0) continue;
-    int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        // Resource exhaustion under load is transient: that connection
-        // attempt is lost, but the listener must live on — exiting here
-        // would leave a live-looking server that accepts nobody.
-        std::this_thread::sleep_for(std::chrono::milliseconds(kAcceptTickMs));
-        continue;
+    auto deadline = resume_accept;
+    if (options.idle_timeout_ms > 0) {
+      for (auto& [id, session] : sessions) {
+        deadline = std::min(deadline, session->CheckIdle(now));
       }
-      std::fprintf(stderr,
-                   "pclean serve: accept on '%s' failed (%s); no further "
-                   "sessions will be accepted\n",
+    }
+    const int n = ::epoll_wait(epoll_fd, events, 64, TimeoutMs(now, deadline));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      // Every session's teardown runs through this loop, so it cannot
+      // stop short: an epoll set that fails to wait is a bug.
+      std::fprintf(stderr, "pclean serve: epoll_wait on '%s' failed (%s)\n",
                    options.socket_path.c_str(), std::strerror(errno));
-      return;
+      std::abort();
     }
-    // An injected accept failure models fd exhaustion or a dying
-    // listener: that one connection is dropped, the loop lives on.
-    if (!AcceptGate(options.socket_path).ok()) {
-      ::close(fd);
-      continue;
+    for (int i = 0; i < n; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == &wake_fd) {
+        uint64_t count;
+        (void)!::read(wake_fd, &count, sizeof count);
+        std::lock_guard<std::mutex> lock(mu);
+        if (stop) return;
+      } else if (tag == &listen_fd) {
+        resume_accept = Accept();
+      } else {
+        Session* session = static_cast<Session*>(tag);
+        if (session->OnReady()) Destroy(session);
+      }
     }
-    AcceptOne(fd);
   }
 }
 
-void Server::Impl::AcceptOne(int fd) {
+SessionClock::time_point Server::Impl::Accept() {
+  constexpr auto kAtOnce = SessionClock::time_point::min();
+  int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
+        errno == ECONNABORTED) {
+      return kAtOnce;
+    }
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM) {
+      // Resource exhaustion under load is transient: that connection
+      // waits in the backlog, which keeps the listener readable, so back
+      // off instead of spinning — but never give up, which would leave
+      // a live-looking server that accepts nobody.
+      return SessionClock::now() + kAcceptBackoff;
+    }
+    std::fprintf(stderr,
+                 "pclean serve: accept on '%s' failed (%s); no further "
+                 "sessions will be accepted\n",
+                 options.socket_path.c_str(), std::strerror(errno));
+    return SessionClock::time_point::max();
+  }
+  // An injected accept failure models fd exhaustion or a dying
+  // listener: that one connection is dropped, the listener lives on.
+  if (!AcceptGate(options.socket_path).ok()) {
+    ::close(fd);
+    return kAtOnce;
+  }
   SessionContext ctx;
   ctx.pool = pool.get();
+  ctx.epoll_fd = epoll_fd;
   ctx.ledger = ledger ? &*ledger : nullptr;
   ctx.releases = &releases;
   ctx.default_release = default_release;
   ctx.query_exec = options.query_exec;
   ctx.idle_timeout_ms = options.idle_timeout_ms;
-  ctx.queue_depth = options.queue_depth;
   ctx.queries_served = &queries_served;
-  uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (stop_accepting) {
-      ::close(fd);
-      return;
-    }
-    id = next_id++;
-    ++accepted;
-    ++live;
-  }
-  ctx.on_closed = [this, id] { OnSessionClosed(id); };
-  auto session = std::make_unique<Session>(fd, id, std::move(ctx));
-  Session* raw = session.get();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    sessions.emplace(id, std::move(session));
-  }
-  // Start after the map insert: until Start() the session has no
-  // threads, so on_closed cannot fire on an id the map lacks.
-  raw->Start();
-}
-
-void Server::Impl::OnSessionClosed(uint64_t id) {
   std::lock_guard<std::mutex> lock(mu);
-  reapable.push_back(id);
-  --live;
+  if (stop_accepting) {
+    ::close(fd);
+    return kAtOnce;
+  }
+  auto session = std::make_unique<Session>(fd, next_id, std::move(ctx));
+  // On failure the session's destructor closes the connection.
+  if (ArmOneShot(epoll_fd, EPOLL_CTL_ADD, fd, session.get())) {
+    ++accepted;
+    sessions.emplace(next_id++, std::move(session));
+  }
+  return kAtOnce;
+}
+
+void Server::Impl::Destroy(Session* session) {
+  // Out of the epoll set before the fd closes, so no later event can
+  // name the freed session.
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, session->fd(), nullptr);
+  std::unique_ptr<Session> dead;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = sessions.find(session->id());
+    dead = std::move(it->second);
+    sessions.erase(it);
+  }
   closed_cv.notify_all();
-}
-
-void Server::Impl::Reap() {
-  std::vector<std::unique_ptr<Session>> dead;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (uint64_t id : reapable) {
-      auto it = sessions.find(id);
-      if (it == sessions.end()) continue;
-      dead.push_back(std::move(it->second));
-      sessions.erase(it);
-    }
-    reapable.clear();
-  }
-  // Destruction outside mu: ~Session joins the (already exited) reader
-  // thread and closes the fd, neither of which needs the server lock.
-  dead.clear();
-}
-
-void Server::Impl::StopAccepting() {
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    stop_accepting = true;
-  }
-  if (acceptor.joinable()) acceptor.join();
 }
 
 void Server::Impl::TearDown(bool graceful) {
   if (torn_down) return;
-  StopAccepting();
-  // The acceptor is joined: nobody inserts sessions or reaps
-  // concurrently from here on.
-  std::vector<Session*> open_sessions;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto& [id, session] : sessions) {
-      if (!session->closed()) open_sessions.push_back(session.get());
+  torn_down = true;
+  if (reactor.joinable()) {
+    std::unique_lock<std::mutex> lock(mu);
+    stop_accepting = true;
+    // The reactor destroys each session once it has closed and its last
+    // task has ended; BeginDrain and Close shut the socket, whose
+    // readiness wakes the reactor.
+    if (graceful) {
+      for (auto& [id, session] : sessions) session->BeginDrain();
+      closed_cv.wait_for(lock, kDrainGrace, [&] { return sessions.empty(); });
     }
+    for (auto& [id, session] : sessions) session->Close();
+    closed_cv.wait(lock, [&] { return sessions.empty(); });
+    stop = true;
+    lock.unlock();
+    const uint64_t one = 1;
+    (void)!::write(wake_fd, &one, sizeof one);
+    reactor.join();
   }
-  if (graceful) {
-    for (Session* session : open_sessions) session->BeginDrain();
-    std::unique_lock<std::mutex> lock(mu);
-    closed_cv.wait_for(lock, std::chrono::milliseconds(
-                                 options.drain_grace_ms < 0
-                                     ? 0
-                                     : options.drain_grace_ms),
-                       [&] { return live == 0; });
-  }
-  // Hard-stop the stragglers (all of them, when not graceful). Abort
-  // guarantees progress — queues are dropped and sockets shut — so the
-  // unbounded wait below terminates.
-  for (Session* session : open_sessions) session->Abort();
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    closed_cv.wait(lock, [&] { return live == 0; });
-  }
-  Reap();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    sessions.clear();
-  }
-  // Every session closed before this point, so no strand task remains
-  // and the pool drains instantly.
+  // No session is left, so no strand task remains and the pool drains
+  // at once.
   pool.reset();
-  if (listen_fd >= 0) {
-    ::close(listen_fd);
-    listen_fd = -1;
+  for (int* fd : {&epoll_fd, &wake_fd, &listen_fd}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
   if (bound) ::unlink(options.socket_path.c_str());
-  torn_down = true;
 }
 
 Result<Server> Server::Start(const ServerOptions& options) {
@@ -296,7 +296,9 @@ Result<Server> Server::Start(const ServerOptions& options) {
     impl->ledger.emplace(std::move(ledger));
   }
 
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  // Non-blocking: the reactor accepts only when the listener is readable,
+  // and a connection that vanishes first must not block it in accept.
+  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status::IOError("socket failed: " +
                            std::string(std::strerror(errno)));
@@ -366,7 +368,18 @@ Result<Server> Server::Start(const ServerOptions& options) {
       options.pool_threads > 0 ? static_cast<size_t>(options.pool_threads)
                                : 0;
   impl->pool = std::make_unique<ThreadPool>(pool_exec.EffectiveThreads());
-  impl->acceptor = std::thread([raw = impl.get()] { raw->AcceptLoop(); });
+  impl->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  impl->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  epoll_event wake{};
+  wake.events = EPOLLIN;
+  wake.data.ptr = &impl->wake_fd;
+  if (impl->epoll_fd < 0 || impl->wake_fd < 0 ||
+      ::epoll_ctl(impl->epoll_fd, EPOLL_CTL_ADD, impl->wake_fd, &wake) != 0 ||
+      !ArmOneShot(impl->epoll_fd, EPOLL_CTL_ADD, fd, &impl->listen_fd)) {
+    return Status::IOError("epoll set-up for '" + options.socket_path +
+                           "' failed: " + std::strerror(errno));
+  }
+  impl->reactor = std::thread([raw = impl.get()] { raw->ReactorLoop(); });
   return Server(std::move(impl));
 }
 
@@ -393,7 +406,7 @@ uint64_t Server::sessions_accepted() const {
 
 size_t Server::sessions_live() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->live;
+  return impl_->sessions.size();
 }
 
 uint64_t Server::queries_served() const {

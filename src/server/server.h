@@ -34,31 +34,35 @@ struct ServerOptions {
   /// Per-query execution threading (QueryOptions::exec inside a session
   /// task). Also never affects response bytes.
   ExecutionOptions query_exec;
-  /// Close sessions idle longer than this; <= 0 disables.
+  /// Close a session whose last complete frame was handled longer ago
+  /// than this while no task of it was in flight; bytes of an
+  /// unfinished frame do not count. <= 0 disables.
   int idle_timeout_ms = 0;
-  /// Bounded per-session request queue (pipelining backpressure).
-  size_t queue_depth = 8;
-  /// How long Drain() waits for sessions to answer their queues before
-  /// aborting the stragglers.
-  int drain_grace_ms = 10000;
 };
 
 /// The `pclean serve` daemon: accepts analyst connections on a
 /// Unix-domain socket and multiplexes their sessions over one shared
 /// thread pool against shared read-only releases.
 ///
-/// Lifecycle: Start() binds, listens, opens every release and (if
-/// configured) the ledger, then runs the accept loop on its own thread.
-/// Drain() is the graceful shutdown: stop accepting, let every live
-/// session answer what it has queued, say GOODBYE, wait (bounded by
-/// drain_grace_ms), then tear down and unlink the socket. The
-/// destructor hard-stops anything Drain() did not get to.
+/// Threads: one reactor thread plus the pool, however many sessions are
+/// open. The reactor waits in epoll on the listening socket and every
+/// session socket, each armed one-shot: it accepts connections, and for
+/// a readable session schedules that session's strand task on the pool
+/// (Session), which re-arms the socket when it is done. An idle session
+/// costs one fd and one read buffer.
 ///
-/// Teardown ordering is the correctness-critical part: sessions only
-/// schedule strand tasks on the pool while live, and a session reports
-/// closed only when it can schedule no further work (see
-/// Session::FinishedLocked), so the destructor can safely destroy the
-/// pool after every session closed, and the sessions after the pool.
+/// Lifecycle: Start() binds, listens, opens every release and (if
+/// configured) the ledger, then starts the reactor. Drain() is the
+/// graceful shutdown: stop accepting, let every live session answer the
+/// complete frames it has buffered, say GOODBYE, wait (at most 10 s),
+/// hard-stop the stragglers, then stop the reactor and unlink the
+/// socket. The destructor hard-stops anything Drain() did not get to.
+///
+/// Teardown: a session is finished when it is closed and no task of it
+/// is in flight, and only the reactor destroys sessions (on the
+/// readiness event of the closed socket), so no epoll event can name a
+/// freed session. Teardown waits until the reactor has destroyed every
+/// session, joins it, and only then destroys the pool.
 class Server {
  public:
   /// Binds and starts serving. Typed failures: InvalidArgument (bad
@@ -69,9 +73,10 @@ class Server {
   /// the probe/unlink/bind takeover is serialized across concurrently
   /// starting servers by an flock on `<socket_path>.lock` (the lock
   /// file stays behind — unlinking it would reopen the race).
-  /// Failpoint `server.accept` injects accept-time failures; the loop
-  /// treats them as transient (that connection is dropped), as are
-  /// fd/buffer-exhaustion accept errors (EMFILE and friends).
+  /// Failpoint `server.accept` injects accept-time failures; the
+  /// reactor treats them as transient (that connection is dropped), and
+  /// backs off 100 ms on fd/buffer-exhaustion accept errors (EMFILE and
+  /// friends) rather than spin on a listener that stays readable.
   static Result<Server> Start(const ServerOptions& options);
 
   ~Server();

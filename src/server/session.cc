@@ -1,5 +1,6 @@
 #include "server/session.h"
 
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,222 +13,150 @@
 namespace privateclean {
 namespace server {
 
-namespace {
-
-/// Reader poll granularity: how often a blocked reader re-checks
-/// drain/abort flags and advances the idle clock.
-constexpr int kReaderTickMs = 200;
-
-}  // namespace
+bool ArmOneShot(int epoll_fd, int op, int fd, void* tag) {
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLONESHOT;
+  event.data.ptr = tag;
+  return ::epoll_ctl(epoll_fd, op, fd, &event) == 0;
+}
 
 Session::Session(int fd, uint64_t id, SessionContext context)
-    : id_(id), context_(std::move(context)), fd_(fd) {}
+    : id_(id),
+      context_(std::move(context)),
+      fd_(fd),
+      idle_since_(SessionClock::now()),
+      reader_(fd) {}
 
 Session::~Session() {
-  Abort();
-  if (reader_.joinable()) reader_.join();
+  // The socket is shut for reading, so nothing new arrives. Discard what
+  // the peer sent that was never read: closing with unread bytes would
+  // reset the connection, and the peer would see ECONNRESET after its
+  // GOODBYE instead of a clean EOF.
+  char sink[4096];
+  while (::recv(fd_, sink, sizeof sink, MSG_DONTWAIT) > 0) {
+  }
   ::close(fd_);
 }
 
-void Session::Start() {
-  reader_ = std::thread([this] {
-    ReaderLoop();
-    std::function<void()> on_closed;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      reader_exited_ = true;
-      on_closed = ClaimFinishLocked();
-    }
-    if (on_closed) on_closed();
-  });
+bool Session::OnReady() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (running_) return false;
+  if (state_ == SessionState::kClosed) return true;
+  running_ = true;
+  context_.pool->Schedule([this] { Run(); });
+  return false;
 }
 
-SessionState Session::state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
+SessionClock::time_point Session::IdleDeadlineLocked() const {
+  if (context_.idle_timeout_ms <= 0) return SessionClock::time_point::max();
+  return idle_since_ + std::chrono::milliseconds(context_.idle_timeout_ms);
 }
 
-bool Session::closed() const {
+SessionClock::time_point Session::CheckIdle(SessionClock::time_point now) {
   std::lock_guard<std::mutex> lock(mu_);
-  return finish_claimed_;
+  if (state_ == SessionState::kClosed || timed_out_) {
+    return SessionClock::time_point::max();
+  }
+  const SessionClock::time_point deadline = IdleDeadlineLocked();
+  if (now < deadline) return deadline;
+  // Past the deadline with a task in flight, that task decides (Run):
+  // it times the session out if it ends without a complete frame, and
+  // restarts the clock, no earlier than `now`, if it ends with one.
+  if (running_) return now + (deadline - idle_since_);  // now + timeout
+  timed_out_ = true;
+  running_ = true;
+  context_.pool->Schedule([this] { Run(); });
+  return SessionClock::time_point::max();
 }
 
 void Session::BeginDrain() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (draining_ || aborted_ || state_ == SessionState::kClosed) return;
-  draining_ = true;
+  if (state_ != SessionState::kOpen) return;
   state_ = SessionState::kDraining;
-  // Wake the reader out of its poll: after SHUT_RD every read returns
-  // EOF, the reader enqueues kDrain behind whatever is already queued,
-  // and the strand says GOODBYE after the last queued answer.
+  // After SHUT_RD the socket reports readable: an idle session's task
+  // runs, finds no complete frame, and says GOODBYE.
   ::shutdown(fd_, SHUT_RD);
 }
 
-void Session::Abort() {
-  std::function<void()> on_closed;
+void Session::Close() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (state_ == SessionState::kClosed) return;
+  state_ = SessionState::kClosed;
+  ::shutdown(fd_, SHUT_RDWR);
+}
+
+void Session::Run() {
+  const bool handled = Step();
+  std::lock_guard<std::mutex> lock(mu_);
+  const SessionClock::time_point now = SessionClock::now();
+  if (handled) idle_since_ = now;
+  if (state_ != SessionState::kClosed) {
+    // Bytes of an unfinished frame are no activity: a task that ends
+    // without a complete frame past the idle deadline times the session
+    // out itself, so a client dripping bytes cannot outlive the timeout.
+    if (!handled && IdleDeadlineLocked() <= now) timed_out_ = true;
+    // One frame per task: a busy session yields its worker between
+    // frames, so it cannot starve its siblings on a small pool.
+    if (timed_out_ || (handled && reader_.buffered())) {
+      context_.pool->Schedule([this] { Run(); });
+      return;
+    }
+  }
+  running_ = false;
+  // The last act, under mu_: once the socket is armed, the reactor may
+  // schedule the next task or, if the session is closed (its shut
+  // socket is readable at once), destroy it as soon as mu_ is free.
+  ArmOneShot(context_.epoll_fd, EPOLL_CTL_MOD, fd_, this);
+}
+
+bool Session::Step() {
+  SessionState state;
+  bool timed_out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!aborted_) {
-      aborted_ = true;
-      queue_.clear();  // dropped unanswered, by contract
-      if (state_ != SessionState::kClosed) {
-        state_ = SessionState::kClosed;
-        ::shutdown(fd_, SHUT_RDWR);
-      }
-      space_cv_.notify_all();
-    }
-    on_closed = ClaimFinishLocked();
+    state = state_;
+    timed_out = timed_out_;
   }
-  if (on_closed) on_closed();
-}
-
-void Session::ReaderLoop() {
-  FrameReader reader(fd_);
-  int idle_ms = 0;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (aborted_ || state_ == SessionState::kClosed) return;
-    }
-    auto result = reader.Read(kReaderTickMs);
-    bool draining;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (aborted_) return;
-      draining = draining_;
-    }
-    if (draining) {
-      // A frame read concurrently with the drain request is dropped:
-      // drain answers what was already queued, nothing newer.
-      Enqueue(Item{ItemKind::kDrain, Frame{}, Status::OK()});
-      return;
-    }
-    if (!result.ok()) {
-      const Status& status = result.status();
-      if (FrameReader::IsReadTimeout(status)) {
-        bool busy;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          busy = pump_scheduled_ || !queue_.empty();
-        }
-        if (busy) {
-          // A session waiting on its own long query is not idle.
-          idle_ms = 0;
-          continue;
-        }
-        idle_ms += kReaderTickMs;
-        if (context_.idle_timeout_ms > 0 &&
-            idle_ms >= context_.idle_timeout_ms) {
-          Enqueue(Item{ItemKind::kTimeout, Frame{}, Status::OK()});
-          return;
-        }
-        continue;
-      }
-      ItemKind kind =
-          status.IsDataLoss() ? ItemKind::kCorrupt : ItemKind::kReadError;
-      Enqueue(Item{kind, Frame{}, status});
-      return;
-    }
-    idle_ms = 0;
-    if (!result->has_value()) {
-      Enqueue(Item{ItemKind::kEof, Frame{}, Status::OK()});
-      return;
-    }
-    Enqueue(Item{ItemKind::kFrame, std::move(**result), Status::OK()});
-  }
-}
-
-void Session::Enqueue(Item item) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (item.kind == ItemKind::kFrame) {
-    // Backpressure: a pipelining client that outruns the strand blocks
-    // here (and therefore in its socket) instead of growing our memory.
-    // Control items always land, so close reasons cannot deadlock.
-    space_cv_.wait(lock, [&] {
-      return queue_.size() < context_.queue_depth || aborted_;
-    });
-    if (aborted_) return;
-  }
-  queue_.push_back(std::move(item));
-  SchedulePumpLocked();
-}
-
-void Session::SchedulePumpLocked() {
-  if (pump_scheduled_ || queue_.empty()) return;
-  pump_scheduled_ = true;
-  context_.pool->Schedule([this] { Pump(); });
-}
-
-void Session::Pump() {
-  Item item;
-  bool have_item = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!queue_.empty()) {
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      have_item = true;
-    }
-  }
-  if (have_item) {
-    space_cv_.notify_one();
-    Handle(std::move(item));
-  }
-  std::function<void()> on_closed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pump_scheduled_ = false;
-    // One item per task: a busy session yields the worker between
-    // requests, so it cannot starve its siblings on a small pool.
-    SchedulePumpLocked();
-    // The finish claim must share this critical section: with an
-    // unlocked gap after pump_scheduled_ clears, the reader or Abort()
-    // could claim the finish, fire on_closed, and let the server
-    // destroy the session while this pool worker still needed mu_.
-    on_closed = ClaimFinishLocked();
-  }
-  // `this` may be gone the moment the lock above is released (another
-  // thread can now claim the finish): past this point, touch nothing
-  // but the local copy of the callback.
-  if (on_closed) on_closed();
-}
-
-void Session::Handle(Item item) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (state_ == SessionState::kClosed) return;  // late item, drop
-  }
-  switch (item.kind) {
-    case ItemKind::kFrame:
-      HandleFrame(std::move(item.frame));
-      return;
-    case ItemKind::kTimeout:
-      SendGoodbye("idle timeout");
+  if (state == SessionState::kClosed) return false;
+  const bool may_read = state == SessionState::kOpen && !timed_out;
+  Result<std::optional<Frame>> next = reader_.Next();
+  while (may_read && next.ok() && !next->has_value()) {
+    Result<size_t> n = reader_.Fill(/*timeout_ms=*/0);
+    if (!n.ok()) {
+      // Nothing more to read yet: wait for the socket again.
+      if (FrameReader::IsReadTimeout(n.status())) return false;
       Close();
-      return;
-    case ItemKind::kCorrupt:
-      // A stream that lost framing cannot be re-synchronized: surface
-      // the typed DataLoss, then close.
-      SendError(item.status);
+      return false;
+    }
+    if (*n == 0) {
+      Status eof = reader_.AtEof();
+      if (!eof.ok()) SendError(eof);
       Close();
-      return;
-    case ItemKind::kEof:
-    case ItemKind::kReadError:
-      Close();
-      return;
-    case ItemKind::kDrain:
-      SendGoodbye("server draining");
-      Close();
-      return;
+      return false;
+    }
+    next = reader_.Next();
   }
+  if (!next.ok()) {
+    // A stream that lost framing cannot be re-synchronized: surface the
+    // typed DataLoss, then close.
+    SendError(next.status());
+    Close();
+    return false;
+  }
+  if (!next->has_value()) {
+    SendGoodbye(timed_out ? "idle timeout" : "server draining");
+    Close();
+    return false;
+  }
+  HandleFrame(std::move(**next));
+  return true;
 }
 
 void Session::HandleFrame(Frame frame) {
   switch (frame.type) {
     // Bound-ness is tracked by release_ (strand-only state), not by
-    // SessionState: a draining session is still bound, and its queued
-    // queries are answered by contract (session.h) — gating QUERY on
-    // state()==kReady would reject them with a misleading error.
+    // SessionState: a draining session is still bound, and its buffered
+    // queries are answered by contract (session.h).
     case FrameType::kHello: {
       if (release_ != nullptr) {
         SendError(Status::FailedPrecondition(
@@ -289,10 +218,6 @@ Status Session::HandleHello(const Frame& frame) {
   }
   tenant_ = hello.tenant;
   release_ = it->second;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (state_ == SessionState::kAwaitHello) state_ = SessionState::kReady;
-  }
   WelcomeInfo info;
   info.relation = release_->relation;
   info.rows = release_->table.size();
@@ -360,31 +285,6 @@ void Session::Send(const Frame& frame) {
   // nothing more can usefully be said on this socket.
   write_failed_ = true;
   Close();
-}
-
-void Session::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (state_ == SessionState::kClosed) return;
-  state_ = SessionState::kClosed;
-  ::shutdown(fd_, SHUT_RDWR);
-  space_cv_.notify_all();
-}
-
-bool Session::FinishedLocked() const {
-  return state_ == SessionState::kClosed && queue_.empty() &&
-         !pump_scheduled_ && reader_exited_ && !finish_claimed_;
-}
-
-std::function<void()> Session::ClaimFinishLocked() {
-  if (!FinishedLocked()) return nullptr;
-  finish_claimed_ = true;
-  // The claimer returns a copy of the callback and invokes it only
-  // after releasing mu_: on_closed takes the server's lock, and the
-  // server calls session methods (which take mu_) under that lock —
-  // invoking the callback under mu_ would invert the order. The copy
-  // matters too: once on_closed fires the server may destroy the
-  // session, so the member std::function cannot be touched mid-call.
-  return context_.on_closed;
 }
 
 }  // namespace server

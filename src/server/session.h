@@ -2,15 +2,12 @@
 #define PRIVATECLEAN_SERVER_SESSION_H_
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/thread_pool.h"
 #include "core/private_table.h"
@@ -43,26 +40,35 @@ struct OpenedRelease {
         relation(std::move(relation)) {}
 };
 
-/// Where a session is in its lifecycle.
+/// Where a session is in its lifecycle. Whether a HELLO has bound it is
+/// strand-only state (Session::release_), not a state here.
 enum class SessionState {
-  /// Connected; the first frame must be HELLO.
-  kAwaitHello,
-  /// Tenant and release bound; QUERY frames are served.
-  kReady,
-  /// Drain requested: queued requests are still answered, no new frames
-  /// are read, and a GOODBYE follows the last answer.
+  /// Frames are read and answered.
+  kOpen,
+  /// Drain requested: the complete frames already buffered are still
+  /// answered, nothing more is read, and a GOODBYE follows.
   kDraining,
-  /// Socket closed; the session is inert.
+  /// Socket shut; the session answers nothing more.
   kClosed,
 };
 
+using SessionClock = std::chrono::steady_clock;
+
+/// Arms `fd` in the epoll set `epoll_fd` for one readiness event
+/// (EPOLLIN | EPOLLONESHOT) carrying `tag`; `op` is EPOLL_CTL_ADD or
+/// EPOLL_CTL_MOD. False when epoll_ctl fails.
+bool ArmOneShot(int epoll_fd, int op, int fd, void* tag);
+
 /// Everything a session borrows from its server. All pointers outlive
-/// the session (the server tears sessions down before any of them).
+/// the session (the server destroys sessions before any of them).
 struct SessionContext {
   /// Strand scheduling: session work runs as tasks on this pool, at most
   /// one in flight per session, so responses never interleave and a
   /// 1-thread pool serializes all sessions (the benchmark baseline).
   ThreadPool* pool = nullptr;
+  /// The server's epoll set, in which the session's socket is armed
+  /// one-shot with the Session as its tag.
+  int epoll_fd = -1;
   /// Budget ledger, or nullptr when the server runs without admission.
   BudgetLedger* ledger = nullptr;
   /// Releases the server opened, keyed by bind name (directory basename).
@@ -73,26 +79,35 @@ struct SessionContext {
   /// Per-query execution threading (QueryOptions::exec). Results are
   /// independent of this; it never affects response bytes.
   ExecutionOptions query_exec;
-  /// Close sessions that sit idle (no frame, nothing queued or running)
-  /// longer than this. <= 0 disables the timeout.
+  /// Close the session when its last complete frame was handled longer
+  /// ago than this while no task of it was in flight. <= 0 disables.
   int idle_timeout_ms = 0;
-  /// Bounded request queue per session: a pipelining client that gets
-  /// this far ahead blocks in the socket (reader backpressure) instead
-  /// of growing server memory.
-  size_t queue_depth = 8;
-  /// Invoked exactly once when the session has fully closed (socket shut,
-  /// last strand task done). May be invoked from a pool thread.
-  std::function<void()> on_closed;
   /// Server-wide counter of answered QUERY frames.
   std::atomic<uint64_t>* queries_served = nullptr;
 };
 
-/// One analyst connection: a reader thread that frames the socket and a
-/// strand of pool tasks that runs the HELLO → QUERY* → BYE state
-/// machine. The reader only parses frames and enqueues; every state
-/// transition, query execution, and response write happens on the
-/// strand, so per-session processing is strictly ordered even on a
-/// many-threaded pool.
+/// One analyst connection: a strand of pool tasks that reads the socket
+/// and runs the HELLO → QUERY* → BYE state machine. The server's reactor
+/// thread waits on the socket; when it is readable the reactor schedules
+/// the strand task, which
+///   - reads what the socket holds (never blocking) while no complete
+///     frame is buffered, so a session holds at most one frame plus one
+///     read chunk, and a client that pipelines further blocks in its
+///     socket;
+///   - handles one complete frame;
+///   - reschedules itself while bytes remain buffered (one frame per
+///     task: a busy session cannot starve its siblings on a small pool;
+///     the next task answers a complete frame or reads on for the rest
+///     of a partial one), and otherwise re-arms the socket as its last
+///     act.
+/// So at most one task per session is in flight, per-session processing
+/// is strictly ordered even on a many-threaded pool, and every state
+/// transition, query execution and response write happens on the strand.
+///
+/// A session is finished when it is closed and no task is in flight.
+/// Closing shuts the socket, so its re-armed fd reports readiness at
+/// once, and the reactor destroys the session on that event (OnReady
+/// returns true). The reactor is the only thread that destroys sessions.
 ///
 /// Error containment: a query-level failure (bad SQL, unknown attribute,
 /// overdraft) is answered with a typed ERROR frame and the session keeps
@@ -102,45 +117,46 @@ struct SessionContext {
 class Session {
  public:
   Session(int fd, uint64_t id, SessionContext context);
+  /// Closes the socket. The reactor removes it from the epoll set first.
   ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Spawns the reader thread. Call exactly once.
-  void Start();
+  uint64_t id() const { return id_; }
+  int fd() const { return fd_; }
 
-  /// Graceful drain: stop reading, answer what is queued, say GOODBYE.
-  /// Idempotent; returns immediately (completion signals via on_closed).
+  /// Reactor thread: the socket reported readiness, which spent its
+  /// one-shot arm. Schedules the strand task unless one is in flight
+  /// (that task re-arms the socket when it ends). Returns true when the
+  /// session is finished and the caller must destroy it.
+  bool OnReady();
+
+  /// Reactor thread: when the idle deadline (the last complete frame
+  /// plus the idle timeout) has passed and no task is in flight,
+  /// schedules the task that says GOODBYE and closes. Returns when to
+  /// look again: the deadline, a bound while a task is in flight past
+  /// it, or SessionClock::time_point::max().
+  SessionClock::time_point CheckIdle(SessionClock::time_point now);
+
+  /// Graceful drain: answer the complete frames already buffered, read
+  /// nothing more, say GOODBYE. Idempotent; returns immediately. Shuts
+  /// the read side, which wakes an idle session's socket.
   void BeginDrain();
 
-  /// Hard stop: shuts the socket both ways so reader and peer unblock
-  /// immediately. Queued requests are dropped unanswered.
-  void Abort();
-
-  uint64_t id() const { return id_; }
-  SessionState state() const;
-  /// True once on_closed has fired (or been claimed by the firing
-  /// party). After this the session schedules no further pool work.
-  bool closed() const;
+  /// Hard stop: shuts the socket both ways, so a blocked write and the
+  /// peer unblock at once. Buffered frames are dropped unanswered.
+  /// Idempotent.
+  void Close();
 
  private:
-  /// Reader → strand handoff items. Control items carry the reason the
-  /// reader stopped; kFrame carries a verified frame.
-  enum class ItemKind { kFrame, kTimeout, kCorrupt, kEof, kReadError, kDrain };
-  struct Item {
-    ItemKind kind = ItemKind::kFrame;
-    Frame frame;
-    Status status;
-  };
-
-  void ReaderLoop();
-  void Enqueue(Item item);
-  void SchedulePumpLocked();
-  /// One strand task: handle a single item, then reschedule if more are
-  /// queued (fairness: a busy session cannot monopolize a pool worker).
-  void Pump();
-  void Handle(Item item);
+  /// One strand task: Step, then reschedule or re-arm.
+  void Run();
+  /// idle_since_ plus the idle timeout; max() when there is none.
+  SessionClock::time_point IdleDeadlineLocked() const;
+  /// Reads and handles at most one frame. True when a complete frame
+  /// was handled.
+  bool Step();
   void HandleFrame(Frame frame);
   Status HandleHello(const Frame& frame);
   Status HandleQuery(const Frame& frame);
@@ -148,42 +164,24 @@ class Session {
   void SendError(const Status& status);
   void SendGoodbye(const std::string& reason);
   void Send(const Frame& frame);
-  void Close();
-  /// The session is finished when the socket is closed, the queue is
-  /// empty, no strand task is in flight, and the reader thread has
-  /// exited — only then can no party schedule further pool work, which
-  /// is what makes it safe for the server to destroy the session after
-  /// on_closed. Exactly one caller claims the transition, in the SAME
-  /// critical section that flipped the last FinishedLocked condition
-  /// (an unlocked gap would let another thread claim, fire on_closed,
-  /// and free the session under the first thread), and only that
-  /// caller invokes on_closed (outside mu_).
-  bool FinishedLocked() const;
-  /// Claims the finish if FinishedLocked(); returns the callback the
-  /// claimer must invoke after releasing mu_ (null when not finished,
-  /// already claimed, or no callback is set). Call with mu_ held.
-  std::function<void()> ClaimFinishLocked();
 
   const uint64_t id_;
   SessionContext context_;
-  int fd_;
+  const int fd_;
 
   mutable std::mutex mu_;
-  std::condition_variable space_cv_;  // reader waits here when queue full
-  std::deque<Item> queue_;
-  bool pump_scheduled_ = false;
-  bool draining_ = false;
-  bool aborted_ = false;
-  bool reader_exited_ = false;
-  bool finish_claimed_ = false;
-  SessionState state_ = SessionState::kAwaitHello;
+  /// A strand task is scheduled or running.
+  bool running_ = false;
+  bool timed_out_ = false;
+  SessionState state_ = SessionState::kOpen;
+  /// When the last complete frame was handled (or the session accepted).
+  SessionClock::time_point idle_since_;
 
-  // Strand-only state (touched exclusively inside Handle*).
+  // Strand-only state (touched exclusively by the task in flight).
+  FrameReader reader_;
   std::string tenant_;
   std::shared_ptr<const OpenedRelease> release_;
   bool write_failed_ = false;
-
-  std::thread reader_;
 };
 
 }  // namespace server

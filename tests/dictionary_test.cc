@@ -627,6 +627,30 @@ Table MakeCityStateTable(size_t rows, uint64_t seed) {
   return *b.Finish();
 }
 
+/// AppendProvenanceGraph without its dense dirty × clean weight matrix:
+/// each clean value lists its parents and their edge weights, so a graph
+/// over mostly distinct values serializes in O(edges).
+template <typename Graph>
+void AppendSparseProvenanceGraph(ByteSink* sink, const Graph& g) {
+  sink->AppendU64(g.num_dirty_values());
+  sink->AppendU64(g.num_clean_values());
+  sink->AppendU64(g.num_edges());
+  sink->AppendU64(g.is_fork_free() ? 1 : 0);
+  const std::vector<Value>& clean_values = g.clean_domain().values();
+  for (size_t i = 0; i < clean_values.size(); ++i) {
+    const Value& clean = clean_values[i];
+    sink->AppendValue(clean);
+    sink->AppendU64(g.clean_domain().frequency(i));
+    const std::vector<Value> parents = g.ParentSet({clean});
+    sink->AppendU64(parents.size());
+    for (const Value& parent : parents) {
+      sink->AppendValue(parent);
+      sink->AppendDoubleBits(g.EdgeWeight(parent, clean));
+    }
+  }
+  sink->AppendDoubleBits(g.WeightedSelectivity(clean_values));
+}
+
 TEST(ProvenanceBuildDifferentialTest, OnePassMatchesBoxedReference) {
   struct Cleaning {
     std::string name;
@@ -821,6 +845,90 @@ TEST(ProvenanceBuildDifferentialTest, OnePassMatchesBoxedReference) {
           return got_bytes;
         });
       }
+    }
+  }
+
+  // A mostly distinct attribute: nearly every row holds a value of its
+  // own, so each worker's partial spans about as many slots as its
+  // rows. A few repeated values (which fork under the projection) and
+  // NULLs ride along. The graphs are compared edge by edge: the dense
+  // dirty × clean weight matrix would take gigabytes here.
+  const std::vector<Cleaning> distinct_cleanings = {
+      {"none", [](Table*) { return Status::OK(); }, "id", false},
+      {"merge, to and from NULL",
+       [](Table* t) {
+         return FindReplace("id", {{Value("u1001"), Value("u1000")},
+                                   {Value("u3"), Value::Null()},
+                                   {Value::Null(), Value("was-null")}})
+             .Apply(t);
+       },
+       "id", false},
+      {"new values interned after the snapshot",
+       [](Table* t) {
+         return ValueTransform("id",
+                               [](const Value& v) {
+                                 return v.is_null() ? v
+                                                    : Value(v.AsString() + "!");
+                               })
+             .Apply(t);
+       },
+       "id", false},
+      {"fork",
+       [](Table* t) {
+         return ProjectionTransform(
+                    {"id", "s"},
+                    [](const std::vector<Value>& row) {
+                      if (row[0].is_null() || row[1] != Value("s1")) {
+                        return row;
+                      }
+                      return std::vector<Value>{
+                          Value(row[0].AsString() + "-east"), row[1]};
+                    })
+             .Apply(t);
+       },
+       "id", true},
+  };
+  for (size_t rows : {size_t{0}, size_t{1}, kRowsPerShard + 1}) {
+    TableBuilder b(
+        *Schema::Make({Field::Discrete("id"), Field::Discrete("s")}));
+    Rng rng(3000 + rows);
+    for (size_t r = 0; r < rows; ++r) {
+      Value id = rng.Bernoulli(0.03) ? Value::Null()
+                 : rng.Bernoulli(0.05)
+                     ? Value("u" + std::to_string(rng.UniformInt(10)))
+                     : Value("u" + std::to_string(1000 + r));
+      b.Row({id, Value("s" + std::to_string(rng.UniformInt(3)))});
+    }
+    const Table base = *b.Finish();
+    const Column& snapshot = base.column(0);
+    std::vector<Value> dirty_values = {Value("ghost-0")};
+    const Domain observed = *Domain::FromColumn(base, "id");
+    for (const Value& v : observed.values()) dirty_values.push_back(v);
+    const Domain dirty_domain = Domain::FromValues(dirty_values);
+    for (const Cleaning& cleaning : distinct_cleanings) {
+      SCOPED_TRACE("mostly distinct rows=" + std::to_string(rows) + " " +
+                   cleaning.name);
+      Table t = base.Clone();
+      ASSERT_TRUE(cleaning.apply(&t).ok());
+      const Column& current = t.column(0);
+      const ReferenceGraph reference =
+          *ReferenceGraph::Build(snapshot, current, dirty_domain);
+      if (rows >= kRowsPerShard) {
+        EXPECT_EQ(!reference.is_fork_free(), cleaning.forks);
+      }
+      ByteSink want;
+      AppendSparseProvenanceGraph(&want, reference);
+      const std::string want_bytes = std::move(want).Finish();
+      ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
+        ByteSink got;
+        AppendSparseProvenanceGraph(
+            &got,
+            *ProvenanceGraph::Build(snapshot, current, dirty_domain, exec));
+        std::string got_bytes = std::move(got).Finish();
+        EXPECT_TRUE(got_bytes == want_bytes)
+            << "graph differs from the boxed reference";
+        return got_bytes;
+      });
     }
   }
 }

@@ -741,6 +741,29 @@ TEST_F(ReleaseTest, ManifestMissingRequiredLinesIsDataLoss) {
   }
 }
 
+TEST_F(ReleaseTest, UppercaseHexParameterIsDataLoss) {
+  // Every writer emits a parameter as 16 lowercase hex digits; the
+  // reader takes exactly that form, as the ledger and the wire do.
+  ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
+  const std::string lower = "3fc999999999999a";  // p = 0.2
+  bool patched = false;
+  PatchManifestLines(dir_, [&](const std::string& line) {
+    std::string out = line;
+    const size_t at = line.find(lower);
+    if (line.rfind("column: ", 0) == 0 && at != std::string::npos) {
+      out.replace(at, lower.size(), "3FC999999999999A");
+      patched = true;
+    }
+    return std::optional<std::string>(out);
+  });
+  ASSERT_TRUE(patched);
+  auto read = ReadRelease(dir_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+  EXPECT_NE(read.status().message().find("MANIFEST"), std::string::npos)
+      << read.status().ToString();
+}
+
 TEST_F(ReleaseTest, OlderFormatVersionIsFailedPrecondition) {
   ASSERT_TRUE(WriteRelease(MakeGrr(), dir_).ok());
   PatchManifestLines(dir_, [](const std::string& line) {

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <latch>
 #include <optional>
 #include <sstream>
@@ -48,8 +49,10 @@
 //    acknowledged·cost <= spent <= attempted·cost;
 //  - a framing fault (bit flip on a received payload) kills exactly the
 //    session it hit, with a typed DataLoss, and nobody else;
-//  - drain answers what is queued, says GOODBYE, and unlinks the socket;
-//    idle sessions are timed out with a GOODBYE of their own;
+//  - drain answers what is buffered, says GOODBYE, and unlinks the
+//    socket; idle sessions — also those that drip bytes without ever
+//    finishing a frame — are timed out with a GOODBYE of their own;
+//  - open sessions add no threads: one reactor reads every socket;
 //  - sessions racing their first SUM/AVG on a fresh server only read the
 //    caches warmed at release open, and answer byte-identically to a
 //    local query.
@@ -585,6 +588,42 @@ TEST_F(ServerTortureTest, TornClientFrameCannotWedgeTheServer) {
   ASSERT_TRUE(srv.Drain().ok());
 }
 
+TEST_F(ServerTortureTest, DrippedFrameCannotOutliveTheIdleTimeout) {
+  // A client that keeps sending bytes without finishing a frame is as
+  // idle as one that sends nothing: the idle clock runs from the last
+  // complete frame, so the session is told GOODBYE and closed while the
+  // client is still dripping.
+  ServerOptions options = BaseOptions(NewSocketPath(), false);
+  options.idle_timeout_ms = 300;
+  Server srv = *Server::Start(options);
+  int fd = RawConnect(srv.socket_path());
+  RawSend(fd, "%PCLN QUERY 1000 00000000\n");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool replied = false;
+  while (!replied && std::chrono::steady_clock::now() < give_up) {
+    struct pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    replied = ::poll(&pfd, 1, 100) > 0;
+    // One payload byte per 100 ms. Once the server has shut its side the
+    // send fails, which is fine: the reply is already on its way.
+    if (!replied) (void)::send(fd, "x", 1, MSG_NOSIGNAL);
+  }
+  ASSERT_TRUE(replied) << "the dripping session outlived the idle timeout";
+  FrameReader reader(fd);
+  auto goodbye = reader.Read(10000);
+  ASSERT_TRUE(goodbye.ok()) << goodbye.status().ToString();
+  ASSERT_TRUE(goodbye->has_value());
+  EXPECT_EQ((*goodbye)->type, FrameType::kGoodbye);
+  EXPECT_EQ((*goodbye)->payload, "idle timeout");
+  auto eof = reader.Read(10000);
+  ASSERT_TRUE(eof.ok()) << eof.status().ToString();
+  EXPECT_FALSE(eof->has_value()) << "session not closed after its GOODBYE";
+  ::close(fd);
+  ASSERT_TRUE(srv.Drain().ok());
+}
+
 TEST_F(ServerTortureTest, MalformedBytesGetTypedDataLossThenClose) {
   Server srv = *Server::Start(BaseOptions(NewSocketPath(), false));
 
@@ -632,14 +671,13 @@ TEST_F(ServerTortureTest, MalformedBytesGetTypedDataLossThenClose) {
 TEST_F(ServerTortureTest, PipelinedQueriesAnswerInOrder) {
   ServerOptions options = BaseOptions(NewSocketPath(), false);
   options.pool_threads = 2;
-  options.queue_depth = 2;  // force the backpressure path
   Server srv = *Server::Start(options);
   int fd = RawConnect(srv.socket_path());
   FrameReader reader(fd);
   RawHello(fd, reader);
   // 12 queries at distinct confidence levels, written back-to-back
   // without reading a single reply: the strand must answer them in
-  // order (each reply names its confidence) through a queue of depth 2.
+  // order (each reply names its confidence), one frame per task.
   constexpr int kPipelined = 12;
   std::string burst;
   for (int i = 0; i < kPipelined; ++i) {
@@ -762,15 +800,14 @@ TEST_F(ServerTortureTest, DrainSaysGoodbyeAndIdleSessionsTimeOut) {
 }
 
 TEST_F(ServerTortureTest, DrainAnswersQueuedQueriesBeforeGoodbye) {
-  // The drain contract (session.h): queries already queued when the
+  // The drain contract (session.h): queries already buffered when the
   // drain lands are still answered — each with a RESULT, never with a
   // bogus "QUERY before HELLO" error — and the GOODBYE follows the last
-  // answer. A 1-thread pool and a depth-2 queue guarantee that after
-  // the first RESULT arrives here, later queries of the burst are still
-  // sitting in the session queue (the reader is parked in backpressure).
+  // answer. The burst arrives in one read, and the strand answers one
+  // frame per task on a 1-thread pool, so after the first RESULT
+  // arrives here later queries of the burst are still buffered.
   ServerOptions options = BaseOptions(NewSocketPath(), false);
   options.pool_threads = 1;
-  options.queue_depth = 2;
   Server srv = *Server::Start(options);
   int fd = RawConnect(srv.socket_path());
   FrameReader reader(fd);
@@ -789,10 +826,10 @@ TEST_F(ServerTortureTest, DrainAnswersQueuedQueriesBeforeGoodbye) {
   ASSERT_TRUE(first->has_value());
   ASSERT_EQ((*first)->type, FrameType::kResult) << (*first)->payload;
   ASSERT_TRUE(srv.Drain().ok());
-  // Everything between here and the GOODBYE must be a RESULT: queued
-  // queries are answered, not rejected. (Frames the reader had not yet
-  // consumed at drain time are dropped by contract, so the count is
-  // free to fall short of kBurst.)
+  // Everything between here and the GOODBYE must be a RESULT: buffered
+  // queries are answered, not rejected. (Bytes the session had not yet
+  // read at drain time are dropped by contract, so the count is free to
+  // fall short of kBurst.)
   int results = 1;
   for (;;) {
     auto reply = reader.Read(20000);
@@ -813,6 +850,39 @@ TEST_F(ServerTortureTest, DrainAnswersQueuedQueriesBeforeGoodbye) {
   ASSERT_TRUE(eof.ok());
   EXPECT_FALSE(eof->has_value());
   ::close(fd);
+}
+
+TEST_F(ServerTortureTest, IdleSessionsAddNoThreads) {
+  // One reactor thread waits on every socket, so an open session costs
+  // an fd and a buffer, never a thread. 200, not thousands: this process
+  // holds both ends of every connection.
+  auto threads = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+    }
+    return -1;
+  };
+  Server srv = *Server::Start(BaseOptions(NewSocketPath(), false));
+  const int before = threads();
+  ASSERT_GT(before, 0);
+  constexpr size_t kSessions = 200;
+  std::vector<Client> clients;
+  for (size_t i = 0; i < kSessions; ++i) {
+    auto client = Client::Connect(srv.socket_path());
+    ASSERT_TRUE(client.ok()) << "session " << i << ": "
+                             << client.status().ToString();
+    clients.push_back(std::move(*client));
+  }
+  EXPECT_EQ(threads(), before);
+  EXPECT_EQ(srv.sessions_live(), kSessions);
+  for (Client& client : clients) {
+    auto reply = client.Query(kFreeSql);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  }
+  ASSERT_TRUE(srv.Drain().ok());
+  EXPECT_EQ(srv.queries_served(), kSessions);
 }
 
 TEST_F(ServerTortureTest, OversizeFrameIsRefusedAtTheWriterWithATypedError) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 namespace privateclean {
 namespace {
 
@@ -88,6 +92,47 @@ TEST(StartsEndsWithTest, Basic) {
   EXPECT_TRUE(EndsWith("file.csv", ".csv"));
   EXPECT_FALSE(EndsWith(".csv", "file.csv"));
   EXPECT_TRUE(EndsWith("abc", ""));
+}
+
+TEST(DoubleBitsHexTest, RoundTripsEveryBitPattern) {
+  const double values[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::bit_cast<double>(uint64_t{0x7ff8000000000123}),  // NaN payload
+      std::bit_cast<double>(uint64_t{0xfff0000000000001}),  // signaling NaN
+      std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(uint64_t{0x800fffffffffffff}),  // subnormal
+      std::numeric_limits<double>::max(),
+      0.2,
+      -1.5,
+  };
+  for (double v : values) {
+    const std::string hex = DoubleBitsHex(v);
+    SCOPED_TRACE(hex);
+    ASSERT_EQ(hex.size(), 16u);
+    EXPECT_EQ(hex, ToLowerAscii(hex));
+    double back = 1.0;
+    ASSERT_TRUE(DoubleFromBitsHex(hex, &back));
+    EXPECT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(v));
+  }
+  EXPECT_EQ(DoubleBitsHex(0.2), "3fc999999999999a");
+  EXPECT_EQ(DoubleBitsHex(-0.0), "8000000000000000");
+  EXPECT_EQ(DoubleBitsHex(std::numeric_limits<double>::denorm_min()),
+            "0000000000000001");
+}
+
+TEST(DoubleBitsHexTest, AcceptsOnlySixteenLowercaseHexDigits) {
+  for (const char* bad :
+       {"", "3fc999999999999", "3fc999999999999a0", "3FC999999999999A",
+        "3fc999999999999A", "0x3fc999999999a9", "3fc99999999999g9",
+        "3fc99999 999999a", "+fc999999999999a", "-fc999999999999a"}) {
+    SCOPED_TRACE(bad);
+    double v = 7.0;
+    EXPECT_FALSE(DoubleFromBitsHex(bad, &v));
+    EXPECT_EQ(v, 7.0);
+  }
 }
 
 }  // namespace

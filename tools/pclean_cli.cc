@@ -464,7 +464,7 @@ void HandleServeSignal(int) { g_serve_stop = 1; }
 /// `pclean serve <release_dir>... --socket PATH`: the analyst session
 /// daemon. Blocks until SIGTERM/SIGINT (or --serve-for-ms elapses, the
 /// signal-free bound tests and the soak harness use), then drains:
-/// in-flight and queued queries are answered, every session gets a
+/// in-flight and buffered queries are answered, every session gets a
 /// GOODBYE, and the socket is unlinked.
 Status RunServe(const ParsedArgs& args,
                 const std::vector<std::string>& release_dirs,
