@@ -94,8 +94,9 @@ int main() {
   if (graph.ok()) {
     std::printf("\nProvenance(ca_country): %zu dirty values -> %zu clean "
                 "values, %zu edges, fork-free=%s\n",
-                graph->num_dirty_values(), graph->num_clean_values(),
-                graph->num_edges(), graph->is_fork_free() ? "yes" : "no");
+                (*graph)->num_dirty_values(), (*graph)->num_clean_values(),
+                (*graph)->num_edges(),
+                (*graph)->is_fork_free() ? "yes" : "no");
   }
   return 0;
 }

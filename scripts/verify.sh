@@ -33,7 +33,8 @@
 #   dictionary and a current one that grew after the snapshot;
 #   exact_sum_test checks the exact accumulator's exponent-dependent
 #   shifts against a big-integer reference, and value_sums_test the
-#   cached per-value SUM/AVG against the exact scan. The `server` suite
+#   cached per-value SUM/AVG (string, int64 and double keys) against a
+#   row-mask reference with big-integer sums. The `server` suite
 #   races SUM/AVG sessions on one warmed release, so TSan sees the
 #   shared caches read concurrently.
 #

@@ -1,174 +1,30 @@
 #include "common/arena.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <map>
-#include <mutex>
+#include <utility>
 
 namespace privateclean {
 
-namespace internal {
-
-/// Counters shared by every arena registered under one site tag.
-/// Atomics so same-tag arenas may live on different threads; the peak is
-/// maintained with a CAS loop (monotone, so the loop terminates).
-struct ArenaSiteCounters {
-  std::atomic<uint64_t> alloc_calls{0};
-  std::atomic<uint64_t> alloc_bytes{0};
-  std::atomic<uint64_t> reserved_bytes{0};
-  std::atomic<uint64_t> live_bytes{0};
-  std::atomic<uint64_t> peak_live_bytes{0};
-
-  void RecordAlloc(uint64_t bytes) {
-    alloc_calls.fetch_add(1, std::memory_order_relaxed);
-    alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    uint64_t live =
-        live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    uint64_t peak = peak_live_bytes.load(std::memory_order_relaxed);
-    while (live > peak && !peak_live_bytes.compare_exchange_weak(
-                              peak, live, std::memory_order_relaxed)) {
-    }
-  }
-
-  void RecordRelease(uint64_t live, uint64_t reserved) {
-    live_bytes.fetch_sub(live, std::memory_order_relaxed);
-    reserved_bytes.fetch_sub(reserved, std::memory_order_relaxed);
-  }
-};
-
-}  // namespace internal
-
-namespace {
-
-using internal::ArenaSiteCounters;
-
-/// Site tag -> counters. Ordered map so Snapshot() is sorted by site
-/// name without a post-pass. Node addresses are stable, so every Arena
-/// caches its counters pointer at construction and never takes the
-/// mutex on the allocation path. Leaked intentionally: arenas in static
-/// storage may release accounting during shutdown.
-std::map<std::string, ArenaSiteCounters, std::less<>>& Registry() {
-  static auto* registry =
-      new std::map<std::string, ArenaSiteCounters, std::less<>>;
-  return *registry;
-}
-
-std::mutex& RegistryMutex() {
-  static auto* mu = new std::mutex;
-  return *mu;
-}
-
-ArenaSiteCounters* CountersFor(std::string_view site) {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  auto& registry = Registry();
-  auto it = registry.find(site);
-  if (it == registry.end()) {
-    it = registry
-             .emplace(std::piecewise_construct, std::forward_as_tuple(site),
-                      std::forward_as_tuple())
-             .first;
-  }
-  return &it->second;
-}
-
-ArenaSiteStats ReadSite(const std::string& name,
-                        const ArenaSiteCounters& c) {
-  ArenaSiteStats s;
-  s.site = name;
-  s.alloc_calls = c.alloc_calls.load(std::memory_order_relaxed);
-  s.alloc_bytes = c.alloc_bytes.load(std::memory_order_relaxed);
-  s.reserved_bytes = c.reserved_bytes.load(std::memory_order_relaxed);
-  s.live_bytes = c.live_bytes.load(std::memory_order_relaxed);
-  s.peak_live_bytes = c.peak_live_bytes.load(std::memory_order_relaxed);
-  return s;
-}
-
-}  // namespace
-
-std::vector<ArenaSiteStats> ArenaProfiler::Snapshot() {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  std::vector<ArenaSiteStats> out;
-  out.reserve(Registry().size());
-  for (const auto& [name, counters] : Registry()) {
-    out.push_back(ReadSite(name, counters));
-  }
-  return out;
-}
-
-ArenaSiteStats ArenaProfiler::Totals() {
-  ArenaSiteStats total;
-  total.site = "<all>";
-  for (const ArenaSiteStats& s : Snapshot()) {
-    total.alloc_calls += s.alloc_calls;
-    total.alloc_bytes += s.alloc_bytes;
-    total.reserved_bytes += s.reserved_bytes;
-    total.live_bytes += s.live_bytes;
-    total.peak_live_bytes += s.peak_live_bytes;
-  }
-  return total;
-}
-
-ArenaSiteStats ArenaProfiler::ForSite(std::string_view site) {
-  std::lock_guard<std::mutex> lock(RegistryMutex());
-  auto& registry = Registry();
-  auto it = registry.find(site);
-  if (it == registry.end()) {
-    ArenaSiteStats s;
-    s.site = std::string(site);
-    return s;
-  }
-  return ReadSite(it->first, it->second);
-}
-
-Arena::Arena(const char* site) : counters_(CountersFor(site)) {}
-
-Arena::~Arena() { ReleaseAccounting(); }
-
-Arena::Arena(Arena&& other) noexcept
-    : counters_(other.counters_),
-      chunks_(std::move(other.chunks_)),
-      bytes_used_(other.bytes_used_),
-      bytes_reserved_(other.bytes_reserved_),
-      alloc_count_(other.alloc_count_) {
-  other.chunks_.clear();
-  other.bytes_used_ = 0;
-  other.bytes_reserved_ = 0;
-  other.alloc_count_ = 0;
-}
-
 Arena& Arena::operator=(Arena&& other) noexcept {
   if (this != &other) {
-    ReleaseAccounting();
-    counters_ = other.counters_;
-    chunks_ = std::move(other.chunks_);
-    bytes_used_ = other.bytes_used_;
-    bytes_reserved_ = other.bytes_reserved_;
-    alloc_count_ = other.alloc_count_;
-    other.chunks_.clear();
-    other.bytes_used_ = 0;
-    other.bytes_reserved_ = 0;
-    other.alloc_count_ = 0;
+    chunks_ = std::exchange(other.chunks_, {});
+    bytes_used_ = std::exchange(other.bytes_used_, 0);
+    bytes_reserved_ = std::exchange(other.bytes_reserved_, 0);
+    alloc_count_ = std::exchange(other.alloc_count_, 0);
   }
   return *this;
 }
 
-void Arena::ReleaseAccounting() {
-  if (bytes_used_ == 0 && bytes_reserved_ == 0) return;
-  counters_->RecordRelease(bytes_used_, bytes_reserved_);
+void Arena::Reset() {
+  chunks_.clear();
   bytes_used_ = 0;
   bytes_reserved_ = 0;
-}
-
-void Arena::Reset() {
-  ReleaseAccounting();
-  chunks_.clear();
   alloc_count_ = 0;
 }
 
 void* Arena::Allocate(size_t size, size_t align) {
   ++alloc_count_;
-  counters_->RecordAlloc(size);
   bytes_used_ += size;
   if (!chunks_.empty()) {
     Chunk& chunk = chunks_.back();
@@ -198,7 +54,6 @@ char* Arena::AllocateSlow(size_t size, size_t align) {
   chunk.data = std::make_unique<char[]>(capacity);
   chunk.capacity = capacity;
   bytes_reserved_ += capacity;
-  counters_->reserved_bytes.fetch_add(capacity, std::memory_order_relaxed);
   chunks_.push_back(std::move(chunk));
   Chunk& fresh = chunks_.back();
   uintptr_t base = reinterpret_cast<uintptr_t>(fresh.data.get());
@@ -209,9 +64,7 @@ char* Arena::AllocateSlow(size_t size, size_t align) {
 
 std::string_view Arena::CopyString(std::string_view s) {
   if (s.empty()) {
-    // Keep the accounting visible even for empty strings (one call, zero
-    // bytes) without burning arena space.
-    counters_->RecordAlloc(0);
+    // Counted as a call of zero bytes, without burning arena space.
     ++alloc_count_;
     return std::string_view("", 0);
   }

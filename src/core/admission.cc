@@ -76,22 +76,30 @@ Result<AdmissionTicket> AdmitSqlQuery(BudgetLedger& ledger,
   return ticket;
 }
 
-Result<SqlResultSet> ExecuteSqlQueryAdmitted(BudgetLedger& ledger,
-                                             const std::string& tenant,
-                                             const PrivateTable& table,
-                                             const std::string& sql,
-                                             const QueryOptions& options) {
-  PCLEAN_ASSIGN_OR_RETURN(AdmissionTicket ticket,
-                          AdmitSqlQuery(ledger, tenant, table, sql));
-  (void)ticket;
-  return ExecuteSqlQuery(table, sql, options);
-}
-
 std::string RenderAdmissionLine(const std::string& tenant,
                                 const AdmissionTicket& ticket,
                                 const TenantBudget& after) {
   return "charged epsilon " + FormatDouble(ticket.cost) + " to tenant '" +
          tenant + "' (remaining " + FormatDouble(after.remaining()) + ")\n";
+}
+
+Status AnswerSqlQuery(const PrivateTable& table, const std::string& sql,
+                      bool direct, const QueryOptions& options,
+                      BudgetLedger* ledger, const std::string& tenant,
+                      std::ostream& out) {
+  if (ledger != nullptr) {
+    PCLEAN_ASSIGN_OR_RETURN(AdmissionTicket ticket,
+                            AdmitSqlQuery(*ledger, tenant, table, sql));
+    // A zero-cost query (no private attribute referenced) is admitted
+    // even for a tenant the ledger has never seen; BudgetOrZero reads
+    // such a tenant as all-zero.
+    out << RenderAdmissionLine(tenant, ticket, ledger->BudgetOrZero(tenant));
+  }
+  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs,
+                          direct ? ExecuteSqlQueryDirect(table, sql, options.exec)
+                                 : ExecuteSqlQuery(table, sql, options));
+  RenderSqlResultText(rs, direct, options.confidence, out);
+  return Status::OK();
 }
 
 }  // namespace privateclean

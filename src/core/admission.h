@@ -1,6 +1,7 @@
 #ifndef PRIVATECLEAN_CORE_ADMISSION_H_
 #define PRIVATECLEAN_CORE_ADMISSION_H_
 
+#include <ostream>
 #include <string>
 
 #include "core/private_table.h"
@@ -53,14 +54,21 @@ std::string RenderAdmissionLine(const std::string& tenant,
                                 const AdmissionTicket& ticket,
                                 const TenantBudget& after);
 
-/// The admission-controlled query entry point: AdmitSqlQuery, then
-/// ExecuteSqlQuery. The charge is durable before the estimators run, so
-/// a crash mid-query can strand at most this one query's ε as spent-
-/// but-unanswered — never an answered query as unspent.
-Result<SqlResultSet> ExecuteSqlQueryAdmitted(
-    BudgetLedger& ledger, const std::string& tenant,
-    const PrivateTable& table, const std::string& sql,
-    const QueryOptions& options = QueryOptions());
+/// Answers one SQL request: the text `pclean query` prints and `pclean
+/// serve` sends as a RESULT payload. With a `ledger`, AdmitSqlQuery
+/// charges `tenant` and RenderAdmissionLine is written first; then the
+/// query runs (ExecuteSqlQueryDirect when `direct`, else
+/// ExecuteSqlQuery) and RenderSqlResultText writes its result. The
+/// charge is durable before the estimators run, so a crash mid-query can
+/// strand at most this one query's ε as spent-but-unanswered — never an
+/// answered query as unspent. A query that fails after its charge
+/// returns the failure with the admission line already written. The CLI
+/// and the server both call this one body, which is what keeps a served
+/// answer byte-identical to a local one.
+Status AnswerSqlQuery(const PrivateTable& table, const std::string& sql,
+                      bool direct, const QueryOptions& options,
+                      BudgetLedger* ledger, const std::string& tenant,
+                      std::ostream& out);
 
 }  // namespace privateclean
 

@@ -87,7 +87,7 @@ Status PrivateTable::Clean(const Cleaner& cleaner) {
   return Status::OK();
 }
 
-Result<const ProvenanceGraph*> PrivateTable::CachedGraphFor(
+Result<const ProvenanceGraph*> PrivateTable::ProvenanceFor(
     const std::string& attribute, const ExecutionOptions& exec) const {
   if (auto it = graph_cache_.find(attribute); it != graph_cache_.end()) {
     return &it->second;
@@ -97,13 +97,6 @@ Result<const ProvenanceGraph*> PrivateTable::CachedGraphFor(
   auto [it, inserted] = graph_cache_.emplace(attribute, std::move(graph));
   (void)inserted;
   return &it->second;
-}
-
-Result<ProvenanceGraph> PrivateTable::ProvenanceFor(
-    const std::string& attribute, const ExecutionOptions& exec) const {
-  PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
-                          CachedGraphFor(attribute, exec));
-  return *graph;  // Copy: callers own their snapshot.
 }
 
 Result<NumericMoments> PrivateTable::CachedMomentsFor(
@@ -139,12 +132,12 @@ Status PrivateTable::WarmCaches(const ExecutionOptions& exec) const {
   // Every attribute a read-only query can reach: a graph per discrete
   // attribute (predicates, GROUP BY), moments per numeric-typed column
   // (SUM/AVG — ComputeNumericMoments accepts any non-string column), and
-  // per-value sums per (string discrete attribute, numeric-typed column).
+  // per-value sums per (discrete attribute, numeric-typed column).
   const Schema& schema = relation_.schema();
   for (size_t i = 0; i < schema.num_fields(); ++i) {
     const Field& field = schema.field(i);
     if (field.kind == AttributeKind::kDiscrete) {
-      PCLEAN_RETURN_NOT_OK(CachedGraphFor(field.name, exec).status());
+      PCLEAN_RETURN_NOT_OK(ProvenanceFor(field.name, exec).status());
     }
     if (field.type != ValueType::kString) {
       PCLEAN_RETURN_NOT_OK(CachedMomentsFor(field.name, exec).status());
@@ -152,10 +145,7 @@ Status PrivateTable::WarmCaches(const ExecutionOptions& exec) const {
   }
   for (size_t k = 0; k < schema.num_fields(); ++k) {
     const Field& key = schema.field(k);
-    if (key.kind != AttributeKind::kDiscrete ||
-        key.type != ValueType::kString) {
-      continue;
-    }
+    if (key.kind != AttributeKind::kDiscrete) continue;
     for (size_t i = 0; i < schema.num_fields(); ++i) {
       if (schema.field(i).type == ValueType::kString) continue;
       PCLEAN_RETURN_NOT_OK(
@@ -177,97 +167,95 @@ Status PrivateTable::Clean(const CleaningPipeline& pipeline) {
   return Status::OK();
 }
 
-Status PrivateTable::RejectNumericPredicateAttribute(
-    const std::string& attr) const {
-  if (metadata_.numeric.count(attr) > 0) {
+Result<const ProvenanceGraph*> PrivateTable::EstimationBase(
+    const std::string& attribute, const QueryOptions& options,
+    EstimationInputs* in) const {
+  if (metadata_.numeric.count(attribute) > 0) {
     return Status::FailedPrecondition(
-        "not privately answerable: predicate on numeric attribute '" + attr +
+        "not privately answerable: predicate on numeric attribute '" +
+        attribute +
         "' — the bias correction needs a discrete randomized attribute "
         "(Laplace-noised numerics have no transition matrix); use the Direct "
         "baseline or a predicate on a discrete attribute");
   }
-  return Status::OK();
+  PCLEAN_ASSIGN_OR_RETURN(std::string anchor, provenance_.AnchorOf(attribute));
+  auto meta_it = metadata_.discrete.find(anchor);
+  if (meta_it == metadata_.discrete.end()) {
+    return Status::FailedPrecondition(
+        "attribute '" + attribute +
+        "' is not backed by a randomized discrete attribute");
+  }
+  PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
+                          ProvenanceFor(attribute, options.exec));
+  PCLEAN_ASSIGN_OR_RETURN(
+      in->p, ReplacementProbability(metadata_.mechanism, meta_it->second.p,
+                                    meta_it->second.domain.size()));
+  in->n = static_cast<double>(graph->num_dirty_values());
+  in->confidence = options.confidence;
+  return graph;
 }
+
+namespace {
+
+/// The dirty-side selectivity l of M_pred: the weighted cut (PC-W, §7.2)
+/// or the unweighted vertex count (PC-U, §6.3).
+double Cut(const ProvenanceGraph& graph, const std::vector<size_t>& m_pred,
+           bool weighted) {
+  return weighted ? graph.WeightedSelectivity(m_pred)
+                  : static_cast<double>(graph.UnweightedSelectivity(m_pred));
+}
+
+}  // namespace
 
 Result<EstimationInputs> PrivateTable::InputsForPredicate(
     const Predicate& predicate, const std::string& numeric_attribute,
     const QueryOptions& options, size_t* matching_rows,
-    std::vector<Value>* matching_values) const {
-  const std::string& attr = predicate.attribute();
-  PCLEAN_RETURN_NOT_OK(RejectNumericPredicateAttribute(attr));
-  PCLEAN_ASSIGN_OR_RETURN(std::string anchor, provenance_.AnchorOf(attr));
-  auto meta_it = metadata_.discrete.find(anchor);
-  if (meta_it == metadata_.discrete.end()) {
-    return Status::FailedPrecondition(
-        "attribute '" + attr +
-        "' is not backed by a randomized discrete attribute");
-  }
+    std::vector<size_t>* matching_indices) const {
+  EstimationInputs in;
   PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
-                          CachedGraphFor(attr, options.exec));
+                          EstimationBase(predicate.attribute(), options, &in));
   // M_pred, and the rows it covers: the clean domain carries every clean
   // value's row count.
   const Domain& clean_domain = graph->clean_domain();
-  std::vector<Value> m_pred;
+  std::vector<size_t> m_pred;
   size_t m_pred_rows = 0;
   for (size_t i = 0; i < clean_domain.size(); ++i) {
     if (!predicate.Matches(clean_domain.value(i))) continue;
-    m_pred.push_back(clean_domain.value(i));
+    m_pred.push_back(i);
     m_pred_rows += clean_domain.frequency(i);
   }
-  if (matching_rows != nullptr) *matching_rows = m_pred_rows;
-
-  EstimationInputs in;
-  PCLEAN_ASSIGN_OR_RETURN(
-      in.p, ReplacementProbability(metadata_.mechanism, meta_it->second.p,
-                                   meta_it->second.domain.size()));
-  in.n = static_cast<double>(graph->num_dirty_values());
-  in.l = options.weighted_cut
-             ? graph->WeightedSelectivity(m_pred)
-             : static_cast<double>(graph->UnweightedSelectivity(m_pred));
-  in.confidence = options.confidence;
-  if (!numeric_attribute.empty()) {
-    if (auto it = metadata_.numeric.find(numeric_attribute);
-        it != metadata_.numeric.end()) {
-      in.b = it->second.b;
-    }
+  in.l = Cut(*graph, m_pred, options.weighted_cut);
+  if (auto it = metadata_.numeric.find(numeric_attribute);
+      it != metadata_.numeric.end()) {
+    in.b = it->second.b;
   }
-  if (matching_values != nullptr) *matching_values = std::move(m_pred);
+  if (matching_rows != nullptr) *matching_rows = m_pred_rows;
+  if (matching_indices != nullptr) *matching_indices = std::move(m_pred);
   return in;
 }
 
 Result<QueryScanStats> PrivateTable::SumStats(
-    const Predicate& predicate, const std::string& numeric_attribute,
-    const std::vector<Value>& m_pred, size_t m_pred_rows,
+    const std::string& key_attribute, const std::string& numeric_attribute,
+    const std::vector<size_t>& m_pred, size_t m_pred_rows,
     const ExecutionOptions& exec) const {
-  PCLEAN_ASSIGN_OR_RETURN(const Column* key,
-                          relation_.ColumnByName(predicate.attribute()));
-  QueryScanStats stats;
-  if (key->type() != ValueType::kString) {
-    PCLEAN_ASSIGN_OR_RETURN(
-        stats, ScanPredicateSums(relation_, predicate, numeric_attribute, exec));
-  } else {
-    PCLEAN_ASSIGN_OR_RETURN(
-        const ValueSums* sums,
-        CachedValueSumsFor(predicate.attribute(), numeric_attribute, exec));
-    ExactSum matching;
-    for (const Value& value : m_pred) {
-      const uint32_t code = value.is_null()
-                                ? kNullCode
-                                : key->dictionary().Find(value.AsString());
-      if (code == kNullCode && !value.is_null()) continue;  // No rows.
-      sums->sums.AddTo(sums->SlotOf(code), &matching);
-    }
-    ExactSum complement = sums->total;
-    complement.Subtract(matching);
-    stats.total_rows = relation_.num_rows();
-    stats.matching_rows = m_pred_rows;
-    stats.matching_sum = matching.Round();
-    stats.complement_sum = complement.Round();
-    stats.matching_non_null = matching.count();
-    stats.total_non_null = sums->total.count();
-  }
+  PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
+                          ProvenanceFor(key_attribute, exec));
+  PCLEAN_ASSIGN_OR_RETURN(
+      const ValueSums* sums,
+      CachedValueSumsFor(key_attribute, numeric_attribute, exec));
   PCLEAN_ASSIGN_OR_RETURN(NumericMoments moments,
                           CachedMomentsFor(numeric_attribute, exec));
+  ExactSum matching;
+  for (size_t i : m_pred) sums->sums.AddTo(graph->clean_slot(i), &matching);
+  ExactSum complement = sums->total;
+  complement.Subtract(matching);
+  QueryScanStats stats;
+  stats.total_rows = relation_.num_rows();
+  stats.matching_rows = m_pred_rows;
+  stats.matching_sum = matching.Round();
+  stats.complement_sum = complement.Round();
+  stats.matching_non_null = matching.count();
+  stats.total_non_null = sums->total.count();
   stats.numeric_mean = moments.mean;
   stats.numeric_variance = moments.variance;
   return stats;
@@ -288,15 +276,15 @@ Result<QueryResult> PrivateTable::Count(const Predicate& predicate,
 Result<QueryResult> PrivateTable::Sum(const std::string& numeric_attribute,
                                       const Predicate& predicate,
                                       const QueryOptions& options) const {
-  std::vector<Value> m_pred;
+  std::vector<size_t> m_pred;
   size_t m_pred_rows = 0;
   PCLEAN_ASSIGN_OR_RETURN(
       EstimationInputs in,
       InputsForPredicate(predicate, numeric_attribute, options, &m_pred_rows,
                          &m_pred));
   PCLEAN_ASSIGN_OR_RETURN(QueryScanStats stats,
-                          SumStats(predicate, numeric_attribute, m_pred,
-                                   m_pred_rows, options.exec));
+                          SumStats(predicate.attribute(), numeric_attribute,
+                                   m_pred, m_pred_rows, options.exec));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateSum(stats, in));
   return r;
 }
@@ -304,15 +292,15 @@ Result<QueryResult> PrivateTable::Sum(const std::string& numeric_attribute,
 Result<QueryResult> PrivateTable::Avg(const std::string& numeric_attribute,
                                       const Predicate& predicate,
                                       const QueryOptions& options) const {
-  std::vector<Value> m_pred;
+  std::vector<size_t> m_pred;
   size_t m_pred_rows = 0;
   PCLEAN_ASSIGN_OR_RETURN(
       EstimationInputs in,
       InputsForPredicate(predicate, numeric_attribute, options, &m_pred_rows,
                          &m_pred));
   PCLEAN_ASSIGN_OR_RETURN(QueryScanStats stats,
-                          SumStats(predicate, numeric_attribute, m_pred,
-                                   m_pred_rows, options.exec));
+                          SumStats(predicate.attribute(), numeric_attribute,
+                                   m_pred, m_pred_rows, options.exec));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r, EstimateAvg(stats, in));
   return r;
 }
@@ -335,33 +323,15 @@ Result<QueryResult> PrivateTable::CountConjunctive(
 Result<std::vector<std::pair<Value, QueryResult>>>
 PrivateTable::GroupByCountEstimate(const std::string& attribute,
                                    const QueryOptions& options) const {
-  PCLEAN_RETURN_NOT_OK(RejectNumericPredicateAttribute(attribute));
-  PCLEAN_ASSIGN_OR_RETURN(std::string anchor, provenance_.AnchorOf(attribute));
-  auto meta_it = metadata_.discrete.find(anchor);
-  if (meta_it == metadata_.discrete.end()) {
-    return Status::FailedPrecondition(
-        "attribute '" + attribute +
-        "' is not backed by a randomized discrete attribute");
-  }
+  EstimationInputs in;
   PCLEAN_ASSIGN_OR_RETURN(const ProvenanceGraph* graph,
-                          CachedGraphFor(attribute, options.exec));
+                          EstimationBase(attribute, options, &in));
   // Each group's nominal count is its clean value's row count.
   const Domain& clean_domain = graph->clean_domain();
-  PCLEAN_ASSIGN_OR_RETURN(
-      double p_eff,
-      ReplacementProbability(metadata_.mechanism, meta_it->second.p,
-                             meta_it->second.domain.size()));
   std::vector<std::pair<Value, QueryResult>> groups;
   groups.reserve(clean_domain.size());
   for (size_t i = 0; i < clean_domain.size(); ++i) {
-    EstimationInputs in;
-    in.p = p_eff;
-    in.n = static_cast<double>(graph->num_dirty_values());
-    std::vector<Value> m_pred{clean_domain.value(i)};
-    in.l = options.weighted_cut
-               ? graph->WeightedSelectivity(m_pred)
-               : static_cast<double>(graph->UnweightedSelectivity(m_pred));
-    in.confidence = options.confidence;
+    in.l = Cut(*graph, {i}, options.weighted_cut);
     QueryScanStats stats;
     stats.total_rows = relation_.num_rows();
     stats.matching_rows = clean_domain.frequency(i);

@@ -30,10 +30,10 @@ struct QueryOptions {
   /// the predicate scans of CountConjunctive and Direct, ExecuteAggregate's
   /// per-row loops, the builds of the cached provenance graphs, moments
   /// and per-value sums (Count and GroupByCountEstimate read the graph's
-  /// counts; Sum and Avg on a string attribute merge per-value sums), and
-  /// the bootstrap replicate loop of the §10 extension aggregates. Every
-  /// sum is the correctly rounded exact sum, so results are identical at
-  /// every thread count.
+  /// counts; Sum and Avg merge per-value sums), and the bootstrap
+  /// replicate loop of the §10 extension aggregates. Every sum is the
+  /// correctly rounded exact sum, so results are identical at every
+  /// thread count.
   ExecutionOptions exec;
 
   /// Extension aggregates (median/percentile/var/std) through the SQL
@@ -120,11 +120,11 @@ class PrivateTable {
   Result<QueryResult> Count(const Predicate& predicate,
                             const QueryOptions& options = QueryOptions()) const;
 
-  /// SUM of `numeric_attribute` over rows satisfying `predicate`. On a
-  /// string attribute h_p merges the cached per-value sums of the clean
-  /// values the predicate matches and h_p^c is their exact complement,
-  /// with no row scan; other attributes scan. Both give the correctly
-  /// rounded exact sums.
+  /// SUM of `numeric_attribute` over rows satisfying `predicate`: h_p
+  /// merges the cached per-value sums of the clean values the predicate
+  /// matches and h_p^c is their exact complement, with no row scan,
+  /// whatever type stores the predicate's attribute. Both are the
+  /// correctly rounded exact sums.
   Result<QueryResult> Sum(const std::string& numeric_attribute,
                           const Predicate& predicate,
                           const QueryOptions& options = QueryOptions()) const;
@@ -206,33 +206,36 @@ class PrivateTable {
 
   /// --- Introspection -----------------------------------------------------
 
-  /// Current provenance graph of a discrete attribute.
-  Result<ProvenanceGraph> ProvenanceFor(const std::string& attribute,
-                                        const ExecutionOptions& exec = {}) const;
+  /// The current provenance graph of a discrete attribute, built on
+  /// first use and cached: the pointer stays valid until the next
+  /// Clean(). Graphs cost O(S) to build. PrivateTable is not
+  /// thread-safe: concurrent queries on one instance would race on this
+  /// cache unless WarmCaches() filled it first. (Intra-query parallelism
+  /// via QueryOptions::exec is fine — the scan shards never touch the
+  /// cache.)
+  Result<const ProvenanceGraph*> ProvenanceFor(
+      const std::string& attribute, const ExecutionOptions& exec = {}) const;
 
   /// Builds every lazily cached per-attribute state now: the provenance
   /// graph of each discrete attribute, the moments (μ_p, σ_p²) of each
-  /// numeric-typed column, and the per-value sums of every (string
-  /// discrete attribute, numeric-typed column) pair. Afterwards no
-  /// read-only query fills a cache, so concurrent queries on one instance
-  /// are safe until the next Clean(). The server calls this when it opens
-  /// a release.
+  /// numeric-typed column, and the per-value sums of every (discrete
+  /// attribute, numeric-typed column) pair. Afterwards no read-only
+  /// query fills a cache, so concurrent queries on one instance are safe
+  /// until the next Clean(). The server calls this when it opens a
+  /// release.
   Status WarmCaches(const ExecutionOptions& exec = {}) const;
-
-  /// Typed rejection for corrected estimators keyed on a Laplace-noised
-  /// numeric attribute: no transition matrix exists, so no bias
-  /// correction is possible. OK when `attr` is not a numeric attribute.
-  Status RejectNumericPredicateAttribute(const std::string& attr) const;
 
   /// The deterministic estimator inputs (p, l, N) PrivateClean would use
   /// for this predicate right now — exposed for tests and diagnostics.
   /// A non-null `matching_rows` receives the nominal count c_private:
   /// the summed row counts of the clean values the predicate matches; a
-  /// non-null `matching_values` receives those values (M_pred).
+  /// non-null `matching_indices` receives those values (M_pred) as
+  /// indices into the attribute's clean domain
+  /// (ProvenanceFor(attribute)->clean_domain()), ascending.
   Result<EstimationInputs> InputsForPredicate(
       const Predicate& predicate, const std::string& numeric_attribute,
       const QueryOptions& options, size_t* matching_rows = nullptr,
-      std::vector<Value>* matching_values = nullptr) const;
+      std::vector<size_t>* matching_indices = nullptr) const;
 
   PrivateTable(PrivateTable&&) = default;
   PrivateTable& operator=(PrivateTable&&) = default;
@@ -240,13 +243,21 @@ class PrivateTable {
  private:
   PrivateTable() = default;
 
-  /// The stats of a corrected Sum/Avg: merged from the cached per-value
-  /// sums of `m_pred` (covering `m_pred_rows` rows) when the predicate's
-  /// attribute is a string column, else scanned. The same bits either
-  /// way.
-  Result<QueryScanStats> SumStats(const Predicate& predicate,
+  /// What every corrected estimator on `attribute` starts from: its
+  /// cached provenance graph, and in `*in` the p_eff of the randomized
+  /// attribute anchoring it, N and the confidence. A Laplace-noised
+  /// numeric attribute is a typed FailedPrecondition: it has no
+  /// transition matrix, so no bias correction is possible.
+  Result<const ProvenanceGraph*> EstimationBase(const std::string& attribute,
+                                                const QueryOptions& options,
+                                                EstimationInputs* in) const;
+
+  /// The stats of a corrected Sum/Avg: the merge of the cached per-value
+  /// sums of `m_pred` (clean indices of `key_attribute`, covering
+  /// `m_pred_rows` rows) and its exact complement.
+  Result<QueryScanStats> SumStats(const std::string& key_attribute,
                                   const std::string& numeric_attribute,
-                                  const std::vector<Value>& m_pred,
+                                  const std::vector<size_t>& m_pred,
                                   size_t m_pred_rows,
                                   const ExecutionOptions& exec) const;
 
@@ -257,15 +268,6 @@ class PrivateTable {
   /// carries no Laplace noise.
   Result<double> NoiseScaleFor(const std::string& numeric_attribute) const;
 
-  /// Returns the (possibly cached) provenance graph for `attribute`.
-  /// Graphs cost O(S) to build, so they are cached between queries and
-  /// invalidated by Clean(). PrivateTable is not thread-safe: concurrent
-  /// queries on one instance would race on this cache unless WarmCaches()
-  /// filled it first. (Intra-query parallelism via QueryOptions::exec is
-  /// fine — the scan shards never touch the cache.)
-  Result<const ProvenanceGraph*> CachedGraphFor(
-      const std::string& attribute, const ExecutionOptions& exec = {}) const;
-
   /// Returns the (possibly cached) whole-column moments of
   /// `numeric_attribute` for the SUM/AVG intervals. Same lifecycle as
   /// the graph cache: built on first use or by WarmCaches(), dropped by
@@ -275,8 +277,9 @@ class PrivateTable {
       const ExecutionOptions& exec = {}) const;
 
   /// Returns the (possibly cached) per-value sums of `numeric_attribute`
-  /// over the string attribute `key_attribute`. Same lifecycle as the
-  /// moments cache.
+  /// over the discrete attribute `key_attribute`, keyed by the slots
+  /// ProvenanceFor(key_attribute)->clean_slot() names. Same lifecycle as
+  /// the moments cache.
   Result<const ValueSums*> CachedValueSumsFor(
       const std::string& key_attribute, const std::string& numeric_attribute,
       const ExecutionOptions& exec = {}) const;

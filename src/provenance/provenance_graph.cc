@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
@@ -44,11 +45,13 @@ using PairCounts = std::map<uint64_t, size_t>;
 /// contiguous row range into one partial, so memory is workers × distinct
 /// values, not shards × distinct values. The worker-order merge rebuilds
 /// the clean domain in global first-appearance order (the ranges are in
-/// row order) and resolves each distinct snapshot slot to its
-/// dirty-domain index once.
+/// row order), with each clean value's slot in `clean_slot_order`, and
+/// resolves each distinct snapshot slot to its dirty-domain index once.
 Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
                       const Domain& dirty_domain, const ExecutionOptions& exec,
-                      Domain* clean_domain, PairCounts* pairs) {
+                      Domain* clean_domain,
+                      std::vector<uint32_t>* clean_slot_order,
+                      PairCounts* pairs) {
   const ColumnCodes dirty(dirty_snapshot);
   const ColumnCodes clean(clean_current);
   const size_t rows = clean_current.size();
@@ -151,6 +154,7 @@ Status CountCodePairs(const Column& dirty_snapshot, const Column& clean_current,
   for (const auto& [slots, n] : forks) {
     (*pairs)[key(slots / clean_slots, slots % clean_slots)] += n;
   }
+  *clean_slot_order = std::move(clean_order);
   return Status::OK();
 }
 
@@ -176,8 +180,8 @@ Result<ProvenanceGraph> ProvenanceGraph::Build(const Column& dirty_snapshot,
   graph.dirty_domain_ = dirty_domain;
   PairCounts pairs;
   PCLEAN_RETURN_NOT_OK(CountCodePairs(dirty_snapshot, clean_current,
-                                      dirty_domain, exec,
-                                      &graph.clean_domain_, &pairs));
+                                      dirty_domain, exec, &graph.clean_domain_,
+                                      &graph.clean_slots_, &pairs));
 
   // Assemble edges in ascending (dirty, clean) key order.
   const size_t n_dirty = dirty_domain.size();
@@ -200,44 +204,31 @@ Result<ProvenanceGraph> ProvenanceGraph::Build(const Column& dirty_snapshot,
 }
 
 double ProvenanceGraph::WeightedSelectivity(
-    const std::vector<Value>& clean_values) const {
+    const std::vector<size_t>& clean_indices) const {
   double l = 0.0;
-  for (const Value& m : clean_values) {
-    auto c_idx = clean_domain_.IndexOf(m);
-    if (!c_idx.ok()) continue;  // Predicate value absent from the relation.
-    for (const Edge& e : edges_by_clean_[*c_idx]) l += e.weight;
+  for (size_t m : clean_indices) {
+    for (const Edge& e : edges_by_clean_[m]) l += e.weight;
   }
-  return l;
+  // The exact cut never exceeds N, but the k rounded weights of a dirty
+  // value forked over k clean values can add up to an ulp or more over 1
+  // (k = 9: 1 + 2^-52), which the estimators would reject.
+  return std::min(l, static_cast<double>(dirty_domain_.size()));
 }
 
 size_t ProvenanceGraph::UnweightedSelectivity(
-    const std::vector<Value>& clean_values) const {
-  std::vector<uint8_t> seen(dirty_domain_.size(), 0);
-  size_t count = 0;
-  for (const Value& m : clean_values) {
-    auto c_idx = clean_domain_.IndexOf(m);
-    if (!c_idx.ok()) continue;
-    for (const Edge& e : edges_by_clean_[*c_idx]) {
-      if (!seen[e.dirty_index]) {
-        seen[e.dirty_index] = 1;
-        ++count;
-      }
-    }
-  }
-  return count;
+    const std::vector<size_t>& clean_indices) const {
+  return ParentSet(clean_indices).size();
 }
 
-std::vector<Value> ProvenanceGraph::ParentSet(
-    const std::vector<Value>& clean_values) const {
+std::vector<size_t> ProvenanceGraph::ParentSet(
+    const std::vector<size_t>& clean_indices) const {
   std::vector<uint8_t> seen(dirty_domain_.size(), 0);
-  std::vector<Value> parents;
-  for (const Value& m : clean_values) {
-    auto c_idx = clean_domain_.IndexOf(m);
-    if (!c_idx.ok()) continue;
-    for (const Edge& e : edges_by_clean_[*c_idx]) {
+  std::vector<size_t> parents;
+  for (size_t m : clean_indices) {
+    for (const Edge& e : edges_by_clean_[m]) {
       if (!seen[e.dirty_index]) {
         seen[e.dirty_index] = 1;
-        parents.push_back(dirty_domain_.value(e.dirty_index));
+        parents.push_back(e.dirty_index);
       }
     }
   }
@@ -245,24 +236,17 @@ std::vector<Value> ProvenanceGraph::ParentSet(
 }
 
 double ProvenanceGraph::MergeRate(
-    const std::vector<Value>& clean_values) const {
-  double n = static_cast<double>(dirty_domain_.size());
-  double n_clean = static_cast<double>(clean_domain_.size());
-  double l = WeightedSelectivity(clean_values);
-  double l_clean = 0.0;
-  for (const Value& m : clean_values) {
-    if (clean_domain_.Contains(m)) l_clean += 1.0;
-  }
-  return l / n - l_clean / n_clean;
+    const std::vector<size_t>& clean_indices) const {
+  const double n = static_cast<double>(dirty_domain_.size());
+  const double n_clean = static_cast<double>(clean_domain_.size());
+  const double l_clean = static_cast<double>(clean_indices.size());
+  return WeightedSelectivity(clean_indices) / n - l_clean / n_clean;
 }
 
-double ProvenanceGraph::EdgeWeight(const Value& dirty,
-                                   const Value& clean) const {
-  auto c_idx = clean_domain_.IndexOf(clean);
-  auto d_idx = dirty_domain_.IndexOf(dirty);
-  if (!c_idx.ok() || !d_idx.ok()) return 0.0;
-  for (const Edge& e : edges_by_clean_[*c_idx]) {
-    if (e.dirty_index == *d_idx) return e.weight;
+double ProvenanceGraph::EdgeWeight(size_t dirty_index,
+                                   size_t clean_index) const {
+  for (const Edge& e : edges_by_clean_[clean_index]) {
+    if (e.dirty_index == dirty_index) return e.weight;
   }
   return 0.0;
 }

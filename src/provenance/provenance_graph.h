@@ -1,7 +1,7 @@
 #ifndef PRIVATECLEAN_PROVENANCE_PROVENANCE_GRAPH_H_
 #define PRIVATECLEAN_PROVENANCE_PROVENANCE_GRAPH_H_
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -27,9 +27,9 @@ namespace privateclean {
 /// all weights 1 (§6); multi-attribute cleaning can fork a dirty value
 /// across several clean values with fractional weights (§7, Example 6).
 ///
-/// Storage follows §6.4/§7.3: a hash map clean value → incident dirty
-/// edges, so a predicate touching l' clean values is answered in O(l')
-/// plus the size of their edge lists.
+/// Storage follows §6.4/§7.3: per clean value, its incident dirty edges,
+/// so a predicate touching l' clean values is answered in O(l') plus the
+/// size of their edge lists.
 class ProvenanceGraph {
  public:
   /// Builds the graph from a snapshot of the attribute taken before
@@ -69,27 +69,41 @@ class ProvenanceGraph {
   const Domain& dirty_domain() const { return dirty_domain_; }
   const Domain& clean_domain() const { return clean_domain_; }
 
+  /// The clean-value queries below name a clean value by its index into
+  /// clean_domain() and a dirty value by its index into dirty_domain(),
+  /// so every clean value (each NaN row's value included, which equals
+  /// nothing) can be named. Indices must be in range; a set of clean
+  /// indices must hold no index twice.
+
   /// Weighted dirty-side selectivity of a predicate (paper §7.2):
   ///   l = Σ_{l ∈ L, m ∈ M_pred} w_lm
-  /// where `clean_values` is M_pred (a subset of the clean domain; values
-  /// not in the clean domain contribute nothing). For fork-free graphs
+  /// where `clean_indices` is M_pred, summed in M_pred's edge order and
+  /// capped at N, which only rounding can exceed. For fork-free graphs
   /// this equals the §6.3 vertex count |L_pred|.
-  double WeightedSelectivity(const std::vector<Value>& clean_values) const;
+  double WeightedSelectivity(const std::vector<size_t>& clean_indices) const;
 
   /// Unweighted dirty-side selectivity: |L_pred|, the number of dirty
   /// values with at least one edge into M_pred. This is the §6.3 cut; on
   /// forked graphs it over-counts (the PC-U baseline in Figure 7).
-  size_t UnweightedSelectivity(const std::vector<Value>& clean_values) const;
+  size_t UnweightedSelectivity(const std::vector<size_t>& clean_indices) const;
 
-  /// The parent set L_pred of a clean-value predicate.
-  std::vector<Value> ParentSet(const std::vector<Value>& clean_values) const;
+  /// The parent set L_pred of a clean-value predicate, as dirty indices
+  /// in the order M_pred's edge lists reach them.
+  std::vector<size_t> ParentSet(const std::vector<size_t>& clean_indices) const;
 
   /// Merge rate of a predicate (paper §6.1): l/N − l'/N', the change in
   /// distinct-value selectivity caused by cleaning.
-  double MergeRate(const std::vector<Value>& clean_values) const;
+  double MergeRate(const std::vector<size_t>& clean_indices) const;
 
   /// Edge weight w_lm; 0 when the edge is absent.
-  double EdgeWeight(const Value& dirty, const Value& clean) const;
+  double EdgeWeight(size_t dirty_index, size_t clean_index) const;
+
+  /// The ColumnCodes slot (table/domain.h) of clean value `clean_index`
+  /// in the cleaned column the graph was built from: per-value tables
+  /// over the same column state (ComputeValueSums) index by it.
+  uint32_t clean_slot(size_t clean_index) const {
+    return clean_slots_[clean_index];
+  }
 
  private:
   struct Edge {
@@ -101,6 +115,8 @@ class ProvenanceGraph {
   Domain clean_domain_;
   /// clean value index -> incident edges.
   std::vector<std::vector<Edge>> edges_by_clean_;
+  /// clean value index -> its ColumnCodes slot.
+  std::vector<uint32_t> clean_slots_;
   size_t num_edges_ = 0;
   bool fork_free_ = true;
   /// Out-degree of each dirty value (for fork detection / diagnostics).

@@ -6,6 +6,7 @@
 #include "common/exact_sum.h"
 #include "common/failpoint.h"
 #include "common/statistics.h"
+#include "table/domain.h"
 
 namespace privateclean {
 
@@ -250,25 +251,9 @@ Result<double> ExecuteAggregate(const Table& table,
 
 namespace {
 
-/// Per-shard partial of the predicate-dependent QueryScanStats.
-struct ScanPartial {
-  size_t matching_rows = 0;
-  ExactSum sums[2];  ///< [0] the complement, [1] the matching rows.
-};
-
-/// Adds the non-null values of rows [begin, begin+count) to the matching
-/// or the complement sum per `mask` (bytes 0 or 1).
-template <typename T>
-void AddBatchSums(const T* data, const uint8_t* validity, size_t begin,
-                  size_t count, const uint8_t* mask, ScanPartial* part) {
-  for (size_t i = 0; i < count; ++i) {
-    const size_t r = begin + i;
-    if (validity[r] != 0) part->sums[mask[i]].Add(static_cast<double>(data[r]));
-  }
-}
-
 /// Adds the non-null values of rows [begin, end) to the sum of their
-/// key's slot: slot = code, a NULL key (kNullCode) clamped to the last.
+/// key's ColumnCodes slot: the code, a NULL key's kNullCode clamped to
+/// the null slot.
 template <typename T>
 void AddValueSums(const uint32_t* codes, const T* data,
                   const uint8_t* validity, size_t begin, size_t end,
@@ -304,81 +289,23 @@ Result<NumericMoments> ComputeNumericMoments(
   return NumericMoments{moments.Mean(), moments.PopulationVariance()};
 }
 
-Result<QueryScanStats> ScanPredicateSums(const Table& table,
-                                         const Predicate& predicate,
-                                         const std::string& numeric_attribute,
-                                         const ExecutionOptions& exec) {
-  // Injection point at scan entry — before the sharded loops, so faults
-  // model a query that fails up front (e.g. a paged-out relation), not a
-  // partially merged result.
-  PCLEAN_FAILPOINT("query.scan.begin", numeric_attribute);
-  QueryScanStats stats;
-  stats.total_rows = table.num_rows();
-  PCLEAN_ASSIGN_OR_RETURN(CompiledPredicate compiled,
-                          CompiledPredicate::Compile(table, predicate));
-
-  const Column* numeric = nullptr;
-  if (!numeric_attribute.empty()) {
-    PCLEAN_RETURN_NOT_OK(ValidateNumericAttribute(table, numeric_attribute));
-    PCLEAN_ASSIGN_OR_RETURN(numeric, table.ColumnByName(numeric_attribute));
-  }
-
-  const size_t shards = ShardCountForRows(table.num_rows());
-  std::vector<ScanPartial> partials(shards);
-  PCLEAN_RETURN_NOT_OK(ParallelFor(
-      table.num_rows(), shards, exec,
-      [&](size_t shard, size_t begin, size_t end) -> Status {
-        ScanPartial& part = partials[shard];
-        uint8_t mask[kVectorBatchRows];
-        for (size_t b = begin; b < end; b += kVectorBatchRows) {
-          const size_t batch = std::min(kVectorBatchRows, end - b);
-          compiled.EvalBatch(b, batch, mask);
-          for (size_t i = 0; i < batch; ++i) part.matching_rows += mask[i];
-          if (numeric == nullptr) continue;
-          if (numeric->type() == ValueType::kInt64) {
-            AddBatchSums(numeric->ints().data(), numeric->validity().data(),
-                         b, batch, mask, &part);
-          } else {
-            AddBatchSums(numeric->doubles().data(),
-                         numeric->validity().data(), b, batch, mask, &part);
-          }
-        }
-        return Status::OK();
-      }));
-
-  ExactSum matching;
-  ExactSum complement;
-  for (const ScanPartial& part : partials) {
-    stats.matching_rows += part.matching_rows;
-    complement.Add(part.sums[0]);
-    matching.Add(part.sums[1]);
-  }
-  stats.matching_sum = matching.Round();
-  stats.complement_sum = complement.Round();
-  stats.matching_non_null = matching.count();
-  stats.total_non_null = matching.count() + complement.count();
-  return stats;
-}
-
 Result<ValueSums> ComputeValueSums(const Table& table,
                                    const std::string& key_attribute,
                                    const std::string& numeric_attribute,
                                    const ExecutionOptions& exec) {
-  // The same injection point as the predicate scan: this pass is the
-  // row scan a first SUM/AVG runs.
+  // Injection point at entry, before the sharded loop: this pass is the
+  // row scan a first SUM/AVG runs, so a fault models a query that fails
+  // up front (e.g. a paged-out relation), not a partially merged result.
   PCLEAN_FAILPOINT("query.scan.begin", numeric_attribute);
   PCLEAN_ASSIGN_OR_RETURN(const Column* key,
                           table.ColumnByName(key_attribute));
-  if (key->type() != ValueType::kString) {
-    return Status::InvalidArgument("per-value sums need a string key, and '" +
-                                   key_attribute + "' is not one");
-  }
   PCLEAN_RETURN_NOT_OK(ValidateNumericAttribute(table, numeric_attribute));
   PCLEAN_ASSIGN_OR_RETURN(const Column* numeric,
                           table.ColumnByName(numeric_attribute));
+  const ColumnCodes key_codes(*key);
   const size_t rows = table.num_rows();
-  const size_t slots = key->dictionary().size() + 1;
-  const uint32_t null_slot = static_cast<uint32_t>(slots - 1);
+  const size_t slots = key_codes.num_slots();
+  const uint32_t null_slot = key_codes.null_slot();
 
   // One partial per worker, over one contiguous row range.
   const size_t workers =
@@ -389,7 +316,7 @@ Result<ValueSums> ComputeValueSums(const Table& table,
       [&](size_t worker, size_t begin, size_t end) -> Status {
         std::vector<ExactSum>& sums = partials[worker];
         sums.resize(slots);
-        const uint32_t* codes = key->codes().data();
+        const uint32_t* codes = key_codes.codes();
         const uint8_t* validity = numeric->validity().data();
         if (numeric->type() == ValueType::kInt64) {
           AddValueSums(codes, numeric->ints().data(), validity, begin, end,
@@ -413,23 +340,6 @@ Result<ValueSums> ComputeValueSums(const Table& table,
   for (const ExactSum& sum : merged) out.total.Add(sum);
   out.sums = PackedExactSums(merged);
   return out;
-}
-
-Result<QueryScanStats> ScanWithPredicate(const Table& table,
-                                         const Predicate& predicate,
-                                         const std::string& numeric_attribute,
-                                         const ExecutionOptions& exec) {
-  PCLEAN_ASSIGN_OR_RETURN(
-      QueryScanStats stats,
-      ScanPredicateSums(table, predicate, numeric_attribute, exec));
-  if (!numeric_attribute.empty()) {
-    PCLEAN_ASSIGN_OR_RETURN(
-        NumericMoments moments,
-        ComputeNumericMoments(table, numeric_attribute, exec));
-    stats.numeric_mean = moments.mean;
-    stats.numeric_variance = moments.variance;
-  }
-  return stats;
 }
 
 Result<std::map<Value, size_t>> GroupByCount(

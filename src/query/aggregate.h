@@ -1,7 +1,6 @@
 #ifndef PRIVATECLEAN_QUERY_AGGREGATE_H_
 #define PRIVATECLEAN_QUERY_AGGREGATE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -98,10 +97,10 @@ struct NumericMoments {
   double variance = 0.0;  ///< σ_p² (population)
 };
 
-/// Computes NumericMoments of `numeric_attribute` in the shard layout of
-/// ScanWithPredicate: Welford moments per shard in row order, merged in
-/// shard index order, so the result is identical at every thread count.
-/// InvalidArgument / NotFound when the attribute is not a numeric column.
+/// Computes NumericMoments of `numeric_attribute`: Welford moments per
+/// row shard in row order, merged in shard index order, so the result is
+/// identical at every thread count. InvalidArgument / NotFound when the
+/// attribute is not a numeric column.
 Result<NumericMoments> ComputeNumericMoments(
     const Table& table, const std::string& numeric_attribute,
     const ExecutionOptions& exec = {});
@@ -110,8 +109,8 @@ Result<NumericMoments> ComputeNumericMoments(
 /// count and sums under the predicate and its complement, plus moments
 /// of the numeric attribute over the whole relation (for the confidence
 /// intervals). The sums are correctly rounded exact sums
-/// (common/exact_sum.h), so a scan and a merge of cached per-value sums
-/// (ValueSums) give the same bits.
+/// (common/exact_sum.h): a merge of cached per-value sums (ValueSums)
+/// has the bits of a row scan.
 struct QueryScanStats {
   size_t total_rows = 0;          ///< S
   size_t matching_rows = 0;       ///< nominal private count c_private
@@ -126,51 +125,26 @@ struct QueryScanStats {
   size_t matching_non_null = 0;
 };
 
-/// Computes QueryScanStats for `predicate` over `numeric_attribute`.
-/// For count-only queries pass an empty `numeric_attribute`; the sums,
-/// non-null counts and moments are then zero.
-///
-/// The scan is sharded per `exec` (common/thread_pool.h); counts and
-/// exact sums do not depend on how rows are split, and the moments merge
-/// in shard index order, so for a fixed table the result is identical at
-/// every thread count.
-Result<QueryScanStats> ScanWithPredicate(const Table& table,
-                                         const Predicate& predicate,
-                                         const std::string& numeric_attribute,
-                                         const ExecutionOptions& exec = {});
-
-/// The row pass of ScanWithPredicate: only the predicate-dependent
-/// fields (counts and sums). numeric_mean and numeric_variance are left
-/// 0 — ScanWithPredicate fills them from ComputeNumericMoments,
-/// PrivateTable from its cache of the same.
-Result<QueryScanStats> ScanPredicateSums(const Table& table,
-                                         const Predicate& predicate,
-                                         const std::string& numeric_attribute,
-                                         const ExecutionOptions& exec = {});
-
-/// Exact sums of a numeric attribute per value of a string attribute:
-/// one slot per dictionary code of the key column, then one for NULL,
-/// each the exact sum (and count) of the non-null numeric values on its
-/// rows, plus the same over every row. Any predicate on the key
-/// attribute matches a set of values, so its h_p is the merge of their
-/// slots and its complement is total − h_p, exactly: the bits of
-/// ScanPredicateSums without a row pass.
+/// Exact sums of a numeric attribute per value of a discrete attribute
+/// of any type: one entry per ColumnCodes slot of the key column
+/// (table/domain.h) — a code per distinct value (each NaN row's value
+/// its own), then NULL — each the exact sum (and count) of the non-null
+/// numeric values on its rows, plus the same over every row. Any
+/// predicate on the key attribute matches a set of values, so its h_p is
+/// the merge of their slots and its complement is total − h_p, exactly:
+/// the bits of a row scan without a row pass.
 struct ValueSums {
   PackedExactSums sums;
   ExactSum total;
 
-  /// Slot of a dictionary code; kNullCode maps to the NULL slot.
-  size_t SlotOf(uint32_t code) const {
-    return std::min<size_t>(code, sums.size() - 1);
-  }
   size_t MemoryBytes() const { return sums.MemoryBytes() + sizeof(*this); }
 };
 
-/// Builds ValueSums in one pass over (code, value). Exact merges commute,
+/// Builds ValueSums in one pass over (slot, value). Exact merges commute,
 /// so each worker of `exec` sums one contiguous row range into one
 /// partial and the partials merge once. InvalidArgument / NotFound when
-/// `key_attribute` is not a string column or `numeric_attribute` not a
-/// numeric one.
+/// `key_attribute` is not a column or `numeric_attribute` not a numeric
+/// one.
 Result<ValueSums> ComputeValueSums(const Table& table,
                                    const std::string& key_attribute,
                                    const std::string& numeric_attribute,

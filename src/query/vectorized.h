@@ -24,8 +24,8 @@ struct SqlExpr;
 inline constexpr size_t kVectorBatchRows = 1024;
 
 /// A predicate compiled against one table for batch evaluation — the one
-/// engine behind Predicate::Evaluate, ExecuteAggregate, ScanWithPredicate
-/// and ScanConjunctive.
+/// engine behind Predicate::Evaluate, ExecuteAggregate and
+/// ScanConjunctive.
 ///
 /// Compilation picks a per-column kernel:
 ///  - string columns: a code-indexed match table over the dictionary

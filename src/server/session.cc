@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/admission.h"
-#include "core/sql_execution.h"
 
 namespace privateclean {
 namespace server {
@@ -228,32 +227,18 @@ Status Session::HandleHello(const Frame& frame) {
 Status Session::HandleQuery(const Frame& frame) {
   PCLEAN_ASSIGN_OR_RETURN(QueryRequest request,
                           ParseQueryRequest(frame.payload));
-  const PrivateTable& table = release_->table;
-  std::ostringstream text;
-  if (context_.ledger != nullptr) {
-    // Charge-before-execute: the ε price is durable in the WAL before
-    // any estimator runs. Concurrent sessions of one tenant serialize
-    // on the ledger's atomic check-and-spend, so they can never jointly
-    // overdraft. An overdraft surfaces as the typed ResourceExhausted.
-    PCLEAN_ASSIGN_OR_RETURN(
-        AdmissionTicket ticket,
-        AdmitSqlQuery(*context_.ledger, tenant_, table, request.sql));
-    text << RenderAdmissionLine(tenant_, ticket,
-                                context_.ledger->BudgetOrZero(tenant_));
-  }
   QueryOptions options;
   options.confidence = request.confidence;
   options.exec = context_.query_exec;
-  if (request.direct) {
-    PCLEAN_ASSIGN_OR_RETURN(
-        SqlResultSet rs, ExecuteSqlQueryDirect(table, request.sql,
-                                               options.exec));
-    RenderSqlResultText(rs, /*direct=*/true, options.confidence, text);
-  } else {
-    PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs,
-                            ExecuteSqlQuery(table, request.sql, options));
-    RenderSqlResultText(rs, /*direct=*/false, options.confidence, text);
-  }
+  // Charge-before-execute when the server has a ledger: the ε price is
+  // durable in the WAL before any estimator runs. Concurrent sessions of
+  // one tenant serialize on the ledger's atomic check-and-spend, so they
+  // can never jointly overdraft. An overdraft surfaces as the typed
+  // ResourceExhausted. A failure sends ERROR, never a partial RESULT.
+  std::ostringstream text;
+  PCLEAN_RETURN_NOT_OK(AnswerSqlQuery(release_->table, request.sql,
+                                      request.direct, options,
+                                      context_.ledger, tenant_, text));
   Send(Frame{FrameType::kResult, text.str()});
   if (context_.queries_served != nullptr) {
     context_.queries_served->fetch_add(1, std::memory_order_relaxed);

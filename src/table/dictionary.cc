@@ -2,10 +2,7 @@
 
 namespace privateclean {
 
-StringDictionary::StringDictionary() : arena_("table/dictionary") {}
-
-StringDictionary::StringDictionary(const StringDictionary& other)
-    : arena_("table/dictionary") {
+StringDictionary::StringDictionary(const StringDictionary& other) {
   values_.reserve(other.values_.size());
   index_.reserve(other.values_.size());
   for (std::string_view v : other.values_) {

@@ -16,8 +16,8 @@ namespace privateclean {
 inline constexpr uint32_t kNullCode = UINT32_MAX;
 
 /// Per-column distinct-string table: maps each distinct string to a dense
-/// `uint32_t` code in first-intern order. String bytes live in an arena
-/// (site "table/dictionary"), so the `string_view`s handed out by At()
+/// `uint32_t` code in first-intern order. String bytes live in an arena,
+/// so the `string_view`s handed out by At()
 /// are stable for the dictionary's lifetime and the index can key on
 /// views of the arena bytes instead of owning copies.
 ///
@@ -28,7 +28,7 @@ inline constexpr uint32_t kNullCode = UINT32_MAX;
 /// parallel section, and shards then write plain integer codes.
 class StringDictionary {
  public:
-  StringDictionary();
+  StringDictionary() = default;
 
   StringDictionary(const StringDictionary& other);
   StringDictionary& operator=(const StringDictionary& other);
@@ -54,8 +54,6 @@ class StringDictionary {
 
   /// Bytes of string payload held in the arena.
   size_t arena_bytes() const { return arena_.bytes_used(); }
-  /// Allocation calls the arena has served (one per distinct string).
-  size_t arena_alloc_count() const { return arena_.alloc_count(); }
 
  private:
   Arena arena_;

@@ -89,7 +89,7 @@ TEST(StringDictionaryTest, EmptyStringIsAnOrdinaryEntry) {
 // --- Arena ----------------------------------------------------------------
 
 TEST(ArenaTest, AllocationsAreAligned) {
-  Arena a("test/align");
+  Arena a;
   for (size_t align : {1u, 2u, 4u, 8u, 16u, 64u}) {
     void* p = a.Allocate(3, align);
     ASSERT_NE(p, nullptr);
@@ -99,7 +99,7 @@ TEST(ArenaTest, AllocationsAreAligned) {
 }
 
 TEST(ArenaTest, CopyStringSurvivesChunkGrowth) {
-  Arena a("test/growth");
+  Arena a;
   std::vector<std::string_view> views;
   std::vector<std::string> originals;
   for (int i = 0; i < 5000; ++i) {
@@ -115,7 +115,7 @@ TEST(ArenaTest, CopyStringSurvivesChunkGrowth) {
 }
 
 TEST(ArenaTest, ResetReleasesAccounting) {
-  Arena a("test/reset");
+  Arena a;
   a.CopyString("something long enough to count");
   EXPECT_GT(a.bytes_used(), 0u);
   a.Reset();
@@ -127,45 +127,9 @@ TEST(ArenaTest, ResetReleasesAccounting) {
 }
 
 TEST(ArenaTest, ZeroByteAllocationIsNonNull) {
-  Arena a("test/zero");
+  Arena a;
   EXPECT_NE(a.Allocate(0), nullptr);
   EXPECT_EQ(a.CopyString(""), "");
-}
-
-TEST(ArenaProfilerTest, TracksPerSiteCountersAndPeak) {
-  const char* site = "test/profiler_site";
-  ArenaSiteStats before = ArenaProfiler::ForSite(site);
-  {
-    Arena a(site);
-    a.CopyString("0123456789");  // 10 bytes.
-    ArenaSiteStats live = ArenaProfiler::ForSite(site);
-    EXPECT_EQ(live.alloc_calls, before.alloc_calls + 1);
-    EXPECT_EQ(live.alloc_bytes, before.alloc_bytes + 10);
-    EXPECT_EQ(live.live_bytes, before.live_bytes + 10);
-    EXPECT_GE(live.peak_live_bytes, live.live_bytes);
-  }
-  // Destruction returns live bytes, never the cumulative counters.
-  ArenaSiteStats after = ArenaProfiler::ForSite(site);
-  EXPECT_EQ(after.alloc_calls, before.alloc_calls + 1);
-  EXPECT_EQ(after.live_bytes, before.live_bytes);
-  EXPECT_GE(after.peak_live_bytes, before.live_bytes + 10);
-}
-
-TEST(ArenaProfilerTest, SnapshotIsSortedAndIncludesKnownSites) {
-  Arena a("test/snapshot_site");
-  a.CopyString("x");
-  std::vector<ArenaSiteStats> snapshot = ArenaProfiler::Snapshot();
-  ASSERT_FALSE(snapshot.empty());
-  bool found = false;
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    if (i > 0) EXPECT_LT(snapshot[i - 1].site, snapshot[i].site);
-    if (snapshot[i].site == "test/snapshot_site") found = true;
-  }
-  EXPECT_TRUE(found);
-  ArenaSiteStats totals = ArenaProfiler::Totals();
-  uint64_t sum = 0;
-  for (const ArenaSiteStats& s : snapshot) sum += s.alloc_bytes;
-  EXPECT_EQ(totals.alloc_bytes, sum);
 }
 
 // --- Dictionary-vs-string differential suite ------------------------------
@@ -573,33 +537,26 @@ class ReferenceGraph {
   const Domain& dirty_domain() const { return dirty_; }
   const Domain& clean_domain() const { return clean_; }
 
-  double EdgeWeight(const Value& dirty, const Value& clean) const {
-    for (const auto& [d, w] : EdgesOf(clean)) {
-      if (dirty_.value(d) == dirty) return w;
+  double EdgeWeight(size_t dirty, size_t clean) const {
+    for (const auto& [d, w] : edges_[clean]) {
+      if (d == dirty) return w;
     }
     return 0.0;
   }
-  std::vector<Value> ParentSet(const std::vector<Value>& clean) const {
-    std::vector<Value> parents;
-    for (const auto& [d, w] : EdgesOf(clean.front())) {
-      parents.push_back(dirty_.value(d));
-    }
+  std::vector<size_t> ParentSet(const std::vector<size_t>& clean) const {
+    std::vector<size_t> parents;
+    for (const auto& [d, w] : edges_[clean.front()]) parents.push_back(d);
     return parents;
   }
-  double WeightedSelectivity(const std::vector<Value>& clean) const {
+  double WeightedSelectivity(const std::vector<size_t>& clean) const {
     double l = 0.0;
-    for (const Value& m : clean) {
-      for (const auto& [d, w] : EdgesOf(m)) l += w;
+    for (size_t m : clean) {
+      for (const auto& [d, w] : edges_[m]) l += w;
     }
     return l;
   }
 
  private:
-  const std::vector<std::pair<size_t, double>>& EdgesOf(
-      const Value& clean) const {
-    return edges_[*clean_.IndexOf(clean)];
-  }
-
   Domain dirty_;
   Domain clean_;
   std::vector<std::vector<std::pair<size_t, double>>> edges_;
@@ -625,30 +582,6 @@ Table MakeCityStateTable(size_t rows, uint64_t seed) {
     b.Row({city, Value("s" + std::to_string(s))});
   }
   return *b.Finish();
-}
-
-/// AppendProvenanceGraph without its dense dirty × clean weight matrix:
-/// each clean value lists its parents and their edge weights, so a graph
-/// over mostly distinct values serializes in O(edges).
-template <typename Graph>
-void AppendSparseProvenanceGraph(ByteSink* sink, const Graph& g) {
-  sink->AppendU64(g.num_dirty_values());
-  sink->AppendU64(g.num_clean_values());
-  sink->AppendU64(g.num_edges());
-  sink->AppendU64(g.is_fork_free() ? 1 : 0);
-  const std::vector<Value>& clean_values = g.clean_domain().values();
-  for (size_t i = 0; i < clean_values.size(); ++i) {
-    const Value& clean = clean_values[i];
-    sink->AppendValue(clean);
-    sink->AppendU64(g.clean_domain().frequency(i));
-    const std::vector<Value> parents = g.ParentSet({clean});
-    sink->AppendU64(parents.size());
-    for (const Value& parent : parents) {
-      sink->AppendValue(parent);
-      sink->AppendDoubleBits(g.EdgeWeight(parent, clean));
-    }
-  }
-  sink->AppendDoubleBits(g.WeightedSelectivity(clean_values));
 }
 
 TEST(ProvenanceBuildDifferentialTest, OnePassMatchesBoxedReference) {
@@ -851,8 +784,7 @@ TEST(ProvenanceBuildDifferentialTest, OnePassMatchesBoxedReference) {
   // A mostly distinct attribute: nearly every row holds a value of its
   // own, so each worker's partial spans about as many slots as its
   // rows. A few repeated values (which fork under the projection) and
-  // NULLs ride along. The graphs are compared edge by edge: the dense
-  // dirty × clean weight matrix would take gigabytes here.
+  // NULLs ride along.
   const std::vector<Cleaning> distinct_cleanings = {
       {"none", [](Table*) { return Status::OK(); }, "id", false},
       {"merge, to and from NULL",
@@ -917,11 +849,11 @@ TEST(ProvenanceBuildDifferentialTest, OnePassMatchesBoxedReference) {
         EXPECT_EQ(!reference.is_fork_free(), cleaning.forks);
       }
       ByteSink want;
-      AppendSparseProvenanceGraph(&want, reference);
+      AppendProvenanceGraph(&want, reference);
       const std::string want_bytes = std::move(want).Finish();
       ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
         ByteSink got;
-        AppendSparseProvenanceGraph(
+        AppendProvenanceGraph(
             &got,
             *ProvenanceGraph::Build(snapshot, current, dirty_domain, exec));
         std::string got_bytes = std::move(got).Finish();
@@ -1038,11 +970,16 @@ TEST(CountFromFrequenciesTest, NominalCountsEqualTheRowScan) {
         const Predicate& pred = battery[i];
         auto count = pt.Count(pred, options);
         ASSERT_TRUE(count.ok()) << count.status().ToString();
-        auto scan = ScanPredicateSums(pt.relation(), pred, "", options.exec);
-        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-        EXPECT_EQ(count->nominal, static_cast<double>(scan->matching_rows));
-        auto scanned = EstimateCount(
-            *scan, *pt.InputsForPredicate(pred, "", options));
+        // The Direct engine's vectorized row scan counts the same rows.
+        auto matching = ExecuteAggregate(
+            pt.relation(), AggregateQuery::Count(pred), options.exec);
+        ASSERT_TRUE(matching.ok()) << matching.status().ToString();
+        EXPECT_EQ(count->nominal, *matching);
+        QueryScanStats scan;
+        scan.total_rows = pt.size();
+        scan.matching_rows = static_cast<size_t>(*matching);
+        auto scanned =
+            EstimateCount(scan, *pt.InputsForPredicate(pred, "", options));
         ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
         ByteSink got;
         ByteSink want;

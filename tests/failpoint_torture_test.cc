@@ -284,7 +284,8 @@ TEST_F(FailpointTortureTest, EveryCataloguedSiteSitsOnAnExercisedPath) {
   ASSERT_TRUE(ReadRelease(dir).ok());
   // Open + Count + Sum covers the analyst read path:
   // release.open.relation, the lazy provenance.graph.build, and
-  // query.scan.begin (a COUNT reads the graph's counts; a SUM scans).
+  // query.scan.begin (a COUNT reads the graph's counts; a SUM builds the
+  // per-value sums).
   auto table = OpenRelease(dir);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   const Predicate berkeley = Predicate::In("city", {Value("Berkeley")});

@@ -16,6 +16,7 @@
 #include "provenance/provenance_graph.h"
 #include "query/aggregate.h"
 #include "table/csv.h"
+#include "table/domain.h"
 #include "table/table_builder.h"
 
 namespace privateclean {
@@ -68,25 +69,35 @@ TEST(ParallelDeterminismTest, GrrIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminismTest, ScanIdenticalAcrossThreadCounts) {
+  // The per-value build behind a corrected SUM/AVG: every value's exact
+  // sum, the predicate's merged sum and its complement, and the moments.
   Predicate pred = Predicate::In(
       "category", {SyntheticCategory(0), SyntheticCategory(3)});
-  ExecutionOptions exec;
-  exec.num_threads = 1;
-  QueryScanStats base = *ScanWithPredicate(TestTable(), pred, "value", exec);
-  for (size_t threads : {2u, 8u}) {
-    exec.num_threads = threads;
-    QueryScanStats stats =
-        *ScanWithPredicate(TestTable(), pred, "value", exec);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(stats.total_rows, base.total_rows);
-    EXPECT_EQ(stats.matching_rows, base.matching_rows);
-    // Bitwise float equality: partials merge in shard order, and the
-    // shard layout depends only on the row count.
-    EXPECT_EQ(stats.matching_sum, base.matching_sum);
-    EXPECT_EQ(stats.complement_sum, base.complement_sum);
-    EXPECT_EQ(stats.numeric_mean, base.numeric_mean);
-    EXPECT_EQ(stats.numeric_variance, base.numeric_variance);
-  }
+  const ColumnCodes codes(**TestTable().ColumnByName("category"));
+  ExpectIdenticalAcrossThreadCounts([&](const ExecutionOptions& exec) {
+    const ValueSums sums =
+        *ComputeValueSums(TestTable(), "category", "value", exec);
+    const NumericMoments moments =
+        *ComputeNumericMoments(TestTable(), "value", exec);
+    ByteSink sink;
+    ExactSum matching;
+    for (uint32_t slot = 0; slot < codes.num_slots(); ++slot) {
+      ExactSum one;
+      sums.sums.AddTo(slot, &one);
+      sink.AppendDoubleBits(one.Round());
+      sink.AppendU64(one.count());
+      if (pred.Matches(codes.ValueOf(slot))) sums.sums.AddTo(slot, &matching);
+    }
+    ExactSum complement = sums.total;
+    complement.Subtract(matching);
+    for (const ExactSum* sum : {&matching, &complement}) {
+      sink.AppendDoubleBits(sum->Round());
+      sink.AppendU64(sum->count());
+    }
+    sink.AppendDoubleBits(moments.mean);
+    sink.AppendDoubleBits(moments.variance);
+    return std::move(sink).Finish();
+  });
 }
 
 TEST(ParallelDeterminismTest, ConjunctiveScanIdenticalAcrossThreadCounts) {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "table/domain.h"
 #include "table/table.h"
 #include "table/value.h"
 
@@ -100,35 +101,32 @@ class ByteSink {
   std::string bytes_;
 };
 
-/// Bit-exact image of a provenance graph: sizes, fork-freeness, the
-/// clean domain in order with its frequencies, every (dirty, clean)
-/// edge weight, and per clean value its ParentSet in order (which is
-/// the order of its edge list) and its WeightedSelectivity bits (which
-/// sum in that order), plus the selectivity of the whole clean domain.
-/// `Graph` is ProvenanceGraph or a test reference with its accessors.
+/// Bit-exact image of a provenance graph in O(edges): sizes,
+/// fork-freeness, then per clean value in clean-domain order its value,
+/// its frequency and its parents (ParentSet, the order of its edge list)
+/// with their values and edge weights, plus the WeightedSelectivity bits
+/// of the whole clean domain (which sum in that order). `Graph` is
+/// ProvenanceGraph or a test reference with its index-based accessors.
 template <typename Graph>
 void AppendProvenanceGraph(ByteSink* sink, const Graph& g) {
   sink->AppendU64(g.num_dirty_values());
   sink->AppendU64(g.num_clean_values());
   sink->AppendU64(g.num_edges());
   sink->AppendU64(g.is_fork_free() ? 1 : 0);
-  const std::vector<Value>& clean_values = g.clean_domain().values();
-  for (size_t i = 0; i < clean_values.size(); ++i) {
-    sink->AppendValue(clean_values[i]);
-    sink->AppendU64(g.clean_domain().frequency(i));
-  }
-  for (const Value& dirty : g.dirty_domain().values()) {
-    for (const Value& clean : clean_values) {
-      sink->AppendDoubleBits(g.EdgeWeight(dirty, clean));
+  const Domain& clean = g.clean_domain();
+  std::vector<size_t> all_clean(clean.size());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    all_clean[i] = i;
+    sink->AppendValue(clean.value(i));
+    sink->AppendU64(clean.frequency(i));
+    const std::vector<size_t> parents = g.ParentSet({i});
+    sink->AppendU64(parents.size());
+    for (size_t d : parents) {
+      sink->AppendValue(g.dirty_domain().value(d));
+      sink->AppendDoubleBits(g.EdgeWeight(d, i));
     }
   }
-  for (const Value& clean : clean_values) {
-    const std::vector<Value> parents = g.ParentSet({clean});
-    sink->AppendU64(parents.size());
-    for (const Value& parent : parents) sink->AppendValue(parent);
-    sink->AppendDoubleBits(g.WeightedSelectivity({clean}));
-  }
-  sink->AppendDoubleBits(g.WeightedSelectivity(clean_values));
+  sink->AppendDoubleBits(g.WeightedSelectivity(all_clean));
 }
 
 /// Asserts the physical storage of two columns is identical: type,

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "cleaning/extract.h"
 #include "cleaning/merge.h"
@@ -263,9 +266,10 @@ TEST(PrivateTableTest, CleanDropsCachedNumericMoments) {
 
 TEST(PrivateTableTest, ProvenanceForExposesGraph) {
   PrivateTable pt = MakePrivate(0.2, 0.5, 23);
-  ProvenanceGraph g = *pt.ProvenanceFor("major");
-  EXPECT_EQ(g.num_dirty_values(), 6u);
-  EXPECT_TRUE(g.is_fork_free());
+  const ProvenanceGraph* g = *pt.ProvenanceFor("major");
+  EXPECT_EQ(g->num_dirty_values(), 6u);
+  EXPECT_TRUE(g->is_fork_free());
+  EXPECT_EQ(*pt.ProvenanceFor("major"), g);  // The cached graph, no copy.
   EXPECT_FALSE(pt.ProvenanceFor("score").ok());
 }
 
@@ -334,10 +338,29 @@ TEST(PrivateTableTest, AvgDividesByNonNullValuesOnly) {
   }
 }
 
+/// The bits of the corrected COUNT, SUM(y) and AVG(y) under `pred`.
+std::string CorrectedBits(const PrivateTable& pt, const Predicate& pred) {
+  std::string bits;
+  for (const Result<QueryResult>& r :
+       {pt.Count(pred), pt.Sum("y", pred), pt.Avg("y", pred)}) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) continue;
+    for (double v : {r->estimate, r->ci.lo, r->ci.hi, r->nominal, r->l}) {
+      uint64_t word;
+      std::memcpy(&word, &v, sizeof word);
+      bits += std::to_string(word) + " ";
+    }
+  }
+  return bits;
+}
+
 TEST(PrivateTableTest, TransformToNanBuildsTheGraphAndCounts) {
   // A ValueTransform maps the values >= 2 of a double discrete column to
   // NaN. A NaN equals nothing, so each NaN row is a clean value of its
   // own; the graph builds and a COUNT on another value answers.
+  auto to_nan = ValueTransform("x", [](const Value& v) {
+    return v.AsDouble() >= 2.0 ? Value(std::nan("")) : v;
+  });
   TableBuilder b(*Schema::Make(
       {Field{"x", ValueType::kDouble, AttributeKind::kDiscrete}}));
   for (size_t i = 0; i < 300; ++i) {
@@ -346,16 +369,42 @@ TEST(PrivateTableTest, TransformToNanBuildsTheGraphAndCounts) {
   Rng rng(3);
   PrivateTable pt = *PrivateTable::Create(
       *b.Finish(), GrrParams::Uniform(0.0, 0.0), GrrOptions{}, rng);
-  ASSERT_TRUE(pt.Clean(ValueTransform("x", [](const Value& v) {
-                  return v.AsDouble() >= 2.0 ? Value(std::nan("")) : v;
-                })).ok());
+  ASSERT_TRUE(pt.Clean(to_nan).ok());
   auto graph = pt.ProvenanceFor("x");
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  EXPECT_EQ(graph->num_dirty_values(), 6u);
-  EXPECT_EQ(graph->num_clean_values(), 4u + 100u);
+  EXPECT_EQ((*graph)->num_dirty_values(), 6u);
+  EXPECT_EQ((*graph)->num_clean_values(), 4u + 100u);
   auto count = pt.Count(Predicate::Equals("x", Value(0.5)));
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(count->estimate, 50.0);
+
+  // At p > 0 the cut l enters every estimate. A predicate reaches clean
+  // values by index, so `x IS NOT NULL` still matches every NaN value and
+  // reaches the whole dirty domain: l stays N, and the corrected COUNT,
+  // SUM and AVG keep their bits. Each value holds 64 rows, so the 1/64
+  // weights of a dirty value fanned out over 64 NaN values sum to 1
+  // exactly. (The release claims p = 0.3 over an unperturbed relation.)
+  TableBuilder exact_rows(*Schema::Make(
+      {Field{"x", ValueType::kDouble, AttributeKind::kDiscrete},
+       Field::Numerical("y", ValueType::kDouble)}));
+  for (size_t i = 0; i < 6 * 64; ++i) {
+    exact_rows.Row({Value(static_cast<double>(i % 6) / 2.0),
+                    Value(static_cast<double>(i % 11) - 3.5)});
+  }
+  PrivateTable exact = *PrivateTable::Create(
+      *exact_rows.Finish(), GrrParams::Uniform(0.0, 0.0), GrrOptions{}, rng);
+  PrivateRelationMetadata metadata = exact.metadata();
+  metadata.discrete["x"].p = 0.3;
+  PrivateTable noisy = *PrivateTable::FromPrivateRelation(
+      exact.relation().Clone(), std::move(metadata));
+  const Predicate not_null = Predicate::IsNotNull("x");
+  const std::string before = CorrectedBits(noisy, not_null);
+  ASSERT_TRUE(noisy.Clean(to_nan).ok());
+  EXPECT_FALSE((*noisy.ProvenanceFor("x"))->is_fork_free());
+  auto in = noisy.InputsForPredicate(not_null, "y", QueryOptions());
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  EXPECT_EQ(in->l, 6.0);
+  EXPECT_EQ(CorrectedBits(noisy, not_null), before);
 }
 
 }  // namespace

@@ -5,6 +5,14 @@
 namespace privateclean {
 namespace {
 
+/// Index of `v` in the graph's clean / dirty domain.
+size_t Clean(const ProvenanceGraph& g, const Value& v) {
+  return *g.clean_domain().IndexOf(v);
+}
+size_t Dirty(const ProvenanceGraph& g, const Value& v) {
+  return *g.dirty_domain().IndexOf(v);
+}
+
 Column MakeColumn(const std::vector<Value>& values) {
   Column c = *Column::Make(ValueType::kString);
   for (const Value& v : values) {
@@ -24,8 +32,8 @@ TEST(ProvenanceGraphTest, IdentityGraph) {
   EXPECT_EQ(g.num_clean_values(), 3u);
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_TRUE(g.is_fork_free());
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value("a"), Value("a")), 1.0);
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value("a"), Value("b")), 0.0);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(Dirty(g, Value("a")), Clean(g, Value("a"))), 1.0);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(Dirty(g, Value("a")), Clean(g, Value("b"))), 0.0);
 }
 
 TEST(ProvenanceGraphTest, MergeGraphExample5) {
@@ -43,7 +51,7 @@ TEST(ProvenanceGraphTest, MergeGraphExample5) {
   EXPECT_EQ(g.num_dirty_values(), 4u);
   EXPECT_EQ(g.num_clean_values(), 2u);
   EXPECT_TRUE(g.is_fork_free());
-  std::vector<Value> m_pred{Value("Engineering")};
+  std::vector<size_t> m_pred{Clean(g, Value("Engineering"))};
   EXPECT_DOUBLE_EQ(g.WeightedSelectivity(m_pred), 3.0);
   EXPECT_EQ(g.UnweightedSelectivity(m_pred), 3u);
   auto parents = g.ParentSet(m_pred);
@@ -61,12 +69,12 @@ TEST(ProvenanceGraphTest, ForkedGraphExample6) {
   Domain domain = Domain::FromValues(dirty_values);
   ProvenanceGraph g = *ProvenanceGraph::Build(dirty, clean, domain);
   EXPECT_FALSE(g.is_fork_free());
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value::Null(), Value("John Doe")), 0.5);
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value::Null(), Value("Jane Smith")), 0.5);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(Dirty(g, Value::Null()), Clean(g, Value("John Doe"))), 0.5);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(Dirty(g, Value::Null()), Clean(g, Value("Jane Smith"))), 0.5);
   // Weighted selectivity of {"John Doe"}: 1 (itself) + 0.5 (null's share).
-  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({Value("John Doe")}), 1.5);
+  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({Clean(g, Value("John Doe"))}), 1.5);
   // Unweighted cut counts both parents fully.
-  EXPECT_EQ(g.UnweightedSelectivity({Value("John Doe")}), 2u);
+  EXPECT_EQ(g.UnweightedSelectivity({Clean(g, Value("John Doe"))}), 2u);
 }
 
 TEST(ProvenanceGraphTest, WeightsArePerDirtyRowFractions) {
@@ -78,8 +86,8 @@ TEST(ProvenanceGraphTest, WeightsArePerDirtyRowFractions) {
   ProvenanceGraph g = *ProvenanceGraph::Build(
       MakeColumn(dirty_values), MakeColumn(clean_values),
       Domain::FromValues(dirty_values));
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value("x"), Value("a")), 0.75);
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value("x"), Value("b")), 0.25);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(Dirty(g, Value("x")), Clean(g, Value("a"))), 0.75);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(Dirty(g, Value("x")), Clean(g, Value("b"))), 0.25);
 }
 
 TEST(ProvenanceGraphTest, OutgoingWeightsSumToOne) {
@@ -95,7 +103,7 @@ TEST(ProvenanceGraphTest, OutgoingWeightsSumToOne) {
   for (size_t d = 0; d < domain.size(); ++d) {
     double total = 0.0;
     for (const char* t : targets) {
-      total += g.EdgeWeight(domain.value(d), Value(t));
+      total += g.EdgeWeight(d, Clean(g, Value(t)));
     }
     EXPECT_NEAR(total, 1.0, 1e-12);
   }
@@ -111,17 +119,39 @@ TEST(ProvenanceGraphTest, WeightedSelectivityOfFullCleanDomainIsN) {
   Domain domain = Domain::FromValues(dirty_values);
   ProvenanceGraph g = *ProvenanceGraph::Build(
       MakeColumn(dirty_values), MakeColumn(clean_values), domain);
-  std::vector<Value> all_clean = g.clean_domain().values();
+  std::vector<size_t> all_clean;
+  for (size_t i = 0; i < g.num_clean_values(); ++i) all_clean.push_back(i);
   EXPECT_NEAR(g.WeightedSelectivity(all_clean), 8.0, 1e-12);
+}
+
+TEST(ProvenanceGraphTest, WeightedSelectivityNeverExceedsN) {
+  // One dirty value forked over 9 clean values, one row each: the nine
+  // rounded weights 1/9 add up to 1 + 2^-52, but the cut of all nine is
+  // N = 1, as the estimators require.
+  std::vector<Value> dirty_values, clean_values;
+  for (int i = 0; i < 9; ++i) {
+    dirty_values.push_back(Value("x"));
+    clean_values.push_back(Value("c" + std::to_string(i)));
+  }
+  ProvenanceGraph g = *ProvenanceGraph::Build(
+      MakeColumn(dirty_values), MakeColumn(clean_values),
+      Domain::FromValues(dirty_values));
+  std::vector<size_t> all_clean;
+  for (size_t i = 0; i < g.num_clean_values(); ++i) all_clean.push_back(i);
+  EXPECT_EQ(g.WeightedSelectivity(all_clean), 1.0);
+  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({0}), 1.0 / 9.0);
 }
 
 TEST(ProvenanceGraphTest, PredicateValueAbsentFromRelationIgnored) {
   std::vector<Value> values{Value("a"), Value("b")};
   ProvenanceGraph g = *ProvenanceGraph::Build(
       MakeColumn(values), MakeColumn(values), Domain::FromValues(values));
-  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({Value("zzz")}), 0.0);
-  EXPECT_EQ(g.UnweightedSelectivity({Value("zzz")}), 0u);
-  EXPECT_TRUE(g.ParentSet({Value("zzz")}).empty());
+  // A predicate value the relation lacks matches no clean value, so its
+  // M_pred is empty.
+  EXPECT_FALSE(g.clean_domain().Contains(Value("zzz")));
+  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({}), 0.0);
+  EXPECT_EQ(g.UnweightedSelectivity({}), 0u);
+  EXPECT_TRUE(g.ParentSet({}).empty());
 }
 
 TEST(ProvenanceGraphTest, MergeRate) {
@@ -134,17 +164,17 @@ TEST(ProvenanceGraphTest, MergeRate) {
       MakeColumn(dirty_values), MakeColumn(clean_values),
       Domain::FromValues(dirty_values));
   // l/N = 3/4, l'/N' = 1/2 -> merge rate 0.25.
-  EXPECT_NEAR(g.MergeRate({Value("m")}), 0.25, 1e-12);
+  EXPECT_NEAR(g.MergeRate({Clean(g, Value("m"))}), 0.25, 1e-12);
   // Untouched value: l/N = 1/4, l'/N' = 1/2 -> negative merge rate.
-  EXPECT_NEAR(g.MergeRate({Value("d")}), -0.25, 1e-12);
+  EXPECT_NEAR(g.MergeRate({Clean(g, Value("d"))}), -0.25, 1e-12);
 }
 
 TEST(ProvenanceGraphTest, IdentityMergeRateIsZero) {
   std::vector<Value> values{Value("a"), Value("b"), Value("c")};
   ProvenanceGraph g = *ProvenanceGraph::Build(
       MakeColumn(values), MakeColumn(values), Domain::FromValues(values));
-  EXPECT_NEAR(g.MergeRate({Value("a")}), 0.0, 1e-12);
-  EXPECT_NEAR(g.MergeRate({Value("a"), Value("b")}), 0.0, 1e-12);
+  EXPECT_NEAR(g.MergeRate({Clean(g, Value("a"))}), 0.0, 1e-12);
+  EXPECT_NEAR(g.MergeRate({Clean(g, Value("a")), Clean(g, Value("b"))}), 0.0, 1e-12);
 }
 
 TEST(ProvenanceGraphTest, RejectsLengthMismatch) {

@@ -49,7 +49,9 @@ TEST(ProvenanceManagerTest, GraphReflectsCleaning) {
   ProvenanceGraph g = *m.GraphFor(t, "major");
   EXPECT_EQ(g.num_dirty_values(), 3u);
   EXPECT_EQ(g.num_clean_values(), 2u);
-  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({Value("Mech. Eng.")}), 2.0);
+  EXPECT_DOUBLE_EQ(
+      g.WeightedSelectivity({*g.clean_domain().IndexOf(Value("Mech. Eng."))}),
+      2.0);
 }
 
 TEST(ProvenanceManagerTest, ComposedCleanersCompose) {
@@ -64,9 +66,10 @@ TEST(ProvenanceManagerTest, ComposedCleanersCompose) {
   ASSERT_TRUE(
       FindReplace::Single("d", Value("b"), Value("c")).Apply(&t).ok());
   ProvenanceGraph g = *m.GraphFor(t, "d");
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value("a"), Value("c")), 1.0);
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(Value("b"), Value("c")), 1.0);
-  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({Value("c")}), 2.0);
+  const size_t c = *g.clean_domain().IndexOf(Value("c"));
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(*g.dirty_domain().IndexOf(Value("a")), c), 1.0);
+  EXPECT_DOUBLE_EQ(g.EdgeWeight(*g.dirty_domain().IndexOf(Value("b")), c), 1.0);
+  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({c}), 2.0);
 }
 
 TEST(ProvenanceManagerTest, ExplicitDomainsOverrideSnapshots) {
@@ -99,7 +102,8 @@ TEST(ProvenanceManagerTest, DerivedAttributeAnchorsToSource) {
   ProvenanceGraph g = *m.GraphFor(t, "is_engineering");
   EXPECT_EQ(g.num_dirty_values(), 3u);  // Dirty side = major's domain.
   EXPECT_EQ(g.num_clean_values(), 2u);  // yes / no.
-  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({Value("yes")}), 2.0);
+  EXPECT_DOUBLE_EQ(
+      g.WeightedSelectivity({*g.clean_domain().IndexOf(Value("yes"))}), 2.0);
 }
 
 TEST(ProvenanceManagerTest, DerivedChainPathCompresses) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -17,12 +18,13 @@
 #include "query/sql.h"
 
 // Corrected SUM and AVG read h_p from the cached per-value exact sums of
-// the clean values a predicate matches, and h_p^c as total − h_p. This
-// suite checks them bit for bit against the estimators over the exact
-// row scan (whose sums in turn equal an independent big-integer
-// reference), on random tables with NULLs on both sides, row counts on
-// both sides of kRowsPerShard, cleaners between queries, and 1, 2 and 8
-// threads.
+// the clean values a predicate matches, and h_p^c as total − h_p, for a
+// predicate attribute of any type. This suite checks them bit for bit
+// against the estimators over stats the test builds itself (a boxed row
+// mask, an independent big-integer reference sum, ComputeNumericMoments),
+// on random tables with NULLs on both sides, string, int64 and double
+// keys (±0.0 and NaN among the double's rows), row counts on both sides
+// of kRowsPerShard, cleaners between queries, and 1, 2 and 8 threads.
 
 namespace privateclean {
 namespace {
@@ -31,14 +33,18 @@ using testing_reference::ReferenceExactSum;
 
 /// A random relation: two string attributes (one with NULLs and ''), a
 /// double income with NULLs across a wide range of magnitudes, an int64
-/// column with NULLs, and a discrete double `score` with NULLs (summable,
-/// and cleanable by a ValueTransform).
+/// column with NULLs, a discrete double `score` with NULLs (summable,
+/// and cleanable by a ValueTransform), a discrete int64 `grade` with
+/// NULLs, and a discrete double `level` with NULLs whose rows hold both
+/// -0.0 and +0.0 (one value; a ValueTransform later adds NaN rows).
 Table RandomRelation(size_t rows, uint64_t seed) {
   TableBuilder b(*Schema::Make(
       {Field::Discrete("city"), Field::Discrete("state"),
        Field::Numerical("income", ValueType::kDouble),
        Field::Numerical("units", ValueType::kInt64),
-       Field::Discrete("score", ValueType::kDouble)}));
+       Field::Discrete("score", ValueType::kDouble),
+       Field::Discrete("grade", ValueType::kInt64),
+       Field::Discrete("level", ValueType::kDouble)}));
   Rng rng(seed);
   for (size_t r = 0; r < rows; ++r) {
     Value city = rng.Bernoulli(0.08)   ? Value::Null()
@@ -60,7 +66,15 @@ Table RandomRelation(size_t rows, uint64_t seed) {
                       : Value(std::ldexp(
                             1.0 + static_cast<double>(rng.UniformInt(8)) / 7.0,
                             static_cast<int>(rng.UniformInt(12)) * 5 - 20));
-    b.Row({city, state, income, units, score});
+    Value grade = rng.Bernoulli(0.05)
+                      ? Value::Null()
+                      : Value(static_cast<int64_t>(rng.UniformInt(9)) - 3);
+    Value level = rng.Bernoulli(0.05)   ? Value::Null()
+                  : rng.Bernoulli(0.08) ? Value(-0.0)
+                                        : Value(0.25 * static_cast<double>(
+                                                           rng.UniformInt(12)) -
+                                                1.0);
+    b.Row({city, state, income, units, score, grade, level});
   }
   return *b.Finish();
 }
@@ -92,8 +106,17 @@ std::vector<Predicate> Battery() {
       Predicate::Equals("state", Value("s4")),
       Where("state IN ('s1', 's2', 's7')"),
       Where("NOT state >= 's5'"),
-      // A double key keeps the exact scan.
-      Where("score >= 4.0 AND score < 1e6"),
+      Predicate::Equals("grade", Value(int64_t{2})),
+      Predicate::IsNull("grade"),
+      Where("grade >= 0 AND NOT grade = 4 OR grade IS NULL"),
+      Predicate::Equals("level", Value(0.0)),
+      Predicate::Equals("level", Value(-0.0)),
+      Predicate::IsNotNull("level"),
+      Where("level < 0.5 AND NOT level = -0.25"),
+      Predicate::Udf("level",
+                     [](const Value& v) {
+                       return !v.is_null() && std::isnan(v.AsDouble());
+                     }),
   };
 }
 
@@ -110,20 +133,38 @@ void AppendResult(ByteSink* sink, const QueryResult& r) {
   sink->AppendU64(r.s);
 }
 
-/// The matching and complement sums of a predicate, by a boxed row loop
-/// and the big-integer reference, equal the scan's.
-void ExpectScanIsExact(const Table& relation, const std::vector<uint8_t>& mask,
-                       const std::string& numeric,
-                       const QueryScanStats& scan) {
+/// A predicate's row mask, by a boxed per-row Matches.
+std::vector<uint8_t> RowMask(const Table& relation, const Predicate& pred) {
+  const Column& key = **relation.ColumnByName(pred.attribute());
+  std::vector<uint8_t> mask(relation.num_rows());
+  for (size_t r = 0; r < mask.size(); ++r) {
+    mask[r] = pred.Matches(key.ValueAt(r)) ? 1 : 0;
+  }
+  return mask;
+}
+
+/// The QueryScanStats of the rows `mask` selects over `numeric`, built
+/// without the library's sums: the big-integer reference sums of the
+/// non-null values on either side, and ComputeNumericMoments.
+QueryScanStats ReferenceStats(const Table& relation,
+                              const std::vector<uint8_t>& mask,
+                              const std::string& numeric) {
   const Column& values = **relation.ColumnByName(numeric);
-  std::vector<double> sums[2];
+  QueryScanStats stats;
+  stats.total_rows = relation.num_rows();
+  std::vector<double> sums[2];  // [0] the complement, [1] the matches.
   for (size_t r = 0; r < relation.num_rows(); ++r) {
+    stats.matching_rows += mask[r];
     if (!values.IsNull(r)) sums[mask[r]].push_back(values.NumericAt(r));
   }
-  EXPECT_EQ(Bits(scan.matching_sum), Bits(ReferenceExactSum(sums[1])))
-      << "h_p " << scan.matching_sum;
-  EXPECT_EQ(Bits(scan.complement_sum), Bits(ReferenceExactSum(sums[0])))
-      << "h_p^c " << scan.complement_sum;
+  stats.matching_sum = ReferenceExactSum(sums[1]);
+  stats.complement_sum = ReferenceExactSum(sums[0]);
+  stats.matching_non_null = sums[1].size();
+  stats.total_non_null = sums[0].size() + sums[1].size();
+  const NumericMoments moments = *ComputeNumericMoments(relation, numeric);
+  stats.numeric_mean = moments.mean;
+  stats.numeric_variance = moments.variance;
+  return stats;
 }
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
@@ -161,24 +202,19 @@ struct TableCopies {
 };
 
 /// Every corrected Sum/Avg, from caches built at 1, 2 and 8 threads,
-/// equals the estimator over the exact scan's stats, bit for bit.
-void ExpectCachedEqualsScanned(const TableCopies& copies,
-                               const std::string& stage) {
+/// equals the estimator over the reference stats, bit for bit.
+void ExpectCachedEqualsReference(const TableCopies& copies,
+                                 const std::string& stage) {
   const PrivateTable& reference = copies.tables.front();
   const std::vector<Predicate> battery = Battery();
   for (size_t i = 0; i < battery.size(); ++i) {
     const Predicate& pred = battery[i];
-    const Column& key = **reference.relation().ColumnByName(pred.attribute());
-    std::vector<uint8_t> mask(reference.relation().num_rows());
-    for (size_t r = 0; r < mask.size(); ++r) {
-      mask[r] = pred.Matches(key.ValueAt(r)) ? 1 : 0;
-    }
+    const std::vector<uint8_t> mask = RowMask(reference.relation(), pred);
     for (const char* numeric : {"income", "units", "score"}) {
       auto in = reference.InputsForPredicate(pred, numeric, QueryOptions());
       ASSERT_TRUE(in.ok()) << in.status().ToString();
-      auto scan = ScanWithPredicate(reference.relation(), pred, numeric);
-      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-      ExpectScanIsExact(reference.relation(), mask, numeric, *scan);
+      const QueryScanStats stats =
+          ReferenceStats(reference.relation(), mask, numeric);
       for (size_t k = 0; k < copies.tables.size(); ++k) {
         SCOPED_TRACE(stage + " threads=" + std::to_string(kThreadCounts[k]) +
                      " " + numeric + " predicate " + std::to_string(i));
@@ -186,24 +222,25 @@ void ExpectCachedEqualsScanned(const TableCopies& copies,
         const QueryOptions options = TableCopies::Options(k);
         const Result<QueryResult> cached[] = {pt.Sum(numeric, pred, options),
                                               pt.Avg(numeric, pred, options)};
-        const Result<QueryResult> scanned[] = {EstimateSum(*scan, *in),
-                                               EstimateAvg(*scan, *in)};
+        const Result<QueryResult> want[] = {EstimateSum(stats, *in),
+                                            EstimateAvg(stats, *in)};
         for (int a = 0; a < 2; ++a) {
           SCOPED_TRACE(a == 0 ? "sum" : "avg");
-          ASSERT_EQ(cached[a].ok(), scanned[a].ok())
+          ASSERT_EQ(cached[a].ok(), want[a].ok())
               << cached[a].status().ToString() << " vs "
-              << scanned[a].status().ToString();
+              << want[a].status().ToString();
           if (!cached[a].ok()) {
-            EXPECT_EQ(cached[a].status().code(), scanned[a].status().code());
+            EXPECT_EQ(cached[a].status().code(), want[a].status().code());
             continue;
           }
-          ByteSink got;
-          ByteSink want;
-          AppendResult(&got, *cached[a]);
-          AppendResult(&want, *scanned[a]);
-          EXPECT_TRUE(std::move(got).Finish() == std::move(want).Finish())
-              << "cached " << cached[a]->estimate << " vs scanned "
-              << scanned[a]->estimate;
+          ByteSink got_bytes;
+          ByteSink want_bytes;
+          AppendResult(&got_bytes, *cached[a]);
+          AppendResult(&want_bytes, *want[a]);
+          EXPECT_TRUE(std::move(got_bytes).Finish() ==
+                      std::move(want_bytes).Finish())
+              << "cached " << cached[a]->estimate << " vs reference "
+              << want[a]->estimate;
         }
       }
     }
@@ -214,12 +251,12 @@ TEST(ValueSumsTest, CachedSumAndAvgEqualTheExactScanThroughCleaning) {
   for (size_t rows : {kRowsPerShard - 1, kRowsPerShard + 1, 2 * kRowsPerShard + 7}) {
     SCOPED_TRACE("rows=" + std::to_string(rows));
     TableCopies copies(rows, rows);
-    ExpectCachedEqualsScanned(copies, "fresh");
+    ExpectCachedEqualsReference(copies, "fresh");
 
     ASSERT_TRUE(copies.Clean(FindReplace("city", {{Value("c1"), Value("c0")},
                                                   {Value("c4"), Value::Null()},
                                                   {Value::Null(), Value("filled")}})));
-    ExpectCachedEqualsScanned(copies, "find-replace");
+    ExpectCachedEqualsReference(copies, "find-replace");
 
     ASSERT_TRUE(copies.Clean(DomainMerge("state",
                                          [](const Value& v, const Domain&) {
@@ -228,12 +265,13 @@ TEST(ValueSumsTest, CachedSumAndAvgEqualTheExactScanThroughCleaning) {
                                                       ? Value("s0")
                                                       : v;
                                          })));
-    ExpectCachedEqualsScanned(copies, "domain-merge");
+    ExpectCachedEqualsReference(copies, "domain-merge");
 
     ASSERT_TRUE(copies.Clean(MergeToNull("city", [](const Value& v) {
       return !v.is_null() && v.AsString() == "c7";
     })));
-    ExpectCachedEqualsScanned(copies, "merge-to-null");
+    ExpectCachedEqualsReference(copies, "merge-to-null");
+
 
     copies.Warm();
     ASSERT_TRUE(copies.Clean(ValueTransform("score", [](const Value& v) {
@@ -242,7 +280,7 @@ TEST(ValueSumsTest, CachedSumAndAvgEqualTheExactScanThroughCleaning) {
       if (x > 5e4) return Value::Null();
       return Value(x * 3.0 + 0.1);
     })));
-    ExpectCachedEqualsScanned(copies, "transform on a summed column");
+    ExpectCachedEqualsReference(copies, "transform on a summed column");
 
     // A cleaner that fails part-way (a string result on a double
     // column) leaves the relation as it was, and the caches it dropped
@@ -252,7 +290,13 @@ TEST(ValueSumsTest, CachedSumAndAvgEqualTheExactScanThroughCleaning) {
       if (!v.is_null() && v.AsDouble() > 1e3) return Value("bad");
       return v;
     })));
-    ExpectCachedEqualsScanned(copies, "failed transform");
+    ExpectCachedEqualsReference(copies, "failed transform");
+
+    // Each NaN row is a clean value of its own.
+    ASSERT_TRUE(copies.Clean(ValueTransform("level", [](const Value& v) {
+      return !v.is_null() && v.AsDouble() == 1.75 ? Value(std::nan("")) : v;
+    })));
+    ExpectCachedEqualsReference(copies, "level to NaN");
   }
 }
 
@@ -265,7 +309,7 @@ TEST(ValueSumsTest, WarmedTableAnswersWithoutBuilding) {
   ASSERT_TRUE(failpoint::Activate("query.scan.begin", failpoint::Fault{}).ok());
   ASSERT_TRUE(
       failpoint::Activate("provenance.graph.build", failpoint::Fault{}).ok());
-  for (const char* key : {"city", "state"}) {
+  for (const char* key : {"city", "state", "score", "grade", "level"}) {
     for (const char* numeric : {"income", "units", "score"}) {
       const Predicate pred = Predicate::IsNotNull(key);
       EXPECT_TRUE(pt.Sum(numeric, pred).ok()) << key << " " << numeric;
@@ -275,6 +319,68 @@ TEST(ValueSumsTest, WarmedTableAnswersWithoutBuilding) {
     EXPECT_TRUE(pt.GroupByCountEstimate(key).ok());
   }
   failpoint::DeactivateAll();
+}
+
+TEST(ValueSumsTest, GraphSlotsNameTheSummedRows) {
+  // A corrected SUM reads clean value i's rows from the per-value sums
+  // at the graph's clean_slot(i). For a string, an int64 and a double key
+  // (±0.0 one value, each NaN row a value of its own), after cleaning,
+  // each clean index names its own slot, and that slot holds exactly the
+  // incomes of the rows holding its value.
+  PrivateTable pt = RandomPrivateTable(kRowsPerShard + 1, 5);
+  ASSERT_TRUE(pt.Clean(FindReplace("grade", {{Value(int64_t{1}),
+                                              Value(int64_t{0})}}))
+                  .ok());
+  ASSERT_TRUE(pt.Clean(ValueTransform("level", [](const Value& v) {
+                  if (v.is_null() || v.AsDouble() < 1.0) return v;
+                  return Value(std::nan(""));
+                })).ok());
+  const Table& relation = pt.relation();
+  const Column& income = **relation.ColumnByName("income");
+  auto is_nan = [](const Value& v) {
+    return v.type() == ValueType::kDouble && std::isnan(v.AsDouble());
+  };
+  for (const char* key : {"city", "grade", "level"}) {
+    SCOPED_TRACE(key);
+    const ProvenanceGraph& graph = **pt.ProvenanceFor(key);
+    const Domain& clean = graph.clean_domain();
+    const ValueSums sums = *ComputeValueSums(relation, key, "income");
+    // Each row's clean index: by value, except that the k-th NaN row
+    // holds the k-th NaN value (the clean domain is in row
+    // first-appearance order).
+    std::vector<size_t> nan_indices;
+    for (size_t i = 0; i < clean.size(); ++i) {
+      if (is_nan(clean.value(i))) nan_indices.push_back(i);
+    }
+    std::vector<std::vector<double>> incomes(clean.size());
+    const Column& column = **relation.ColumnByName(key);
+    size_t nan_rows = 0;
+    for (size_t r = 0; r < relation.num_rows(); ++r) {
+      const Value v = column.ValueAt(r);
+      size_t i = 0;
+      if (is_nan(v)) {
+        ASSERT_LT(nan_rows, nan_indices.size());
+        i = nan_indices[nan_rows++];
+      } else {
+        i = *clean.IndexOf(v);
+      }
+      if (!income.IsNull(r)) incomes[i].push_back(income.NumericAt(r));
+    }
+    EXPECT_EQ(nan_rows, nan_indices.size());
+    if (std::string(key) == "level") {
+      EXPECT_GT(nan_rows, 0u);
+    }
+    std::set<uint32_t> slots;
+    for (size_t i = 0; i < clean.size(); ++i) {
+      EXPECT_TRUE(slots.insert(graph.clean_slot(i)).second)
+          << "clean index " << i << " shares a slot";
+      ExactSum sum;
+      sums.sums.AddTo(graph.clean_slot(i), &sum);
+      EXPECT_EQ(sum.count(), incomes[i].size()) << "clean index " << i;
+      EXPECT_EQ(Bits(sum.Round()), Bits(ReferenceExactSum(incomes[i])))
+          << "clean index " << i;
+    }
+  }
 }
 
 TEST(ValueSumsTest, HoldsAtMost64BytesPerValue) {
@@ -316,22 +422,16 @@ TEST(ValueSumsTest, NonFiniteValuesKeepTheirMeaning) {
            {"NOT city = 'c'", std::nan(""), std::nan("")}}) {
     SCOPED_TRACE(condition);
     const Predicate pred = Where(condition);
-    QueryScanStats scan = *ScanPredicateSums(table, pred, "x");
     ValueSums sums = *ComputeValueSums(table, "city", "x");
     ExactSum h_p;
-    const Column& city = **table.ColumnByName("city");
-    for (uint32_t code = 0; code < city.dictionary().size(); ++code) {
-      if (pred.Matches(Value(std::string(city.dictionary().At(code))))) {
-        sums.sums.AddTo(sums.SlotOf(code), &h_p);
-      }
+    const ColumnCodes city(**table.ColumnByName("city"));
+    for (uint32_t slot = 0; slot < city.num_slots(); ++slot) {
+      if (pred.Matches(city.ValueOf(slot))) sums.sums.AddTo(slot, &h_p);
     }
     ExactSum h_not_p = sums.total;
     h_not_p.Subtract(h_p);
-    for (const auto& [got, want] :
-         {std::pair{scan.matching_sum, matching},
-          std::pair{h_p.Round(), matching},
-          std::pair{scan.complement_sum, complement},
-          std::pair{h_not_p.Round(), complement}}) {
+    for (const auto& [got, want] : {std::pair{h_p.Round(), matching},
+                                    std::pair{h_not_p.Round(), complement}}) {
       if (std::isnan(want)) {
         EXPECT_TRUE(std::isnan(got)) << got;
       } else {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <string_view>
 #include <thread>
 
@@ -425,6 +426,8 @@ Status RunQuery(const ParsedArgs& args, std::ostream& out) {
   // Admission control: with a ledger and tenant, the query's epsilon
   // cost is charged durably BEFORE any execution; an overdraft rejects
   // the query (Resource exhausted) with zero side effects on results.
+  std::optional<BudgetLedger> ledger;
+  std::string tenant;
   if (args.Has("ledger") || args.Has("tenant")) {
     if (!args.Has("ledger") || !args.Has("tenant")) {
       return Status::InvalidArgument(
@@ -432,28 +435,13 @@ Status RunQuery(const ParsedArgs& args, std::ostream& out) {
           "a query against a budget");
     }
     PCLEAN_ASSIGN_OR_RETURN(std::string ledger_dir, args.One("ledger"));
-    PCLEAN_ASSIGN_OR_RETURN(std::string tenant, args.One("tenant"));
-    PCLEAN_ASSIGN_OR_RETURN(BudgetLedger ledger,
-                            BudgetLedger::Open(ledger_dir));
-    PCLEAN_ASSIGN_OR_RETURN(AdmissionTicket ticket,
-                            AdmitSqlQuery(ledger, tenant, table, sql));
-    // A zero-cost query (no private attributes referenced) is admitted
-    // even for a tenant the ledger has never seen; BudgetOrZero reads
-    // such a tenant as all-zero.
-    out << RenderAdmissionLine(tenant, ticket, ledger.BudgetOrZero(tenant));
+    PCLEAN_ASSIGN_OR_RETURN(tenant, args.One("tenant"));
+    PCLEAN_ASSIGN_OR_RETURN(ledger, BudgetLedger::Open(ledger_dir));
   }
-  // Rendering is shared with the server's RESULT payload
-  // (RenderSqlResultText), which is what keeps a served answer
-  // byte-identical to this local one.
-  if (args.Has("direct")) {
-    PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs,
-                            ExecuteSqlQueryDirect(table, sql, options.exec));
-    RenderSqlResultText(rs, /*direct=*/true, options.confidence, out);
-    return Status::OK();
-  }
-  PCLEAN_ASSIGN_OR_RETURN(SqlResultSet rs, ExecuteSqlQuery(table, sql, options));
-  RenderSqlResultText(rs, /*direct=*/false, options.confidence, out);
-  return Status::OK();
+  // The server answers a QUERY frame through the same function, which is
+  // what keeps a served answer byte-identical to this local one.
+  return AnswerSqlQuery(table, sql, args.Has("direct"), options,
+                        ledger.has_value() ? &*ledger : nullptr, tenant, out);
 }
 
 /// Set by SIGTERM/SIGINT while `pclean serve` runs; the serve loop
