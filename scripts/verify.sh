@@ -28,15 +28,19 @@
 #      likely to hide memory bugs.
 #   The randomized differentials labeled `determinism fuzz`
 #   (csv_split_fuzz_test, dictionary_test, exact_sum_test,
-#   value_sums_test) run in both passes 4 and 5; dictionary_test drives
+#   value_sums_test, row_index_test) run in both passes 4 and 5;
+#   row_index_test checks the row indexes' bytes at 1/2/8 threads and
+#   the two-attribute counts read through them against the scan of both
+#   predicates' row masks; dictionary_test drives
 #   the provenance build's per-slot indexing, which reads a snapshot
 #   dictionary and a current one that grew after the snapshot;
 #   exact_sum_test checks the exact accumulator's exponent-dependent
 #   shifts against a big-integer reference, and value_sums_test the
 #   cached per-value SUM/AVG (string, int64 and double keys) against a
 #   row-mask reference with big-integer sums. The `server` suite
-#   races SUM/AVG sessions on one warmed release, so TSan sees the
-#   shared caches read concurrently.
+#   races SUM/AVG and two-attribute COUNT sessions on one warmed
+#   release, so TSan sees the shared caches — the row indexes too —
+#   read concurrently.
 #
 # Usage: scripts/verify.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail

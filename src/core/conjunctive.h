@@ -5,6 +5,7 @@
 #include "common/thread_pool.h"
 #include "core/estimators.h"
 #include "query/predicate.h"
+#include "table/row_index.h"
 #include "table/table.h"
 
 namespace privateclean {
@@ -21,8 +22,8 @@ namespace privateclean {
 /// Kronecker product is the Kronecker product of the inverses) yields an
 /// unbiased estimate of the true quadrant counts.
 
-/// One-pass quadrant counts for the pair (cond_a, cond_b) over the
-/// cleaned private relation.
+/// Quadrant counts for the pair (cond_a, cond_b) over the cleaned
+/// private relation.
 struct ConjunctiveScanStats {
   size_t total_rows = 0;
   size_t count_tt = 0;  ///< a true,  b true (the target quadrant)
@@ -31,13 +32,31 @@ struct ConjunctiveScanStats {
   size_t count_ff = 0;  ///< a false, b false
 };
 
-/// Scans `table` once, evaluating both predicates per row. The scan is
-/// sharded per `exec` (common/thread_pool.h); per-shard quadrant counts
-/// are summed in shard order, so the result is thread-count independent.
-Result<ConjunctiveScanStats> ScanConjunctive(const Table& table,
-                                             const Predicate& cond_a,
-                                             const Predicate& cond_b,
-                                             const ExecutionOptions& exec = {});
+/// Counts the rows of `table` that match both `cond_a` and `cond_b` (two
+/// different attributes) — count_tt — without visiting every row.
+/// `index_a` / `index_b` is the RowIndex (table/row_index.h) of that
+/// side's attribute, or nullptr where the attribute is not discrete; at
+/// least one side needs one. Each indexed side's predicate is evaluated
+/// at one row per slot to find its matched slots; the indexed side whose
+/// matched slots hold fewer rows drives, and the other side is evaluated
+/// only at the driving rows (CompiledPredicate::EvalRows), split over
+/// `exec`'s workers. A non-null `rows_a` / `rows_b` receives the rows
+/// matching that side alone, which needs its index. Counts are exact, so
+/// nothing depends on the thread count.
+Result<size_t> CountMatchingBoth(const Table& table, const Predicate& cond_a,
+                                 const RowIndex* index_a,
+                                 const Predicate& cond_b,
+                                 const RowIndex* index_b,
+                                 const ExecutionOptions& exec = {},
+                                 size_t* rows_a = nullptr,
+                                 size_t* rows_b = nullptr);
+
+/// All four quadrants from CountMatchingBoth over two discrete sides:
+/// tf, ft and ff follow from count_tt and each side's matching rows.
+Result<ConjunctiveScanStats> CountConjunctiveQuadrants(
+    const Table& table, const Predicate& cond_a, const RowIndex& index_a,
+    const Predicate& cond_b, const RowIndex& index_b,
+    const ExecutionOptions& exec = {});
 
 /// Solves the 4×4 linear system (M_a ⊗ M_b)·q_true = q_observed for the
 /// true quadrant counts and returns the corrected count of rows

@@ -77,8 +77,12 @@ Status PrivateTable::Clean(const Cleaner& cleaner) {
   // rewrite a numeric column. Dropped up front, so a cleaner that fails
   // part-way leaves no stale entry either.
   graph_cache_.clear();
+  row_index_cache_.clear();
   moments_cache_.clear();
   value_sums_cache_.clear();
+  // The dirty side of every graph from now on: until this first clean,
+  // the current columns were their own snapshot.
+  PCLEAN_RETURN_NOT_OK(provenance_.SnapshotColumns(relation_));
   PCLEAN_RETURN_NOT_OK(cleaner.Apply(&relation_));
   if (auto extracted = cleaner.extracted_attribute(); extracted.has_value()) {
     PCLEAN_RETURN_NOT_OK(provenance_.RegisterDerivedAttribute(
@@ -95,6 +99,27 @@ Result<const ProvenanceGraph*> PrivateTable::ProvenanceFor(
   PCLEAN_ASSIGN_OR_RETURN(ProvenanceGraph graph,
                           provenance_.GraphFor(relation_, attribute, exec));
   auto [it, inserted] = graph_cache_.emplace(attribute, std::move(graph));
+  (void)inserted;
+  return &it->second;
+}
+
+Result<const RowIndex*> PrivateTable::RowIndexFor(
+    const std::string& attribute, const ExecutionOptions& exec) const {
+  if (auto it = row_index_cache_.find(attribute);
+      it != row_index_cache_.end()) {
+    return &it->second;
+  }
+  PCLEAN_ASSIGN_OR_RETURN(Field field,
+                          relation_.schema().FieldByName(attribute));
+  if (field.kind != AttributeKind::kDiscrete) {
+    return Status::InvalidArgument("no row index for attribute '" +
+                                   attribute + "': it is not discrete");
+  }
+  PCLEAN_ASSIGN_OR_RETURN(const Column* column,
+                          relation_.ColumnByName(attribute));
+  PCLEAN_ASSIGN_OR_RETURN(RowIndex index,
+                          BuildRowIndex(ColumnCodes(*column), exec));
+  auto [it, inserted] = row_index_cache_.emplace(attribute, std::move(index));
   (void)inserted;
   return &it->second;
 }
@@ -130,14 +155,16 @@ Result<const ValueSums*> PrivateTable::CachedValueSumsFor(
 
 Status PrivateTable::WarmCaches(const ExecutionOptions& exec) const {
   // Every attribute a read-only query can reach: a graph per discrete
-  // attribute (predicates, GROUP BY), moments per numeric-typed column
-  // (SUM/AVG — ComputeNumericMoments accepts any non-string column), and
-  // per-value sums per (discrete attribute, numeric-typed column).
+  // attribute (predicates, GROUP BY) and its row index (two-attribute
+  // COUNTs), moments per numeric-typed column (SUM/AVG —
+  // ComputeNumericMoments accepts any non-string column), and per-value
+  // sums per (discrete attribute, numeric-typed column).
   const Schema& schema = relation_.schema();
   for (size_t i = 0; i < schema.num_fields(); ++i) {
     const Field& field = schema.field(i);
     if (field.kind == AttributeKind::kDiscrete) {
       PCLEAN_RETURN_NOT_OK(ProvenanceFor(field.name, exec).status());
+      PCLEAN_RETURN_NOT_OK(RowIndexFor(field.name, exec).status());
     }
     if (field.type != ValueType::kString) {
       PCLEAN_RETURN_NOT_OK(CachedMomentsFor(field.name, exec).status());
@@ -312,12 +339,33 @@ Result<QueryResult> PrivateTable::CountConjunctive(
                           InputsForPredicate(cond_a, "", options));
   PCLEAN_ASSIGN_OR_RETURN(EstimationInputs in_b,
                           InputsForPredicate(cond_b, "", options));
+  PCLEAN_ASSIGN_OR_RETURN(const RowIndex* index_a,
+                          RowIndexFor(cond_a.attribute(), options.exec));
+  PCLEAN_ASSIGN_OR_RETURN(const RowIndex* index_b,
+                          RowIndexFor(cond_b.attribute(), options.exec));
   PCLEAN_ASSIGN_OR_RETURN(
       ConjunctiveScanStats stats,
-      ScanConjunctive(relation_, cond_a, cond_b, options.exec));
+      CountConjunctiveQuadrants(relation_, cond_a, *index_a, cond_b,
+                                *index_b, options.exec));
   PCLEAN_ASSIGN_OR_RETURN(QueryResult r,
                           EstimateConjunctiveCount(stats, in_a, in_b));
   return r;
+}
+
+Result<size_t> PrivateTable::CountMatchingBoth(
+    const Predicate& cond_a, const Predicate& cond_b,
+    const ExecutionOptions& exec) const {
+  const RowIndex* indexes[2] = {nullptr, nullptr};
+  const Predicate* sides[2] = {&cond_a, &cond_b};
+  for (size_t i = 0; i < 2; ++i) {
+    auto field = relation_.schema().FieldByName(sides[i]->attribute());
+    if (field.ok() && field->kind == AttributeKind::kDiscrete) {
+      PCLEAN_ASSIGN_OR_RETURN(indexes[i],
+                              RowIndexFor(sides[i]->attribute(), exec));
+    }
+  }
+  return privateclean::CountMatchingBoth(relation_, cond_a, indexes[0],
+                                         cond_b, indexes[1], exec);
 }
 
 Result<std::vector<std::pair<Value, QueryResult>>>

@@ -27,12 +27,13 @@ struct QueryOptions {
   /// over-counts; exposed for the Figure 7 ablation.
   bool weighted_cut = true;
   /// Threading (common/thread_pool.h) for every row pass a query runs:
-  /// the predicate scans of CountConjunctive and Direct, ExecuteAggregate's
-  /// per-row loops, the builds of the cached provenance graphs, moments
-  /// and per-value sums (Count and GroupByCountEstimate read the graph's
-  /// counts; Sum and Avg merge per-value sums), and the bootstrap
-  /// replicate loop of the §10 extension aggregates. Every sum is the
-  /// correctly rounded exact sum, so results are identical at every
+  /// Direct's predicate scans, ExecuteAggregate's per-row loops, the
+  /// builds of the cached provenance graphs, row indexes, moments and
+  /// per-value sums (Count and GroupByCountEstimate read the graph's
+  /// counts; Sum and Avg merge per-value sums; a two-attribute COUNT
+  /// visits the rows a row index names), and the bootstrap replicate loop
+  /// of the §10 extension aggregates. Counts are exact and every sum is
+  /// the correctly rounded exact sum, so results are identical at every
   /// thread count.
   ExecutionOptions exec;
 
@@ -62,9 +63,11 @@ struct QueryOptions {
 ///      baseline).
 ///
 /// The table keeps the GRR metadata (p_i, b_i, domains, S) and a
-/// provenance manager that snapshots V at creation, so after any
-/// composition of cleaners it can rebuild the dirty→clean bipartite graph
-/// and re-anchor query selectivity in the dirty domain (paper §6–§7).
+/// provenance manager that snapshots V's discrete columns before the
+/// first cleaner runs, so after any composition of cleaners it can
+/// rebuild the dirty→clean bipartite graph and re-anchor query
+/// selectivity in the dirty domain (paper §6–§7). A table that is never
+/// cleaned holds no copy of a column.
 class PrivateTable {
  public:
   /// Privatizes `original` with explicit GRR parameters.
@@ -140,9 +143,18 @@ class PrivateTable {
   /// extension): the per-attribute correction constants compose via the
   /// Kronecker product of the transition matrices. Both attributes'
   /// selectivities are provenance-adjusted, so this works after cleaning.
+  /// The quadrant counts come from the cached row indexes
+  /// (CountConjunctiveQuadrants), not from a scan of every row.
   Result<QueryResult> CountConjunctive(
       const Predicate& cond_a, const Predicate& cond_b,
       const QueryOptions& options = QueryOptions()) const;
+
+  /// The nominal count of `cond_a AND cond_b` on the current relation:
+  /// CountMatchingBoth (core/conjunctive.h) over the cached row index of
+  /// each side whose attribute is discrete. At least one must be.
+  Result<size_t> CountMatchingBoth(const Predicate& cond_a,
+                                   const Predicate& cond_b,
+                                   const ExecutionOptions& exec = {}) const;
 
   /// Corrected COUNT for every distinct value of `attribute` in the
   /// cleaned private relation — the paper's
@@ -216,13 +228,20 @@ class PrivateTable {
   Result<const ProvenanceGraph*> ProvenanceFor(
       const std::string& attribute, const ExecutionOptions& exec = {}) const;
 
+  /// The row index (table/row_index.h) of a discrete attribute of the
+  /// current relation, built on first use and cached like the graphs:
+  /// the pointer stays valid until the next Clean(). InvalidArgument for
+  /// an attribute that is not discrete.
+  Result<const RowIndex*> RowIndexFor(const std::string& attribute,
+                                      const ExecutionOptions& exec = {}) const;
+
   /// Builds every lazily cached per-attribute state now: the provenance
-  /// graph of each discrete attribute, the moments (μ_p, σ_p²) of each
-  /// numeric-typed column, and the per-value sums of every (discrete
-  /// attribute, numeric-typed column) pair. Afterwards no read-only
-  /// query fills a cache, so concurrent queries on one instance are safe
-  /// until the next Clean(). The server calls this when it opens a
-  /// release.
+  /// graph and the row index of each discrete attribute, the moments
+  /// (μ_p, σ_p²) of each numeric-typed column, and the per-value sums of
+  /// every (discrete attribute, numeric-typed column) pair. Afterwards no
+  /// read-only query fills a cache, so concurrent queries on one instance
+  /// are safe until the next Clean(). The server calls this when it opens
+  /// a release.
   Status WarmCaches(const ExecutionOptions& exec = {}) const;
 
   /// The deterministic estimator inputs (p, l, N) PrivateClean would use
@@ -288,6 +307,7 @@ class PrivateTable {
   PrivateRelationMetadata metadata_;
   ProvenanceManager provenance_;
   mutable std::unordered_map<std::string, ProvenanceGraph> graph_cache_;
+  mutable std::unordered_map<std::string, RowIndex> row_index_cache_;
   mutable std::unordered_map<std::string, NumericMoments> moments_cache_;
   /// Keyed by (key attribute, numeric attribute).
   mutable std::map<std::pair<std::string, std::string>, ValueSums>

@@ -61,6 +61,11 @@ SqlResultSet ScalarResult(QueryResult r) {
   return rs;
 }
 
+bool IsDiscrete(const Table& relation, const std::string& attribute) {
+  auto field = relation.schema().FieldByName(attribute);
+  return field.ok() && field->kind == AttributeKind::kDiscrete;
+}
+
 /// The FROM name must match the relation the table was opened as. An
 /// unnamed table (in-process PrivateTable::Create) accepts any
 /// spelling; a release validates against its MANIFEST `relation:` name.
@@ -211,19 +216,23 @@ Result<SqlResultSet> ExecuteSqlQueryDirect(const PrivateTable& table,
     ShapeRows(parsed, &rs.rows);
     return rs;
   }
-  if (parsed.conjunct.has_value()) {
-    // Nominal conjunctive count: scan the quadrants, no correction.
+  if (parsed.conjunct.has_value() &&
+      (IsDiscrete(relation, parsed.query.predicate->attribute()) ||
+       IsDiscrete(relation, parsed.conjunct->attribute()))) {
+    // Nominal conjunctive count through the row index of a discrete
+    // side, no correction.
     PCLEAN_ASSIGN_OR_RETURN(
-        ConjunctiveScanStats stats,
-        ScanConjunctive(relation, *parsed.query.predicate, *parsed.conjunct,
-                        exec));
-    return ScalarResult(PointResult(static_cast<double>(stats.count_tt),
+        size_t both, table.CountMatchingBoth(*parsed.query.predicate,
+                                             *parsed.conjunct, exec));
+    return ScalarResult(PointResult(static_cast<double>(both),
                                     EstimatorKind::kDirect, table.size()));
   }
-  if (parsed.where.has_value() && !parsed.query.predicate.has_value()) {
+  if (parsed.where.has_value() &&
+      (parsed.conjunct.has_value() || !parsed.query.predicate.has_value())) {
     // A WHERE tree beyond the private planner (e.g. OR across
-    // attributes): Direct just evaluates it — compile the whole tree to
-    // a vectorized mask and aggregate nominally.
+    // attributes), or a conjunct with no discrete side: Direct just
+    // evaluates it — compile the whole tree to a vectorized mask and
+    // aggregate nominally.
     PCLEAN_ASSIGN_OR_RETURN(
         CompiledPredicate predicate,
         CompiledPredicate::Compile(relation, *parsed.where));

@@ -19,10 +19,19 @@ Result<ProvenanceManager> ProvenanceManager::Create(
           domain, Domain::FromColumn(private_table, field.name,
                                      /*include_null=*/true));
     }
-    manager.snapshots_.emplace(
-        field.name, Snapshot{private_table.column(i), std::move(domain)});
+    manager.snapshots_.emplace(field.name,
+                               Snapshot{std::nullopt, std::move(domain)});
   }
   return manager;
+}
+
+Status ProvenanceManager::SnapshotColumns(const Table& current) {
+  for (auto& [name, snap] : snapshots_) {
+    if (snap.column.has_value()) continue;
+    PCLEAN_ASSIGN_OR_RETURN(const Column* column, current.ColumnByName(name));
+    snap.column = *column;
+  }
+  return Status::OK();
 }
 
 Status ProvenanceManager::RegisterDerivedAttribute(const std::string& name,
@@ -86,7 +95,16 @@ Result<ProvenanceGraph> ProvenanceManager::GraphFor(
   PCLEAN_ASSIGN_OR_RETURN(const Snapshot* snap, ResolveSource(attribute));
   PCLEAN_ASSIGN_OR_RETURN(const Column* clean_col,
                           current.ColumnByName(attribute));
-  return ProvenanceGraph::Build(snap->column, *clean_col, snap->domain, exec);
+  const Column* dirty_col = nullptr;
+  if (snap->column.has_value()) {
+    dirty_col = &*snap->column;
+  } else {
+    // Before SnapshotColumns() the anchor's current column is its own
+    // snapshot.
+    PCLEAN_ASSIGN_OR_RETURN(dirty_col,
+                            current.ColumnByName(*AnchorOf(attribute)));
+  }
+  return ProvenanceGraph::Build(*dirty_col, *clean_col, snap->domain, exec);
 }
 
 }  // namespace privateclean

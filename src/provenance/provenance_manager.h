@@ -1,6 +1,7 @@
 #ifndef PRIVATECLEAN_PROVENANCE_PROVENANCE_MANAGER_H_
 #define PRIVATECLEAN_PROVENANCE_PROVENANCE_MANAGER_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -13,14 +14,17 @@ namespace privateclean {
 /// Tracks value provenance across an arbitrary composition of cleaning
 /// operations (paper §6–§7: one graph per discrete attribute).
 ///
-/// The manager snapshots every discrete column of the private relation V
-/// at creation time (the "dirty" side). After any sequence of cleaners
-/// has mutated the relation, `GraphFor` reconstructs the bipartite graph
-/// for an attribute from O(S) (snapshot, current) pairs in one pass over
-/// their codes, whatever the attribute's type. This composes
-/// automatically: no matter how many Merge/Transform operations ran, the
-/// graph always maps the original dirty domain to the *final* clean
-/// domain, which is exactly what the estimators need.
+/// The manager holds the "dirty" side of every discrete column of the
+/// private relation V: until SnapshotColumns() the current column is its
+/// own snapshot, and SnapshotColumns() — which PrivateTable calls before
+/// its first cleaner runs — copies them (~5 B per row each), so a
+/// relation that is never cleaned holds no copy. After any sequence of
+/// cleaners has mutated the relation, `GraphFor` reconstructs the
+/// bipartite graph for an attribute from O(S) (snapshot, current) pairs
+/// in one pass over their codes, whatever the attribute's type. This
+/// composes automatically: no matter how many Merge/Transform operations
+/// ran, the graph always maps the original dirty domain to the *final*
+/// clean domain, which is exactly what the estimators need.
 ///
 /// Attributes created by Extract cleaners are registered with
 /// `RegisterDerivedAttribute(new, source)`; their graphs map the source
@@ -30,14 +34,19 @@ class ProvenanceManager {
   /// An empty manager tracking nothing (placeholder until Create()).
   ProvenanceManager() = default;
 
-  /// Snapshots all discrete columns of `private_table`. Optional
-  /// `dirty_domains` (keyed by attribute) override the domains computed
-  /// from the snapshot itself — pass the randomization-time domains from
-  /// GRR metadata so N matches the mechanism even if domain preservation
-  /// was disabled.
+  /// Tracks all discrete columns of `private_table`, copying none yet.
+  /// Optional `dirty_domains` (keyed by attribute) override the domains
+  /// computed from the columns themselves — pass the randomization-time
+  /// domains from GRR metadata so N matches the mechanism even if domain
+  /// preservation was disabled.
   static Result<ProvenanceManager> Create(
       const Table& private_table,
       const std::unordered_map<std::string, Domain>& dirty_domains = {});
+
+  /// Copies every tracked column of `current` not copied yet. Call it
+  /// before the first mutation of the tracked columns; later calls do
+  /// nothing.
+  Status SnapshotColumns(const Table& current);
 
   /// Declares that attribute `name` was created by an Extract over
   /// `source` (a snapshotted discrete attribute).
@@ -57,7 +66,8 @@ class ProvenanceManager {
   Result<std::string> AnchorOf(const std::string& attribute) const;
 
   /// Builds the provenance graph for `attribute` against the current
-  /// contents of `current` (the cleaned private relation). The build is
+  /// contents of `current` (the cleaned private relation), whose anchor
+  /// column is also the dirty side before SnapshotColumns(). The build is
   /// sharded per `exec` (see ProvenanceGraph::Build); the graph is
   /// identical at every thread count.
   Result<ProvenanceGraph> GraphFor(const Table& current,
@@ -66,7 +76,7 @@ class ProvenanceManager {
 
  private:
   struct Snapshot {
-    Column column;
+    std::optional<Column> column;  ///< Unset until SnapshotColumns().
     Domain domain;
   };
 

@@ -1,5 +1,7 @@
 #include "query/predicate.h"
 
+#include <optional>
+
 #include "query/sql_expr.h"
 #include "query/vectorized.h"
 
@@ -24,8 +26,8 @@ const char* CompareOpToString(CompareOp op) {
 }
 
 bool ComparesTrue(CompareOp op, const Value& v, const Value& bound) {
-  if (op == CompareOp::kEq) return v == bound;
-  if (op == CompareOp::kNe) return v != bound;
+  if (op == CompareOp::kEq) return ValuesEqual(v, bound);
+  if (op == CompareOp::kNe) return !ValuesEqual(v, bound);
   const ValueType vt = v.type();
   const ValueType bt = bound.type();
   const bool v_numeric = vt == ValueType::kInt64 || vt == ValueType::kDouble;
@@ -110,8 +112,29 @@ Predicate Predicate::Negate() const {
   return p;
 }
 
+namespace {
+
+/// Whether `set` holds a member ValuesEqual to `v`. Same-typed members
+/// are found by hash; a numeric `v` equals at most one member of the
+/// other numeric type, the one its exact conversion names.
+bool SetContains(const std::unordered_set<Value, ValueHash>& set,
+                 const Value& v) {
+  if (set.count(v) > 0) return true;
+  if (v.type() == ValueType::kInt64) {
+    const std::optional<double> d = ExactDouble(v.AsInt64());
+    return d.has_value() && set.count(Value(*d)) > 0;
+  }
+  if (v.type() == ValueType::kDouble) {
+    const std::optional<int64_t> i = ExactInt64(v.AsDouble());
+    return i.has_value() && set.count(Value(*i)) > 0;
+  }
+  return false;
+}
+
+}  // namespace
+
 bool Predicate::MatchesIgnoringNegation(const Value& v) const {
-  if (mode_ == Mode::kIn) return values_.count(v) > 0;
+  if (mode_ == Mode::kIn) return SetContains(values_, v);
   if (mode_ == Mode::kCompare) return ComparesTrue(compare_op_, v, compare_bound_);
   if (mode_ == Mode::kTree) return SqlExprMatches(*tree_, v);
   return fn_(v);

@@ -27,8 +27,8 @@ const char* CompareOpToString(CompareOp op);
 /// Whether `v op bound` holds. The ordering operators compare numerics
 /// with int64→double promotion and strings lexicographically; NULL and
 /// mixed string/numeric operands satisfy no ordering operator. kEq/kNe
-/// use Value's typed structural equality (so Value(3) != Value(3.0)),
-/// matching Predicate::Equals.
+/// use ValuesEqual (table/value.h), so Value(3) equals Value(3.0) but not
+/// Value(3.5), matching Predicate::Equals.
 bool ComparesTrue(CompareOp op, const Value& v, const Value& bound);
 
 /// Predicate over a single discrete attribute (the paper's `cond(d)`,
@@ -47,10 +47,11 @@ bool ComparesTrue(CompareOp op, const Value& v, const Value& bound);
 /// single-attribute WHERE tree.
 class Predicate {
  public:
-  /// d == value. A null `value` matches null entries.
+  /// d == value under ValuesEqual (an int64 and a double compare by
+  /// value). A null `value` matches null entries.
   static Predicate Equals(std::string attribute, Value value);
 
-  /// d ∈ values.
+  /// d ∈ values, under the same equality.
   static Predicate In(std::string attribute, std::vector<Value> values);
 
   /// d is null / d is not null.

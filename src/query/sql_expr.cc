@@ -55,7 +55,7 @@ bool SqlConditionMatches(const SqlCondition& cond, const Value& v) {
       return ComparesTrue(cond.op, v, cond.literals.front());
     case SqlCondition::Kind::kIn:
       return std::any_of(cond.literals.begin(), cond.literals.end(),
-                         [&](const Value& lit) { return v == lit; });
+                         [&](const Value& lit) { return ValuesEqual(v, lit); });
     case SqlCondition::Kind::kIsNull:
       return cond.is_not_null ? !v.is_null() : v.is_null();
   }

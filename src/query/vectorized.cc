@@ -60,34 +60,43 @@ struct CompiledPredicate::Node {
 
 namespace {
 
-template <typename T, typename Cmp>
+/// The row accessors of CompiledPredicate::EvalNode.
+struct RowRange {
+  size_t begin;
+  size_t operator()(size_t i) const { return begin + i; }
+};
+struct RowList {
+  const uint32_t* rows;
+  size_t operator()(size_t i) const { return rows[i]; }
+};
+
+template <typename T, typename RowAt, typename Cmp>
 void CompareLoop(const T* data, const uint8_t* validity, T bound,
-                 size_t begin, size_t count, uint8_t* mask, Cmp cmp) {
+                 RowAt row, size_t count, uint8_t* mask, Cmp cmp) {
   for (size_t i = 0; i < count; ++i) {
-    size_t r = begin + i;
+    size_t r = row(i);
     mask[i] = (validity[r] != 0 && cmp(data[r], bound)) ? 1 : 0;
   }
 }
 
-template <typename T>
+template <typename T, typename RowAt>
 void DispatchCompare(const T* data, const uint8_t* validity, T bound,
-                     CompareOp op, size_t begin, size_t count,
-                     uint8_t* mask) {
+                     CompareOp op, RowAt row, size_t count, uint8_t* mask) {
   switch (op) {
     case CompareOp::kLt:
-      CompareLoop(data, validity, bound, begin, count, mask,
+      CompareLoop(data, validity, bound, row, count, mask,
                   [](T a, T b) { return a < b; });
       break;
     case CompareOp::kLe:
-      CompareLoop(data, validity, bound, begin, count, mask,
+      CompareLoop(data, validity, bound, row, count, mask,
                   [](T a, T b) { return a <= b; });
       break;
     case CompareOp::kGt:
-      CompareLoop(data, validity, bound, begin, count, mask,
+      CompareLoop(data, validity, bound, row, count, mask,
                   [](T a, T b) { return a > b; });
       break;
     case CompareOp::kGe:
-      CompareLoop(data, validity, bound, begin, count, mask,
+      CompareLoop(data, validity, bound, row, count, mask,
                   [](T a, T b) { return a >= b; });
       break;
     default:
@@ -97,12 +106,12 @@ void DispatchCompare(const T* data, const uint8_t* validity, T bound,
   }
 }
 
-template <typename T>
+template <typename T, typename RowAt>
 void MembershipLoop(const T* data, const uint8_t* validity,
                     const std::vector<T>& set, bool null_matches,
-                    size_t begin, size_t count, uint8_t* mask) {
+                    RowAt row, size_t count, uint8_t* mask) {
   for (size_t i = 0; i < count; ++i) {
-    size_t r = begin + i;
+    size_t r = row(i);
     if (validity[r] == 0) {
       mask[i] = null_matches ? 1 : 0;
       continue;
@@ -191,15 +200,23 @@ Result<CompiledPredicate> CompiledPredicate::Compile(
     return CompiledPredicate(std::move(node));
   }
   if (predicate.is_membership()) {
-    // Typed structural equality: only literals of the column's own type
-    // (plus NULL) can match.
+    // ValuesEqual: a literal of the other numeric type enters the set
+    // only when it converts exactly; a string literal matches no row.
     for (const Value& v : predicate.membership_values()) {
       if (v.is_null()) {
         node->null_matches = true;
-      } else if (is_int && v.type() == ValueType::kInt64) {
-        node->int_set.push_back(v.AsInt64());
-      } else if (!is_int && v.type() == ValueType::kDouble) {
-        node->double_set.push_back(v.AsDouble());
+      } else if (v.type() == ValueType::kInt64) {
+        if (is_int) {
+          node->int_set.push_back(v.AsInt64());
+        } else if (std::optional<double> d = ExactDouble(v.AsInt64())) {
+          node->double_set.push_back(*d);
+        }
+      } else if (v.type() == ValueType::kDouble) {
+        if (!is_int) {
+          node->double_set.push_back(v.AsDouble());
+        } else if (std::optional<int64_t> i = ExactInt64(v.AsDouble())) {
+          node->int_set.push_back(*i);
+        }
       }
     }
     if (is_int) {
@@ -261,8 +278,9 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Table& table,
   return Status::Internal("unhandled SqlExpr kind");
 }
 
-void CompiledPredicate::EvalNode(const Node& node, size_t begin,
-                                 size_t count, uint8_t* mask) {
+template <typename RowAt>
+void CompiledPredicate::EvalNode(const Node& node, RowAt row, size_t count,
+                                 uint8_t* mask) {
   switch (node.kind) {
     case Node::Kind::kConst:
       std::memset(mask, node.const_value ? 1 : 0, count);
@@ -272,7 +290,7 @@ void CompiledPredicate::EvalNode(const Node& node, size_t begin,
       const uint8_t* match = node.match.data();
       const uint32_t null_slot = node.null_slot;
       for (size_t i = 0; i < count; ++i) {
-        uint32_t c = codes[begin + i];
+        uint32_t c = codes[row(i)];
         mask[i] = match[c == kNullCode ? null_slot : c];
       }
       break;
@@ -284,7 +302,7 @@ void CompiledPredicate::EvalNode(const Node& node, size_t begin,
         const double bound = node.double_bound;
         const CompareOp op = node.op;
         for (size_t i = 0; i < count; ++i) {
-          size_t r = begin + i;
+          size_t r = row(i);
           if (validity[r] == 0) {
             mask[i] = 0;
             continue;
@@ -302,27 +320,27 @@ void CompiledPredicate::EvalNode(const Node& node, size_t begin,
         }
       } else {
         DispatchCompare(node.ints, node.validity, node.int_bound, node.op,
-                        begin, count, mask);
+                        row, count, mask);
       }
       break;
     case Node::Kind::kDoubleCompare:
       DispatchCompare(node.doubles, node.validity, node.double_bound,
-                      node.op, begin, count, mask);
+                      node.op, row, count, mask);
       break;
     case Node::Kind::kIntIn:
       MembershipLoop(node.ints, node.validity, node.int_set,
-                     node.null_matches, begin, count, mask);
+                     node.null_matches, row, count, mask);
       break;
     case Node::Kind::kDoubleIn:
       MembershipLoop(node.doubles, node.validity, node.double_set,
-                     node.null_matches, begin, count, mask);
+                     node.null_matches, row, count, mask);
       break;
     case Node::Kind::kBoxed: {
       // Per-batch memo: the predicate is value-deterministic, so repeats
       // within the batch cost one hash lookup.
       std::unordered_map<Value, bool, ValueHash> memo;
       for (size_t i = 0; i < count; ++i) {
-        Value v = node.column->ValueAt(begin + i);
+        Value v = node.column->ValueAt(row(i));
         auto it = memo.find(v);
         if (it == memo.end()) {
           bool m = node.boxed->Matches(v);
@@ -333,15 +351,15 @@ void CompiledPredicate::EvalNode(const Node& node, size_t begin,
       break;
     }
     case Node::Kind::kNot:
-      EvalNode(*node.children.front(), begin, count, mask);
+      EvalNode(*node.children.front(), row, count, mask);
       for (size_t i = 0; i < count; ++i) mask[i] ^= 1;
       break;
     case Node::Kind::kAnd:
     case Node::Kind::kOr: {
-      EvalNode(*node.children.front(), begin, count, mask);
+      EvalNode(*node.children.front(), row, count, mask);
       uint8_t tmp[kVectorBatchRows];
       for (size_t c = 1; c < node.children.size(); ++c) {
-        EvalNode(*node.children[c], begin, count, tmp);
+        EvalNode(*node.children[c], row, count, tmp);
         if (node.kind == Node::Kind::kAnd) {
           for (size_t i = 0; i < count; ++i) mask[i] &= tmp[i];
         } else {
@@ -362,7 +380,16 @@ void CompiledPredicate::EvalBatch(size_t begin, size_t count,
     std::memset(mask, 1, count);
     return;
   }
-  EvalNode(*root_, begin, count, mask);
+  EvalNode(*root_, RowRange{begin}, count, mask);
+}
+
+void CompiledPredicate::EvalRows(const uint32_t* rows, size_t count,
+                                 uint8_t* mask) const {
+  if (root_ == nullptr) {
+    std::memset(mask, 1, count);
+    return;
+  }
+  EvalNode(*root_, RowList{rows}, count, mask);
 }
 
 Result<std::vector<uint8_t>> CompiledPredicate::EvaluateAll(

@@ -24,8 +24,9 @@ struct SqlExpr;
 inline constexpr size_t kVectorBatchRows = 1024;
 
 /// A predicate compiled against one table for batch evaluation — the one
-/// engine behind Predicate::Evaluate, ExecuteAggregate and
-/// ScanConjunctive.
+/// engine behind Predicate::Evaluate, ExecuteAggregate and the
+/// two-attribute counts of core/conjunctive.h, which evaluate it at the
+/// rows a row index names (EvalRows).
 ///
 /// Compilation picks a per-column kernel:
 ///  - string columns: a code-indexed match table over the dictionary
@@ -41,8 +42,8 @@ inline constexpr size_t kVectorBatchRows = 1024;
 ///
 /// A CompiledPredicate borrows column storage from the table it was
 /// compiled against: the table must outlive it and not be mutated while
-/// it is in use. EvalBatch is const and thread-safe — evaluation shards
-/// call it concurrently on disjoint row ranges.
+/// it is in use. EvalBatch and EvalRows are const and thread-safe —
+/// evaluation shards call them concurrently.
 class CompiledPredicate {
  public:
   /// Matches every row (an absent WHERE clause).
@@ -59,6 +60,11 @@ class CompiledPredicate {
   /// mask[0..count). `count` must be <= kVectorBatchRows.
   void EvalBatch(size_t begin, size_t count, uint8_t* mask) const;
 
+  /// Writes the 0/1 match mask of rows rows[0..count) into
+  /// mask[0..count): EvalBatch's kernels over a list of row ids.
+  /// `count` must be <= kVectorBatchRows.
+  void EvalRows(const uint32_t* rows, size_t count, uint8_t* mask) const;
+
   /// Full row mask over `num_rows`, batched through the deterministic
   /// ParallelFor shards; identical at every thread count.
   Result<std::vector<uint8_t>> EvaluateAll(
@@ -71,7 +77,11 @@ class CompiledPredicate {
   explicit CompiledPredicate(std::shared_ptr<const Node> root)
       : root_(std::move(root)) {}
 
-  static void EvalNode(const Node& node, size_t begin, size_t count,
+  /// Every kernel, once, over a row accessor: `row(i)` is the table row
+  /// of the batch's i-th mask byte (begin + i for EvalBatch, rows[i] for
+  /// EvalRows).
+  template <typename RowAt>
+  static void EvalNode(const Node& node, RowAt row, size_t count,
                        uint8_t* mask);
 
   std::shared_ptr<const Node> root_;  ///< nullptr: every row matches.

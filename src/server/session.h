@@ -21,10 +21,10 @@ namespace server {
 /// the identity a session binds to. Immutable once constructed — the
 /// server never cleans or mutates a shared table, and Server::Start runs
 /// PrivateTable::WarmCaches before any session can bind: it builds the
-/// provenance graph of every discrete attribute, the moments (μ_p, σ_p²)
-/// of every numeric column and the per-value exact sums of every
-/// (string discrete attribute, numeric column) pair, which SUM/AVG would
-/// otherwise compute on first use. Concurrent read-only queries on the one
+/// provenance graph and the row index of every discrete attribute, the
+/// moments (μ_p, σ_p²) of every numeric column and the per-value exact
+/// sums of every (discrete attribute, numeric column) pair, which
+/// queries would otherwise compute on first use. Concurrent read-only queries on the one
 /// instance therefore only read the table's caches and never race on
 /// filling them; the cache entries live until the table does (only
 /// Clean() drops them).

@@ -1,6 +1,7 @@
 #include "table/domain.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace privateclean {
 
@@ -115,6 +116,14 @@ void Domain::Add(const Value& v) { AddCount(v, 1); }
 void Domain::AddCount(const Value& v, size_t count) {
   if (count == 0) return;
   total_ += count;
+  if (v.type() == ValueType::kDouble && std::isnan(v.AsDouble())) {
+    // A NaN equals nothing, so it is a member of its own that no lookup
+    // finds; kept out of index_, where every NaN would share one bucket
+    // chain and k of them would cost O(k^2).
+    values_.push_back(v);
+    freqs_.push_back(count);
+    return;
+  }
   auto [it, inserted] = index_.emplace(v, values_.size());
   if (inserted) {
     values_.push_back(v);

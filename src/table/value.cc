@@ -1,5 +1,7 @@
 #include "table/value.h"
 
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace privateclean {
@@ -66,6 +68,31 @@ size_t Value::Hash() const {
       break;
   }
   return seed ^ (h + 0x9E3779B9U + (seed << 6) + (seed >> 2));
+}
+
+std::optional<int64_t> ExactInt64(double d) {
+  // [-2^63, 2^63): both bounds are exact doubles; NaN fails both tests.
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0) ||
+      std::trunc(d) != d) {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(d);
+}
+
+std::optional<double> ExactDouble(int64_t i) {
+  const double d = static_cast<double>(i);
+  if (ExactInt64(d) != i) return std::nullopt;
+  return d;
+}
+
+bool ValuesEqual(const Value& a, const Value& b) {
+  if (a.type() == ValueType::kInt64 && b.type() == ValueType::kDouble) {
+    return ExactInt64(b.AsDouble()) == a.AsInt64();
+  }
+  if (a.type() == ValueType::kDouble && b.type() == ValueType::kInt64) {
+    return ExactInt64(a.AsDouble()) == b.AsInt64();
+  }
+  return a == b;
 }
 
 }  // namespace privateclean

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -93,6 +94,19 @@ class Value {
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
+
+/// The int64 equal to `d`, or nullopt when `d` has a fraction, is NaN or
+/// lies outside int64's range.
+std::optional<int64_t> ExactInt64(double d);
+
+/// The double equal to `i`, or nullopt when no double is (|i| > 2^53 and
+/// odd enough to round).
+std::optional<double> ExactDouble(int64_t i);
+
+/// SQL equality (`=`, `!=`, IN): an int64 and a double compare by value —
+/// they are equal iff ExactInt64 of the double is the int64 — and every
+/// other pair by operator==. A NaN equals nothing.
+bool ValuesEqual(const Value& a, const Value& b);
 
 }  // namespace privateclean
 

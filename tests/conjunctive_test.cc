@@ -6,11 +6,15 @@
 
 #include "cleaning/merge.h"
 #include "common/statistics.h"
+#include "conjunctive_reference.h"
 #include "core/private_table.h"
 #include "table/table_builder.h"
 
 namespace privateclean {
 namespace {
+
+using testing_reference::ReferenceQuadrants;
+using testing_reference::TestRowIndex;
 
 Schema TwoAttrSchema() {
   return *Schema::Make({Field::Discrete("dept"), Field::Discrete("campus"),
@@ -36,9 +40,9 @@ Table TwoAttrTable(uint64_t seed = 7) {
 
 TEST(ConjunctiveScanTest, QuadrantsPartitionTheRelation) {
   Table t = TwoAttrTable();
-  ConjunctiveScanStats stats =
-      *ScanConjunctive(t, Predicate::Equals("dept", "EECS"),
-                       Predicate::Equals("campus", "North"));
+  ConjunctiveScanStats stats = *CountConjunctiveQuadrants(
+      t, Predicate::Equals("dept", "EECS"), TestRowIndex(t, "dept"),
+      Predicate::Equals("campus", "North"), TestRowIndex(t, "campus"));
   EXPECT_EQ(stats.count_tt + stats.count_tf + stats.count_ft +
                 stats.count_ff,
             stats.total_rows);
@@ -51,8 +55,10 @@ TEST(ConjunctiveScanTest, QuadrantsPartitionTheRelation) {
 
 TEST(ConjunctiveScanTest, RejectsSameAttribute) {
   Table t = TwoAttrTable();
-  auto r = ScanConjunctive(t, Predicate::Equals("dept", "EECS"),
-                           Predicate::Equals("dept", "Math"));
+  const RowIndex dept = TestRowIndex(t, "dept");
+  auto r = CountConjunctiveQuadrants(t, Predicate::Equals("dept", "EECS"),
+                                     dept, Predicate::Equals("dept", "Math"),
+                                     dept);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
@@ -121,8 +127,7 @@ TEST(ConjunctiveEstimatorTest, UnbiasedOverPrivateInstances) {
   Predicate cond_a = Predicate::Equals("dept", "EECS");
   Predicate cond_b = Predicate::In("campus", {Value("North"),
                                               Value("South")});
-  ConjunctiveScanStats truth_stats =
-      *ScanConjunctive(data, cond_a, cond_b);
+  ConjunctiveScanStats truth_stats = ReferenceQuadrants(data, cond_a, cond_b);
   double truth = static_cast<double>(truth_stats.count_tt);
 
   RunningMoments estimates;
@@ -143,7 +148,7 @@ TEST(ConjunctiveEstimatorTest, BeatsDirectOnSkewedJoint) {
   Predicate cond_a = Predicate::Equals("dept", "EECS");
   Predicate cond_b = Predicate::Equals("campus", "North");
   double truth = static_cast<double>(
-      ScanConjunctive(data, cond_a, cond_b)->count_tt);
+      ReferenceQuadrants(data, cond_a, cond_b).count_tt);
   double pc_err = 0.0, direct_err = 0.0;
   const int trials = 40;
   for (int t = 0; t < trials; ++t) {
@@ -153,7 +158,7 @@ TEST(ConjunctiveEstimatorTest, BeatsDirectOnSkewedJoint) {
     pc_err += std::abs(pt.CountConjunctive(cond_a, cond_b)->estimate -
                        truth);
     double nominal = static_cast<double>(
-        ScanConjunctive(pt.relation(), cond_a, cond_b)->count_tt);
+        ReferenceQuadrants(pt.relation(), cond_a, cond_b).count_tt);
     direct_err += std::abs(nominal - truth);
   }
   EXPECT_LT(pc_err, direct_err);

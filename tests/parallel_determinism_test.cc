@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cleaning/merge.h"
+#include "conjunctive_reference.h"
 #include "core/private_table.h"
 #include "datagen/synthetic.h"
 #include "parallel_harness.h"
@@ -101,26 +102,31 @@ TEST(ParallelDeterminismTest, ScanIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminismTest, ConjunctiveScanIdenticalAcrossThreadCounts) {
-  // Conjunctive scans need predicates on two different attributes; turn
-  // the numeric column into a discrete predicate via a UDF.
+  // Conjunctive counts need predicates on two different attributes; turn
+  // the numeric column into a predicate via a UDF. It has no row index,
+  // so the discrete side drives and the count is count_tt.
   Predicate cond_a = Predicate::In(
       "category", {SyntheticCategory(0), SyntheticCategory(1)});
   Predicate cond_b = Predicate::Udf("value", [](const Value& v) {
     return !v.is_null() && v.AsDouble() < 50.0;
   });
-  ExecutionOptions exec;
-  exec.num_threads = 1;
-  ConjunctiveScanStats base =
-      *ScanConjunctive(TestTable(), cond_a, cond_b, exec);
-  for (size_t threads : {2u, 8u}) {
-    exec.num_threads = threads;
-    ConjunctiveScanStats stats =
-        *ScanConjunctive(TestTable(), cond_a, cond_b, exec);
+  const ConjunctiveScanStats reference =
+      testing_reference::ReferenceQuadrants(TestTable(), cond_a, cond_b);
+  const RowIndex base = testing_reference::TestRowIndex(TestTable(),
+                                                        "category");
+  for (size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(stats.count_tt, base.count_tt);
-    EXPECT_EQ(stats.count_tf, base.count_tf);
-    EXPECT_EQ(stats.count_ft, base.count_ft);
-    EXPECT_EQ(stats.count_ff, base.count_ff);
+    ExecutionOptions exec;
+    exec.num_threads = threads;
+    const RowIndex index =
+        testing_reference::TestRowIndex(TestTable(), "category", threads);
+    EXPECT_EQ(index.rows, base.rows);
+    EXPECT_EQ(index.offsets, base.offsets);
+    size_t rows_a = 0;
+    EXPECT_EQ(*CountMatchingBoth(TestTable(), cond_a, &index, cond_b,
+                                 nullptr, exec, &rows_a),
+              reference.count_tt);
+    EXPECT_EQ(rows_a, reference.count_tt + reference.count_tf);
   }
 }
 

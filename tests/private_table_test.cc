@@ -9,7 +9,9 @@
 
 #include "cleaning/extract.h"
 #include "cleaning/merge.h"
+#include "cleaning/transform.h"
 #include "core/privateclean.h"
+#include "core/sql_execution.h"
 #include "table/table_builder.h"
 
 namespace privateclean {
@@ -405,6 +407,85 @@ TEST(PrivateTableTest, TransformToNanBuildsTheGraphAndCounts) {
   ASSERT_TRUE(in.ok()) << in.status().ToString();
   EXPECT_EQ(in->l, 6.0);
   EXPECT_EQ(CorrectedBits(noisy, not_null), before);
+}
+
+TEST(PrivateTableTest, AllNanColumnBuildsGraphCountAndRowIndex) {
+  // A ValueTransform maps every row of a 200k-row double discrete column
+  // to NaN: 200k clean values that equal nothing. The clean domain adds
+  // each without a hash lookup (every NaN hashes alike, so a lookup would
+  // walk one chain: O(k^2)), so the graph, a corrected COUNT and the row
+  // index each finish in well under a second.
+  constexpr size_t kRows = 200000;
+  TableBuilder b(*Schema::Make(
+      {Field{"x", ValueType::kDouble, AttributeKind::kDiscrete},
+       Field{"k", ValueType::kString, AttributeKind::kDiscrete}}));
+  for (size_t i = 0; i < kRows; ++i) {
+    b.Row({Value(static_cast<double>(i % 8)),
+           Value(i % 5 == 0 ? "a" : "b")});
+  }
+  Rng rng(9);
+  PrivateTable pt = *PrivateTable::Create(
+      *b.Finish(), GrrParams::Uniform(0.0, 0.0), GrrOptions{}, rng);
+  ASSERT_TRUE(pt.Clean(ValueTransform("x", [](const Value&) {
+                  return Value(std::nan(""));
+                })).ok());
+  auto graph = pt.ProvenanceFor("x");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ((*graph)->num_clean_values(), kRows);
+  auto count = pt.Count(Predicate::IsNotNull("x"));
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->estimate, static_cast<double>(kRows));
+  auto index = pt.RowIndexFor("x");
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->num_slots(), kRows + 1);
+  auto both = pt.CountMatchingBoth(Predicate::IsNotNull("x"),
+                                   Predicate::Equals("k", Value("a")));
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_EQ(*both, kRows / 5);
+}
+
+TEST(PrivateTableTest, EqualityComparesInt64AndDoubleByValue) {
+  // `=` and IN compare an int64 and a double by value, as `<` and `>=`
+  // do: `level = 0` counts the rows holding 0.0, and 2^53 + 1 (which no
+  // double equals) does not match the double 2^53. Corrected (p = 0, so
+  // the estimate is the count) and Direct answers alike.
+  const double two53 = 9007199254740992.0;
+  TableBuilder b(*Schema::Make(
+      {Field{"level", ValueType::kDouble, AttributeKind::kDiscrete},
+       Field{"grade", ValueType::kInt64, AttributeKind::kDiscrete}}));
+  for (int i = 0; i < 100; ++i) {
+    b.Row({Value(i % 4 == 0 ? two53 : static_cast<double>(i % 4) * 0.5),
+           Value(static_cast<int64_t>(i % 5))});
+  }
+  Rng rng(4);
+  PrivateTable pt = *PrivateTable::Create(
+      *b.Finish(), GrrParams::Uniform(0.0, 0.0), GrrOptions{}, rng);
+  const struct {
+    const char* where;
+    double rows;
+  } cases[] = {
+      {"level = 1", 25},  // 0.5 * 2 = 1.0.
+      {"level IN (1, 0)", 25},
+      {"level = 1.0", 25},
+      {"level != 1", 75},
+      {"level = 9007199254740992", 25},
+      {"level = 9007199254740993", 0},
+      {"grade = 2.0", 20},
+      {"grade = 2.5", 0},
+      {"grade IN (1.0, 2.5, 4)", 40},
+      {"NOT grade = 3.0", 80},
+  };
+  for (const auto& c : cases) {
+    const std::string sql = std::string("SELECT count(1) FROM r WHERE ") +
+                            c.where;
+    SCOPED_TRACE(sql);
+    auto corrected = ExecuteSql(pt, sql);
+    ASSERT_TRUE(corrected.ok()) << corrected.status().ToString();
+    EXPECT_EQ(corrected->estimate, c.rows);
+    auto direct = ExecuteSqlDirect(pt, sql);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(direct->estimate, c.rows);
+  }
 }
 
 }  // namespace

@@ -43,6 +43,7 @@ TEST(ProvenanceManagerTest, IdentityGraphBeforeCleaning) {
 TEST(ProvenanceManagerTest, GraphReflectsCleaning) {
   Table t = TestTable();
   ProvenanceManager m = *ProvenanceManager::Create(t);
+  ASSERT_TRUE(m.SnapshotColumns(t).ok());
   FindReplace fix = FindReplace::Single(
       "major", Value("Mechanical Engineering"), Value("Mech. Eng."));
   ASSERT_TRUE(fix.Apply(&t).ok());
@@ -61,6 +62,7 @@ TEST(ProvenanceManagerTest, ComposedCleanersCompose) {
   b.Row({Value("a")}).Row({Value("b")}).Row({Value("z")});
   Table t = *b.Finish();
   ProvenanceManager m = *ProvenanceManager::Create(t);
+  ASSERT_TRUE(m.SnapshotColumns(t).ok());
   ASSERT_TRUE(
       FindReplace::Single("d", Value("a"), Value("b")).Apply(&t).ok());
   ASSERT_TRUE(
@@ -70,6 +72,32 @@ TEST(ProvenanceManagerTest, ComposedCleanersCompose) {
   EXPECT_DOUBLE_EQ(g.EdgeWeight(*g.dirty_domain().IndexOf(Value("a")), c), 1.0);
   EXPECT_DOUBLE_EQ(g.EdgeWeight(*g.dirty_domain().IndexOf(Value("b")), c), 1.0);
   EXPECT_DOUBLE_EQ(g.WeightedSelectivity({c}), 2.0);
+}
+
+TEST(ProvenanceManagerTest, CopiesNoColumnBeforeSnapshotColumns) {
+  // Until SnapshotColumns() the current column is its own dirty side: a
+  // change made without it shows on both sides, so no copy was held.
+  Table t = TestTable();
+  ProvenanceManager m = *ProvenanceManager::Create(t);
+  ASSERT_TRUE(FindReplace::Single("major", Value("Mechanical Engineering"),
+                                  Value("Mech. Eng."))
+                  .Apply(&t)
+                  .ok());
+  ProvenanceGraph g = *m.GraphFor(t, "major");
+  EXPECT_EQ(g.num_clean_values(), 2u);
+  EXPECT_DOUBLE_EQ(
+      g.WeightedSelectivity({*g.clean_domain().IndexOf(Value("Mech. Eng."))}),
+      1.0);
+  // A second SnapshotColumns() keeps the first copy.
+  ASSERT_TRUE(m.SnapshotColumns(t).ok());
+  ASSERT_TRUE(
+      FindReplace::Single("major", Value("Math"), Value("Mech. Eng."))
+          .Apply(&t)
+          .ok());
+  ASSERT_TRUE(m.SnapshotColumns(t).ok());
+  g = *m.GraphFor(t, "major");
+  EXPECT_EQ(g.num_clean_values(), 1u);
+  EXPECT_DOUBLE_EQ(g.WeightedSelectivity({0}), 2.0);
 }
 
 TEST(ProvenanceManagerTest, ExplicitDomainsOverrideSnapshots) {

@@ -53,9 +53,9 @@
 //    socket; idle sessions — also those that drip bytes without ever
 //    finishing a frame — are timed out with a GOODBYE of their own;
 //  - open sessions add no threads: one reactor reads every socket;
-//  - sessions racing their first SUM/AVG on a fresh server only read the
-//    caches warmed at release open, and answer byte-identically to a
-//    local query.
+//  - sessions racing their first SUM/AVG or two-attribute COUNT on a
+//    fresh server only read the caches warmed at release open, and
+//    answer byte-identically to a local query.
 
 namespace privateclean {
 namespace {
@@ -378,6 +378,84 @@ TEST_F(ServerTortureTest, FirstSumAndAvgRacingOnAFreshServerMatchLocal) {
                  sqls[i % sqls.size()]);
     ASSERT_TRUE(replies[i].ok()) << replies[i].status().ToString();
     EXPECT_EQ(*replies[i], expected[i % sqls.size()]);
+  }
+}
+
+TEST_F(ServerTortureTest, TwoAttributeCountsRacingOnAFreshServerMatchLocal) {
+  // A corrected two-attribute COUNT and a Direct conjunct read the row
+  // index of each discrete side from the shared table's cache. On a fresh
+  // server whose release has two discrete attributes, sessions whose
+  // first such query arrives at the same moment must find the indexes
+  // warmed at release open, never build them themselves (the TSan pass of
+  // the `server` label checks this), and each must print exactly what a
+  // local query prints.
+  TableBuilder b(*Schema::Make(
+      {Field::Discrete("category"), Field::Discrete("zone"),
+       Field::Numerical("value", ValueType::kDouble)}));
+  for (size_t r = 0; r < 3000; ++r) {
+    b.Row({r % 11 == 0 ? Value::Null() : Value("c" + std::to_string(r % 5)),
+           Value("z" + std::to_string(r % 4)),
+           Value(0.5 * static_cast<double>(r % 400))});
+  }
+  Rng grr_rng(6);
+  GrrOutput grr = *ApplyGrr(*b.Finish(), GrrParams::Uniform(0.25, 4.0),
+                            GrrOptions{}, grr_rng);
+  const std::string dir = base_ + "/two_discrete";
+  ASSERT_TRUE(WriteRelease(grr, dir).ok());
+  const struct {
+    const char* sql;
+    bool direct;
+  } queries[] = {
+      {"SELECT count(1) FROM r WHERE category = 'c1' AND zone = 'z2'", false},
+      {"SELECT count(1) FROM r WHERE value >= 20 AND value < 120 AND "
+       "zone = 'z1'",
+       true},
+      {"SELECT count(1) FROM r WHERE category IN ('c0', 'c3') AND "
+       "NOT zone = 'z0'",
+       false},
+      {"SELECT count(1) FROM r WHERE category IS NULL AND zone = 'z3'", true},
+  };
+  PrivateTable local = *OpenRelease(dir);
+  std::vector<std::string> expected;
+  for (const auto& q : queries) {
+    SqlResultSet rs = q.direct ? *ExecuteSqlQueryDirect(local, q.sql)
+                               : *ExecuteSqlQuery(local, q.sql);
+    std::ostringstream text;
+    RenderSqlResultText(rs, q.direct, QueryOptions().confidence, text);
+    expected.push_back(text.str());
+  }
+
+  constexpr size_t kSessions = 8;
+  constexpr size_t kQueries = sizeof(queries) / sizeof(queries[0]);
+  std::vector<Result<std::string>> replies(kSessions,
+                                           Status::Internal("not run"));
+  {
+    ServerOptions options = BaseOptions(NewSocketPath(), false);
+    options.release_dirs = {dir};
+    Server srv = *Server::Start(options);
+    std::latch connected(kSessions);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&, i] {
+        auto client = Client::Connect(srv.socket_path());
+        connected.arrive_and_wait();
+        if (!client.ok()) {
+          replies[i] = client.status();
+          return;
+        }
+        replies[i] = client->Query(queries[i % kQueries].sql,
+                                   queries[i % kQueries].direct);
+        (void)client->Bye();
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_TRUE(srv.Drain().ok());
+  }
+  for (size_t i = 0; i < kSessions; ++i) {
+    SCOPED_TRACE("session " + std::to_string(i) + ": " +
+                 queries[i % kQueries].sql);
+    ASSERT_TRUE(replies[i].ok()) << replies[i].status().ToString();
+    EXPECT_EQ(*replies[i], expected[i % kQueries]);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conjunctive_reference.h"
 #include "core/sql_execution.h"
 #include "datagen/synthetic.h"
 #include "table/table_builder.h"
@@ -103,7 +104,8 @@ TEST(SqlParseTest, StringEscapes) {
 TEST(SqlParseTest, NumericLiterals) {
   ParsedSql p = *ParseSql("SELECT count(1) FROM r WHERE section = 3");
   EXPECT_TRUE(p.query.predicate->Matches(Value(3)));
-  EXPECT_FALSE(p.query.predicate->Matches(Value(3.0)));  // Typed equality.
+  EXPECT_TRUE(p.query.predicate->Matches(Value(3.0)));  // By value.
+  EXPECT_FALSE(p.query.predicate->Matches(Value(3.5)));
   ParsedSql q = *ParseSql("SELECT count(1) FROM r WHERE x = 2.5");
   EXPECT_TRUE(q.query.predicate->Matches(Value(2.5)));
   ParsedSql neg = *ParseSql("SELECT count(1) FROM r WHERE x = -7");
@@ -634,7 +636,7 @@ TEST_F(SqlExecutionTest, DirectConjunctiveIsNominal) {
   QueryResult direct = *ExecuteSqlDirect(
       *pt_,
       "SELECT count(1) FROM r WHERE dept = 'EECS' AND campus = 'North'");
-  ConjunctiveScanStats stats = *ScanConjunctive(
+  ConjunctiveScanStats stats = testing_reference::ReferenceQuadrants(
       pt_->relation(), Predicate::Equals("dept", "EECS"),
       Predicate::Equals("campus", "North"));
   EXPECT_DOUBLE_EQ(direct.estimate,
