@@ -565,7 +565,9 @@ Result<QueryResult> PrivateTable::BootstrapExtendedAggregate(
         // ExecutionOptions): the replicate axis is already parallel.
         std::vector<size_t> indices(rows);
         for (size_t rep = begin; rep < end; ++rep) {
-          Rng& rep_rng = replicate_rngs[rep];
+          // A stack copy: every draw writes the generator's state, and
+          // adjacent replicates' streams share a cache line.
+          Rng rep_rng = replicate_rngs[rep];
           for (size_t i = 0; i < rows; ++i) {
             indices[i] = static_cast<size_t>(rep_rng.UniformInt(rows));
           }

@@ -42,8 +42,7 @@ Result<GrrParams> AllocateEpsilonBudget(
       PCLEAN_ASSIGN_OR_RETURN(double p, ParamForEpsilon(mechanism, eps_i));
       params.discrete_p.emplace(field.name, p);
     } else {
-      PCLEAN_ASSIGN_OR_RETURN(double delta,
-                              ColumnSensitivity(table.column(i)));
+      PCLEAN_ASSIGN_OR_RETURN(double delta, AttributeSensitivity(table, i));
       if (delta == 0.0) {
         // Constant column: carries no information, any noise works.
         params.numeric_b.emplace(field.name, 0.0);

@@ -68,21 +68,25 @@ Status RandomizeDiscreteColumn(Column* col, const Column& original,
   size_t attempts = 0;
   for (;;) {
     std::vector<Rng> shard_rngs = rng.ForkStreams(shards);
-    if (track_coverage) {
-      for (auto& c : coverage) c.assign(domain.size(), 0);
-    }
     PCLEAN_RETURN_NOT_OK(ParallelFor(
         rows, shards, options.exec,
         [&](size_t shard, size_t begin, size_t end) -> Status {
-          uint8_t* shard_coverage = nullptr;
-          const uint32_t* indices = nullptr;
-          if (track_coverage) {
-            shard_coverage = coverage[shard].data();
-            indices = original_indices.data();
+          // Every row writes the generator's state and a coverage flag,
+          // so the shard draws through a stack copy and flags into a
+          // buffer it allocates: the shared slots of adjacent shards sit
+          // on one cache line.
+          Rng shard_rng = shard_rngs[shard];
+          if (!track_coverage) {
+            return ApplyRandomizedResponseShard(col, domain_values, p_eff,
+                                                shard_rng, begin, end,
+                                                nullptr, nullptr);
           }
-          return ApplyRandomizedResponseShard(col, domain_values, p_eff,
-                                              shard_rngs[shard], begin, end,
-                                              indices, shard_coverage);
+          std::vector<uint8_t> seen(domain.size(), 0);
+          PCLEAN_RETURN_NOT_OK(ApplyRandomizedResponseShard(
+              col, domain_values, p_eff, shard_rng, begin, end,
+              original_indices.data(), seen.data()));
+          coverage[shard] = std::move(seen);
+          return Status::OK();
         }));
     col->RecomputeNullCount();
     if (!track_coverage) return Status::OK();
@@ -126,8 +130,10 @@ Status NoiseNumericColumn(Column* col, double b, const GrrOptions& options,
   std::vector<Rng> shard_rngs = rng.ForkStreams(shards);
   return ParallelFor(rows, shards, options.exec,
                      [&](size_t shard, size_t begin, size_t end) -> Status {
-                       return ApplyLaplaceMechanismShard(
-                           col, b, shard_rngs[shard], begin, end);
+                       // A stack copy, as in RandomizeDiscreteColumn.
+                       Rng shard_rng = shard_rngs[shard];
+                       return ApplyLaplaceMechanismShard(col, b, shard_rng,
+                                                         begin, end);
                      });
 }
 
@@ -162,7 +168,8 @@ Result<GrrOutput> ApplyGrr(const Table& input, const GrrParams& params,
       }
       PCLEAN_ASSIGN_OR_RETURN(
           Domain domain,
-          Domain::FromColumn(input, name, /*include_null=*/true));
+          Domain::FromColumn(input, name, /*include_null=*/true,
+                             options.exec));
       if (domain.empty()) {
         return Status::FailedPrecondition("attribute '" + name +
                                           "' has an empty domain");
@@ -190,8 +197,8 @@ Result<GrrOutput> ApplyGrr(const Table& input, const GrrParams& params,
             "no Laplace scale for numerical attribute '" + name +
             "' (a non-private column would de-privatize the relation)");
       }
-      PCLEAN_ASSIGN_OR_RETURN(
-          double delta, ColumnSensitivity(input.column(i), options.exec));
+      PCLEAN_ASSIGN_OR_RETURN(double delta,
+                              AttributeSensitivity(input, i, options.exec));
       PCLEAN_RETURN_NOT_OK(
           NoiseNumericColumn(out.table.mutable_column(i), b, options, rng));
       out.metadata.numeric.emplace(name, NumericAttributeMeta{b, delta});

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/thread_pool.h"
 
@@ -19,8 +21,9 @@ Status ApplyLaplaceMechanismShard(Column* column, double b, Rng& rng,
   if (column == nullptr) {
     return Status::InvalidArgument("column must not be null");
   }
-  if (b < 0.0) {
-    return Status::InvalidArgument("Laplace scale must be >= 0");
+  if (!(b >= 0.0 && std::isfinite(b))) {
+    return Status::InvalidArgument(
+        "Laplace scale must be finite and >= 0, got " + std::to_string(b));
   }
   if (column->type() == ValueType::kString) {
     return Status::InvalidArgument(
@@ -49,25 +52,30 @@ Status ApplyLaplaceMechanismShard(Column* column, double b, Rng& rng,
 
 namespace {
 
-/// Per-shard min/max partial for the sensitivity reduction. Merged in
-/// shard index order per the determinism contract (the reduction is
-/// order-insensitive anyway, but the contract keeps every sharded path
-/// uniform and auditable).
-struct MinMaxPartial {
-  bool any = false;
-  double lo = 0.0;
-  double hi = 0.0;
-
-  void Add(double x) {
-    if (!any) {
-      lo = hi = x;
-      any = true;
-    } else {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
-    }
-  }
+/// One shard's bounds over its non-null values; empty is lo = +inf,
+/// hi = -inf.
+struct Bounds {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
 };
+
+/// The bounds of the non-null values of rows [begin, end), kept in a
+/// local while the rows are read (the shards' slots share cache lines).
+/// With the running bound first, std::min/std::max keep it when x is NaN
+/// (every comparison with NaN is false), so a NaN is skipped wherever it
+/// sits.
+template <typename T>
+Bounds FoldBounds(const T* data, const uint8_t* valid, size_t begin,
+                  size_t end) {
+  Bounds bounds;
+  for (size_t r = begin; r < end; ++r) {
+    if (valid[r] == 0) continue;
+    const double x = static_cast<double>(data[r]);
+    bounds.lo = std::min(bounds.lo, x);
+    bounds.hi = std::max(bounds.hi, x);
+  }
+  return bounds;
+}
 
 }  // namespace
 
@@ -78,28 +86,40 @@ Result<double> ColumnSensitivity(const Column& column,
         "sensitivity is defined for numerical columns only");
   }
   const size_t shards = ShardCountForRows(column.size());
-  std::vector<MinMaxPartial> partials(shards);
+  std::vector<Bounds> partials(shards);
   PCLEAN_RETURN_NOT_OK(ParallelFor(
       column.size(), shards, exec,
       [&](size_t shard, size_t begin, size_t end) -> Status {
-        MinMaxPartial& part = partials[shard];
-        for (size_t r = begin; r < end; ++r) {
-          if (column.IsNull(r)) continue;
-          part.Add(column.NumericAt(r));
-        }
+        const uint8_t* valid = column.validity().data();
+        partials[shard] =
+            column.type() == ValueType::kInt64
+                ? FoldBounds(column.ints().data(), valid, begin, end)
+                : FoldBounds(column.doubles().data(), valid, begin, end);
         return Status::OK();
       }));
-  MinMaxPartial merged;
-  for (const MinMaxPartial& part : partials) {
-    if (!part.any) continue;
-    merged.Add(part.lo);
-    merged.Add(part.hi);
+  Bounds merged;
+  for (const Bounds& part : partials) {
+    merged.lo = std::min(merged.lo, part.lo);
+    merged.hi = std::max(merged.hi, part.hi);
   }
-  if (!merged.any) {
+  if (!(merged.lo <= merged.hi)) {
     return Status::FailedPrecondition(
-        "sensitivity undefined: column has no non-null entries");
+        "sensitivity undefined: column has no non-null, non-NaN entries");
+  }
+  if (std::isinf(merged.lo) || std::isinf(merged.hi)) {
+    return Status::InvalidArgument(
+        "sensitivity undefined: column holds an infinite value");
   }
   return merged.hi - merged.lo;
+}
+
+Result<double> AttributeSensitivity(const Table& table, size_t i,
+                                    const ExecutionOptions& exec) {
+  Result<double> delta = ColumnSensitivity(table.column(i), exec);
+  if (delta.ok()) return delta;
+  return Status::WithCode(delta.status().code(),
+                          "attribute '" + table.schema().field(i).name +
+                              "': " + delta.status().message());
 }
 
 }  // namespace privateclean

@@ -5,6 +5,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "table/column.h"
+#include "table/table.h"
 
 namespace privateclean {
 
@@ -18,7 +19,8 @@ namespace privateclean {
 /// distribution the rounded noise remains zero-mean, which is all the
 /// estimators rely on.
 ///
-/// Requires b >= 0 (b == 0 is a no-op, meaning no privacy).
+/// Requires a finite b >= 0 (b == 0 is a no-op, meaning no privacy); a
+/// NaN, infinite or negative b is InvalidArgument.
 Status ApplyLaplaceMechanism(Column* column, double b, Rng& rng);
 
 /// Row-range kernel of the Laplace mechanism, for sharded execution
@@ -29,13 +31,20 @@ Status ApplyLaplaceMechanismShard(Column* column, double b, Rng& rng,
                                   size_t begin, size_t end);
 
 /// Sensitivity Δ of a numerical column: max − min over non-null entries
-/// (paper Proposition 1). Errors if the column has no non-null entries.
+/// (paper Proposition 1). A NaN is skipped like a NULL, wherever it sits.
+/// FailedPrecondition if no entry is left; InvalidArgument if one is
+/// infinite, since no finite noise scale covers an infinite Δ.
 ///
 /// The reduction is sharded per `exec` (common/thread_pool.h) with
 /// per-shard min/max partials merged in shard index order, so the result
 /// is identical at every thread count.
 Result<double> ColumnSensitivity(const Column& column,
                                  const ExecutionOptions& exec = {});
+
+/// ColumnSensitivity of attribute `i` of `table`, with the attribute named
+/// in any error.
+Result<double> AttributeSensitivity(const Table& table, size_t i,
+                                    const ExecutionOptions& exec = {});
 
 }  // namespace privateclean
 

@@ -21,8 +21,8 @@ Result<double> RandomizationForEpsilon(double epsilon) {
 }
 
 Result<double> EpsilonForLaplace(double delta, double b) {
-  if (delta < 0.0) {
-    return Status::InvalidArgument("sensitivity must be >= 0");
+  if (!(delta >= 0.0 && std::isfinite(delta))) {
+    return Status::InvalidArgument("sensitivity must be finite and >= 0");
   }
   if (!(b > 0.0)) {
     return Status::InvalidArgument("Laplace scale must be > 0");
@@ -31,8 +31,8 @@ Result<double> EpsilonForLaplace(double delta, double b) {
 }
 
 Result<double> LaplaceScaleForEpsilon(double delta, double epsilon) {
-  if (delta < 0.0) {
-    return Status::InvalidArgument("sensitivity must be >= 0");
+  if (!(delta >= 0.0 && std::isfinite(delta))) {
+    return Status::InvalidArgument("sensitivity must be finite and >= 0");
   }
   if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be > 0");

@@ -22,11 +22,12 @@ Result<double> EpsilonForRandomizedResponse(double p);
 Result<double> RandomizationForEpsilon(double epsilon);
 
 /// ε achieved by the Laplace mechanism with scale b on an attribute of
-/// sensitivity Δ (max − min): ε = Δ / b. Requires Δ >= 0, b > 0.
+/// sensitivity Δ (max − min): ε = Δ / b. Requires a finite Δ >= 0 and
+/// b > 0.
 Result<double> EpsilonForLaplace(double delta, double b);
 
 /// The Laplace scale achieving ε on sensitivity Δ: b = Δ / ε.
-/// Requires Δ >= 0, ε > 0.
+/// Requires a finite Δ >= 0 and ε > 0.
 Result<double> LaplaceScaleForEpsilon(double delta, double epsilon);
 
 /// Per-attribute GRR parameters (paper §4.2.3): the randomization

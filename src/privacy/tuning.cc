@@ -72,7 +72,7 @@ Result<TuningResult> TunePrivacyParameters(const Table& table,
   for (size_t i = 0; i < schema.num_fields(); ++i) {
     const Field& field = schema.field(i);
     if (field.kind != AttributeKind::kNumerical) continue;
-    PCLEAN_ASSIGN_OR_RETURN(double delta, ColumnSensitivity(table.column(i)));
+    PCLEAN_ASSIGN_OR_RETURN(double delta, AttributeSensitivity(table, i));
     double b = (result.per_attribute_epsilon > 0.0)
                    ? delta / result.per_attribute_epsilon
                    : 0.0;

@@ -278,10 +278,13 @@ Result<NumericMoments> ComputeNumericMoments(
   PCLEAN_RETURN_NOT_OK(ParallelFor(
       table.num_rows(), shards, exec,
       [&](size_t shard, size_t begin, size_t end) -> Status {
-        RunningMoments& part = partials[shard];
+        // Every row updates the partial, so it stays local until the
+        // shard ends: the shards' slots share cache lines.
+        RunningMoments part;
         for (size_t r = begin; r < end; ++r) {
           if (!col->IsNull(r)) part.Add(col->NumericAt(r));
         }
+        partials[shard] = part;
         return Status::OK();
       }));
   RunningMoments moments;

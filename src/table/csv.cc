@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <deque>
+#include <functional>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/io_util.h"
 #include "common/string_util.h"
@@ -289,24 +289,54 @@ bool IsNullCell(const CsvField& cell, const CsvOptions& options) {
 
 /// A shard's dictionary for one string column: local codes in
 /// first-appearance order. Keys view the input, or an owned copy of an
-/// unescaped value (the splitter reuses its buffer).
+/// unescaped value (the splitter reuses its buffer). The index is a flat
+/// open-addressing table of (hash, code) slots, probed linearly and kept
+/// at most half full. A shard holds at most kRowsPerShard keys, so the
+/// table stays far below 2^32 slots and the stored 32-bit hash re-places
+/// a slot when the table grows.
 class LocalDictionary {
  public:
   uint32_t Intern(const CsvField& cell) {
-    auto it = index_.find(cell.text);
-    if (it != index_.end()) return it->second;
-    const std::string_view key =
-        cell.in_place ? cell.text : owned_.emplace_back(cell.text);
-    const auto code = static_cast<uint32_t>(entries_.size());
-    index_.emplace(key, code);
-    entries_.push_back(key);
-    return code;
+    if (2 * (entries_.size() + 1) > slots_.size()) Grow();
+    const auto hash =
+        static_cast<uint32_t>(std::hash<std::string_view>{}(cell.text));
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.code == kEmptySlot) {
+        slot = Slot{hash, static_cast<uint32_t>(entries_.size())};
+        entries_.push_back(cell.in_place ? cell.text
+                                         : owned_.emplace_back(cell.text));
+        return slot.code;
+      }
+      if (slot.hash == hash && entries_[slot.code] == cell.text) {
+        return slot.code;
+      }
+    }
   }
 
   const std::vector<std::string_view>& entries() const { return entries_; }
 
  private:
-  std::unordered_map<std::string_view, uint32_t> index_;
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t code = kEmptySlot;
+  };
+
+  void Grow() {
+    std::vector<Slot> old(std::max<size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.code == kEmptySlot) continue;
+      size_t i = slot.hash & mask;
+      while (slots_[i].code != kEmptySlot) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  // Size 0 or a power of two.
   std::vector<std::string_view> entries_;
   std::deque<std::string> owned_;  // Elements never move.
 };
@@ -387,6 +417,7 @@ Result<Table> BindColumns(const Schema& schema,
       column.mutable_codes()->resize(rows);
       remap[c].resize(shards.size());
       for (size_t s = 0; s < shards.size(); ++s) {
+        if (shards[s].rows == 0) continue;  // Possibly never ran.
         for (std::string_view entry : shards[s].columns[c].dict.entries()) {
           remap[c][s].push_back(column.InternString(entry));
         }
@@ -399,6 +430,7 @@ Result<Table> BindColumns(const Schema& schema,
       shards.size(), shards.size(), exec,
       [&](size_t, size_t begin, size_t end) -> Status {
         for (size_t s = begin; s < end; ++s) {
+          if (shards[s].rows == 0) continue;
           for (size_t c = 0; c < width; ++c) {
             const ColumnBuilder& in = shards[s].columns[c];
             Column& out = columns[c];
@@ -612,17 +644,19 @@ Result<Table> CsvToTable(const std::string& text, const Schema& schema,
     }
     first_data = 1;
   }
-  // Each shard of records types its cells into its own builders. Shards
+  // Each shard of records types its cells into a ShardColumns of its own
+  // and moves it into its slot when it ends: every record updates the row
+  // count and the builders, and adjacent slots share cache lines. Shards
   // are claimed in increasing index order and each stops at its first
   // bad record, so on malformed input the error reported is that of the
   // first bad record in input order.
   const size_t num_data = frame.size() - first_data;
   std::vector<ShardColumns> shards(ShardCountForRows(num_data));
-  for (ShardColumns& shard : shards) shard.columns.resize(width);
   PCLEAN_RETURN_NOT_OK(ParallelFor(
       num_data, shards.size(), options.exec,
       [&](size_t shard, size_t begin, size_t end) -> Status {
-        ShardColumns& out = shards[shard];
+        ShardColumns out;
+        out.columns.resize(width);
         FieldSplitter splitter(text, options.delimiter);
         for (size_t r = first_data + begin; r < first_data + end; ++r) {
           const size_t record_begin = frame.Begin(r);
@@ -650,6 +684,7 @@ Result<Table> CsvToTable(const std::string& text, const Schema& schema,
           }
           ++out.rows;
         }
+        shards[shard] = std::move(out);
         return Status::OK();
       }));
   return BindColumns(schema, shards, options.exec);
@@ -686,14 +721,15 @@ Result<Schema> InferCsvSchema(const std::string& text,
   const size_t width = names.size();
   const size_t num_data = frame.size() - 1;
   const size_t shards = ShardCountForRows(num_data);
-  std::vector<std::vector<TypeFlags>> shard_flags(
-      shards, std::vector<TypeFlags>(width));
+  std::vector<std::vector<TypeFlags>> shard_flags(shards);
   // Shard bodies never fail. A shard stops early once every column it
   // has seen is a string: no later cell can change its contribution.
+  // Flags are written on every cell, so a shard keeps them in a vector it
+  // allocates and moves it into its slot when it ends.
   Status st = ParallelFor(
       num_data, shards, options.exec,
       [&](size_t shard, size_t begin, size_t end) -> Status {
-        std::vector<TypeFlags>& flags = shard_flags[shard];
+        std::vector<TypeFlags> flags(width);
         size_t open = width;  // Columns that may still be numeric.
         FieldSplitter splitter(text, options.delimiter);
         for (size_t r = 1 + begin; r < 1 + end && open > 0; ++r) {
@@ -713,6 +749,7 @@ Result<Schema> InferCsvSchema(const std::string& text,
             if (f.IsString()) --open;
           }
         }
+        shard_flags[shard] = std::move(flags);
         return Status::OK();
       });
   (void)st;
@@ -720,6 +757,7 @@ Result<Schema> InferCsvSchema(const std::string& text,
   for (size_t c = 0; c < width; ++c) {
     TypeFlags merged;
     for (const std::vector<TypeFlags>& flags : shard_flags) {
+      if (flags.empty()) continue;  // No data records: the shard never ran.
       merged.any_value |= flags[c].any_value;
       merged.all_int &= flags[c].all_int;
       merged.all_double &= flags[c].all_double;

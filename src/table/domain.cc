@@ -65,26 +65,53 @@ std::vector<uint32_t> ColumnCodes::IndicesIn(const Domain& domain) const {
 }
 
 Result<Domain> Domain::FromColumn(const Table& table,
-                                  const std::string& field,
-                                  bool include_null) {
+                                  const std::string& field, bool include_null,
+                                  const ExecutionOptions& exec) {
   PCLEAN_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(field));
-  return FromCodes(ColumnCodes(*col), include_null);
+  return FromCodes(ColumnCodes(*col), include_null, exec);
 }
 
-Domain Domain::FromCodes(const ColumnCodes& codes, bool include_null) {
+Domain Domain::FromCodes(const ColumnCodes& codes, bool include_null,
+                         const ExecutionOptions& exec) {
   // Per-slot frequencies by vector indexing (no per-row hashing), with
-  // the slots recorded in row first-appearance order.
+  // the slots recorded in row first-appearance order. Each worker counts
+  // one contiguous row range into tables it allocates and hands them
+  // over when its range ends.
   const uint32_t* row_codes = codes.codes();
   const uint32_t null_slot = codes.null_slot();
-  std::vector<size_t> counts(codes.num_slots(), 0);
+  const size_t rows = codes.size();
+  const size_t workers =
+      std::min(exec.EffectiveThreads(), ShardCountForRows(rows));
+  struct SlotCounts {
+    std::vector<size_t> counts;
+    std::vector<uint32_t> order;  ///< First-appearance order.
+  };
+  std::vector<SlotCounts> partials(workers);
+  // Worker bodies never fail.
+  (void)ParallelFor(
+      rows, workers, exec, [&](size_t worker, size_t begin, size_t end) {
+        std::vector<size_t> counts(codes.num_slots(), 0);
+        std::vector<uint32_t> order;
+        for (size_t r = begin; r < end; ++r) {
+          const uint32_t slot = std::min(row_codes[r], null_slot);
+          if (slot == null_slot && !include_null) continue;
+          if (counts[slot]++ == 0) order.push_back(slot);
+        }
+        partials[worker] = SlotCounts{std::move(counts), std::move(order)};
+        return Status::OK();
+      });
+  // Worker order is row order, so the first worker to see a slot saw its
+  // first row.
+  std::vector<size_t> totals(codes.num_slots(), 0);
   std::vector<uint32_t> order;
-  for (size_t r = 0, rows = codes.size(); r < rows; ++r) {
-    const uint32_t slot = std::min(row_codes[r], null_slot);
-    if (slot == null_slot && !include_null) continue;
-    if (counts[slot]++ == 0) order.push_back(slot);
+  for (const SlotCounts& part : partials) {
+    for (uint32_t slot : part.order) {
+      if (totals[slot] == 0) order.push_back(slot);
+      totals[slot] += part.counts[slot];
+    }
   }
   Domain d;
-  for (uint32_t slot : order) d.AddCount(codes.ValueOf(slot), counts[slot]);
+  for (uint32_t slot : order) d.AddCount(codes.ValueOf(slot), totals[slot]);
   return d;
 }
 

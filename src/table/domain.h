@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "table/table.h"
 
 namespace privateclean {
@@ -71,11 +72,15 @@ class Domain {
   /// whether null entries contribute a domain member.
   static Result<Domain> FromColumn(const Table& table,
                                    const std::string& field,
-                                   bool include_null = true);
+                                   bool include_null = true,
+                                   const ExecutionOptions& exec = {});
 
   /// The domain of the column behind `codes`: its slots tallied in row
-  /// first-appearance order.
-  static Domain FromCodes(const ColumnCodes& codes, bool include_null = true);
+  /// first-appearance order. The count pass gives each worker of `exec`
+  /// one contiguous row range and merges in worker order, so the domain
+  /// does not depend on the thread count.
+  static Domain FromCodes(const ColumnCodes& codes, bool include_null = true,
+                          const ExecutionOptions& exec = {});
 
   /// Computes a domain from an explicit list of values (deduplicated,
   /// frequencies counted).

@@ -20,13 +20,19 @@ Result<RowIndex> BuildRowIndex(const ColumnCodes& codes,
   const size_t workers =
       std::min(exec.EffectiveThreads(), ShardCountForRows(rows));
 
-  // next[w * slots + s]: first the rows of worker w's range in slot s,
-  // then where worker w writes its next row of slot s.
-  std::vector<uint32_t> next(workers * slots, 0);
+  // next[w * stride + s]: first the rows of worker w's range in slot s,
+  // then where worker w writes its next row of slot s. Both passes write
+  // a worker's region on every row, so `stride` leaves at least 60 bytes
+  // after each region's last word: wherever the vector starts, no 64-byte
+  // cache line holds words of two workers.
+  constexpr size_t kLineWords = 64 / sizeof(uint32_t);
+  const size_t stride =
+      (slots + 2 * kLineWords - 2) / kLineWords * kLineWords;
+  std::vector<uint32_t> next(workers * stride, 0);
   PCLEAN_RETURN_NOT_OK(ParallelFor(
       rows, workers, exec,
       [&](size_t worker, size_t begin, size_t end) -> Status {
-        uint32_t* count = &next[worker * slots];
+        uint32_t* count = &next[worker * stride];
         for (size_t r = begin; r < end; ++r) {
           ++count[std::min(row_codes[r], null_slot)];
         }
@@ -39,8 +45,8 @@ Result<RowIndex> BuildRowIndex(const ColumnCodes& codes,
   for (size_t s = 0; s < slots; ++s) {
     index.offsets[s] = start;
     for (size_t w = 0; w < workers; ++w) {
-      const uint32_t n = next[w * slots + s];
-      next[w * slots + s] = start;
+      const uint32_t n = next[w * stride + s];
+      next[w * stride + s] = start;
       start += n;
     }
   }
@@ -50,7 +56,7 @@ Result<RowIndex> BuildRowIndex(const ColumnCodes& codes,
   PCLEAN_RETURN_NOT_OK(ParallelFor(
       rows, workers, exec,
       [&](size_t worker, size_t begin, size_t end) -> Status {
-        uint32_t* at = &next[worker * slots];
+        uint32_t* at = &next[worker * stride];
         uint32_t* out = index.rows.data();
         for (size_t r = begin; r < end; ++r) {
           out[at[std::min(row_codes[r], null_slot)]++] =

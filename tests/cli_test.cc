@@ -140,6 +140,68 @@ TEST_F(CliTest, PrivatizeSkipsUtf8ByteOrderMark) {
   EXPECT_EQ(header, "city,income");
 }
 
+/// A 6-row `city,x` CSV whose x cells are "1.5,4,2,3,5.5" with `cell`
+/// inserted at row `at`.
+std::string NonFiniteCsv(const std::string& cell, size_t at) {
+  std::vector<std::string> xs = {"1.5", "4", "2", "3", "5.5"};
+  xs.insert(xs.begin() + static_cast<std::ptrdiff_t>(at), cell);
+  const char* cities[] = {"a", "b", "a", "c", "b", "a"};
+  std::string csv = "city,x\n";
+  for (size_t r = 0; r < xs.size(); ++r) {
+    csv += std::string(cities[r]) + "," + xs[r] + "\n";
+  }
+  return csv;
+}
+
+TEST_F(CliTest, NanCellIsSkippedBySensitivityWhereverItSits) {
+  // A NaN first in its shard used to become the shard's min and max
+  // (an abort under --epsilon, a NaN ε under --p/--b); a NaN later in
+  // the shard was skipped. Now every NaN is skipped like a NULL: Δ is
+  // 5.5 − 1.5 = 4 either way.
+  for (size_t at : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("nan at row " + std::to_string(at));
+    const std::string csv = base_ + "/nan.csv";
+    std::ofstream(csv) << NonFiniteCsv("nan", at);
+    const std::string eps_dir = base_ + "/eps" + std::to_string(at);
+    ASSERT_EQ(Run({"privatize", "--input", csv, "--output", eps_dir,
+                   "--epsilon", "2", "--seed", "7"}),
+              0)
+        << err_.str();
+    ASSERT_EQ(Run({"info", "--release", eps_dir}), 0) << err_.str();
+    EXPECT_NE(out_.str().find("b=4  sensitivity=4  epsilon=1\n"),
+              std::string::npos)
+        << out_.str();
+    const std::string pb_dir = base_ + "/pb" + std::to_string(at);
+    ASSERT_EQ(Run({"privatize", "--input", csv, "--output", pb_dir, "--p",
+                   "0.3", "--b", "1", "--seed", "7"}),
+              0)
+        << err_.str();
+    ASSERT_EQ(Run({"info", "--release", pb_dir}), 0) << err_.str();
+    EXPECT_NE(out_.str().find("b=1  sensitivity=4  epsilon=4\n"),
+              std::string::npos)
+        << out_.str();
+    EXPECT_EQ(out_.str().find("nan"), std::string::npos) << out_.str();
+  }
+}
+
+TEST_F(CliTest, InfiniteCellIsInvalidArgumentNamingTheAttribute) {
+  // An infinite Δ used to give b = inf and a NaN total ε.
+  const std::string csv = base_ + "/inf.csv";
+  std::ofstream(csv) << NonFiniteCsv("inf", 1);
+  for (const std::vector<std::string>& spec :
+       {std::vector<std::string>{"--epsilon", "2"},
+        std::vector<std::string>{"--p", "0.3", "--b", "1"}}) {
+    std::vector<std::string> args = {"privatize", "--input", csv, "--output",
+                                     release_dir_};
+    args.insert(args.end(), spec.begin(), spec.end());
+    EXPECT_EQ(Run(args), 1);
+    EXPECT_NE(err_.str().find("Invalid argument: attribute 'x'"),
+              std::string::npos)
+        << err_.str();
+    EXPECT_FALSE(std::filesystem::exists(release_dir_));
+  }
+}
+
 TEST_F(CliTest, QueryEndToEnd) {
   ASSERT_EQ(Run({"privatize", "--input", csv_path_, "--output",
                  release_dir_, "--p", "0.1", "--b", "5.0", "--seed", "7"}),

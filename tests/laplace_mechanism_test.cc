@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/random.h"
 #include "common/statistics.h"
 
 namespace privateclean {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(LaplaceMechanismTest, ZeroScaleIsIdentity) {
   Rng rng(1);
@@ -73,6 +79,18 @@ TEST(LaplaceMechanismTest, RejectsNegativeScaleAndNullColumn) {
   EXPECT_TRUE(ApplyLaplaceMechanism(nullptr, 1.0, rng).IsInvalidArgument());
 }
 
+TEST(LaplaceMechanismTest, RejectsNonFiniteScale) {
+  Rng rng(6);
+  Column c = *Column::Make(ValueType::kDouble);
+  c.AppendDouble(1.0);
+  for (double b : {std::nan(""), kInf, -kInf}) {
+    EXPECT_TRUE(
+        ApplyLaplaceMechanismShard(&c, b, rng, 0, 1).IsInvalidArgument())
+        << b;
+    EXPECT_EQ(c.DoubleAt(0), 1.0);
+  }
+}
+
 TEST(ColumnSensitivityTest, MaxMinusMin) {
   Column c = *Column::Make(ValueType::kDouble);
   c.AppendDouble(3.0);
@@ -100,6 +118,72 @@ TEST(ColumnSensitivityTest, RejectsStringColumn) {
   Column c = *Column::Make(ValueType::kString);
   c.AppendString("x");
   EXPECT_FALSE(ColumnSensitivity(c).ok());
+}
+
+Column DoubleColumn(const std::vector<double>& values) {
+  Column c = *Column::Make(ValueType::kDouble);
+  for (double v : values) c.AppendDouble(v);
+  return c;
+}
+
+TEST(ColumnSensitivityTest, NanIsSkippedWhereverItSits) {
+  const double nan = std::nan("");
+  for (const std::vector<double>& values :
+       {std::vector<double>{nan, 1.5, 4.0, 2.0, 3.0, 5.5},
+        std::vector<double>{1.5, nan, 4.0, 2.0, 3.0, 5.5},
+        std::vector<double>{1.5, 4.0, 2.0, 3.0, 5.5, nan}}) {
+    auto delta = ColumnSensitivity(DoubleColumn(values));
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    EXPECT_EQ(*delta, 4.0);
+  }
+}
+
+TEST(ColumnSensitivityTest, NanFirstInEveryShardIsSkipped) {
+  // Two shards, each opening with a NaN and then a NULL; 2 threads run
+  // them concurrently.
+  const size_t rows = kRowsPerShard + 10;
+  ASSERT_EQ(ShardCountForRows(rows), 2u);
+  const size_t second = ShardBounds(rows, 2, 1).begin;
+  Column c = *Column::Make(ValueType::kDouble);
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t in_shard = r < second ? r : r - second;
+    if (in_shard == 0) {
+      c.AppendDouble(std::nan(""));
+    } else if (in_shard == 1) {
+      c.AppendNull();
+    } else {
+      c.AppendDouble(static_cast<double>(r % 100) - 50.0);
+    }
+  }
+  ExecutionOptions exec;
+  exec.num_threads = 2;
+  EXPECT_EQ(*ColumnSensitivity(c, exec), 99.0);
+  EXPECT_EQ(*ColumnSensitivity(c), 99.0);
+}
+
+TEST(ColumnSensitivityTest, OnlyNanAndNullFails) {
+  Column c = DoubleColumn({std::nan(""), std::nan("")});
+  c.AppendNull();
+  EXPECT_TRUE(ColumnSensitivity(c).status().IsFailedPrecondition());
+}
+
+TEST(ColumnSensitivityTest, InfiniteValueIsInvalidArgument) {
+  for (double inf : {kInf, -kInf}) {
+    auto delta = ColumnSensitivity(DoubleColumn({1.5, inf, 4.0}));
+    EXPECT_TRUE(delta.status().IsInvalidArgument()) << inf;
+    EXPECT_TRUE(ColumnSensitivity(DoubleColumn({inf})).status()
+                    .IsInvalidArgument());
+  }
+}
+
+TEST(ColumnSensitivityTest, AttributeSensitivityNamesTheAttribute) {
+  Schema schema = *Schema::Make({Field::Numerical("x", ValueType::kDouble)});
+  Table table =
+      *Table::Make(schema, {DoubleColumn({1.0, kInf, std::nan("")})});
+  auto delta = AttributeSensitivity(table, 0);
+  ASSERT_TRUE(delta.status().IsInvalidArgument());
+  EXPECT_NE(delta.status().message().find("attribute 'x'"), std::string::npos)
+      << delta.status().ToString();
 }
 
 }  // namespace

@@ -118,7 +118,9 @@ TEST_F(LedgerTortureTest, KillAtEveryCommitSiteKeepsSpentMonotonic) {
         ASSERT_TRUE(failpoint::Activate(site, fault).ok());
         Status ckpt = ledger.Checkpoint();
         failpoint::Deactivate(site);
-        if (!ckpt.ok()) ASSERT_TRUE(IsTypedLedgerError(ckpt));
+        if (!ckpt.ok()) {
+          ASSERT_TRUE(IsTypedLedgerError(ckpt));
+        }
       }
 
       // Recovery: the kill may cost the in-flight record, never an
@@ -297,7 +299,9 @@ TEST_F(LedgerTortureTest, RandomizedMultiSiteFuzzKeepsMonotonicity) {
         }
       } else if (action < 8) {
         Status st = ledger->Checkpoint();
-        if (!st.ok()) ASSERT_TRUE(IsTypedLedgerError(st)) << st.ToString();
+        if (!st.ok()) {
+          ASSERT_TRUE(IsTypedLedgerError(st)) << st.ToString();
+        }
       } else {
         failpoint::DeactivateAll();
         auto reopened = BudgetLedger::Open(dir, options);

@@ -7,9 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "cleaning/merge.h"
+#include "common/io_util.h"
 #include "conjunctive_reference.h"
 #include "core/private_table.h"
+#include "core/release.h"
 #include "datagen/synthetic.h"
 #include "parallel_harness.h"
 #include "privacy/grr.h"
@@ -317,6 +329,50 @@ Table SizedTable(size_t rows) {
   return *builder.Finish();
 }
 
+/// Two discrete columns for the sharded Domain count. `late`'s
+/// dictionary is interned in reverse, so its codes do not follow row
+/// first-appearance order, and its second half opens with values the
+/// first half lacks, then repeats earlier ones in another order: at
+/// 16385 rows and 2 workers, w3..w6 first appear in the second worker's
+/// range. `level` holds NULL, -0.0 before +0.0 (one value, kept with its
+/// first row's sign) and NaN (a value of its own per row).
+std::vector<Column> DomainColumns(size_t rows) {
+  Column late = *Column::Make(ValueType::kString);
+  for (int v = 9; v >= 0; --v) late.InternString("w" + std::to_string(v));
+  Column level = *Column::Make(ValueType::kDouble);
+  for (size_t r = 0; r < rows; ++r) {
+    if (r % 11 == 4) {
+      late.AppendNull();
+    } else if (r < rows / 2) {
+      late.AppendString("w" + std::to_string(r % 3));
+    } else {
+      late.AppendString("w" + std::to_string(7 - r % 8));
+    }
+    if (r % 13 == 6) {
+      level.AppendNull();
+    } else if (r % 17 == 9) {
+      level.AppendDouble(std::nan(""));
+    } else if (r % 2 == 0) {
+      level.AppendDouble(r % 4 == 0 ? -0.0 : 0.0);
+    } else {
+      level.AppendDouble(r < rows / 2 ? static_cast<double>(r % 5)
+                                      : 10.5 - static_cast<double>(r % 3));
+    }
+  }
+  std::vector<Column> columns;
+  columns.push_back(std::move(late));
+  columns.push_back(std::move(level));
+  return columns;
+}
+
+void AppendDomain(ByteSink* sink, const Domain& domain) {
+  sink->AppendU64(domain.size());
+  for (size_t i = 0; i < domain.size(); ++i) {
+    sink->AppendValue(domain.value(i));
+    sink->AppendU64(domain.frequency(i));
+  }
+}
+
 TEST(ParallelDeterminismTest, EdgeCaseSizesIdenticalAcrossThreadCounts) {
   // Empty, single-row, exactly one full shard, and one row over the
   // shard boundary: the layouts where shard arithmetic can go wrong.
@@ -324,6 +380,7 @@ TEST(ParallelDeterminismTest, EdgeCaseSizesIdenticalAcrossThreadCounts) {
                       kRowsPerShard + 1}) {
     SCOPED_TRACE("rows=" + std::to_string(rows));
     Table table = SizedTable(rows);
+    const std::vector<Column> domain_columns = DomainColumns(rows);
     Predicate pred = Predicate::Equals("category", Value("g2"));
     Domain dirty_domain = Domain::FromValues(
         {Value("g0"), Value("g1"), Value("g2"), Value("g3"), Value("g4"),
@@ -351,8 +408,116 @@ TEST(ParallelDeterminismTest, EdgeCaseSizesIdenticalAcrossThreadCounts) {
       ProvenanceGraph g = *ProvenanceGraph::Build(
           table.column(0), table.column(0), dirty_domain, exec);
       AppendProvenanceGraph(&sink, g);
+      for (const Column& column : domain_columns) {
+        for (bool include_null : {true, false}) {
+          AppendDomain(&sink, Domain::FromCodes(ColumnCodes(column),
+                                                include_null, exec));
+        }
+      }
       return std::move(sink).Finish();
     });
+    // The reference: every row's value in row order, which FromValues
+    // dedups in first-appearance order.
+    for (const Column& column : domain_columns) {
+      std::vector<Value> values;
+      for (size_t r = 0; r < rows; ++r) values.push_back(column.ValueAt(r));
+      ByteSink expected, actual;
+      AppendDomain(&expected, Domain::FromValues(values));
+      ExecutionOptions exec;
+      exec.num_threads = 2;
+      AppendDomain(&actual, Domain::FromCodes(ColumnCodes(column), true, exec));
+      EXPECT_TRUE(std::move(actual).Finish() == std::move(expected).Finish());
+    }
+  }
+}
+
+// --- Pinned multi-shard release bytes ---------------------------------
+
+/// 3 shards + 1 row of every column kind GRR perturbs: a string discrete
+/// column with NULLs, an int64 discrete column whose 200 single-row
+/// values make the Theorem 2 coverage check fail about two attempts in
+/// five, a double discrete column with NULL, -0.0, +0.0 and NaN, and
+/// finite int64 and double numeric columns.
+Table PinnedReleaseInput() {
+  const size_t rows = 3 * kRowsPerShard + 1;
+  Schema schema = *Schema::Make(
+      {Field::Discrete("city"), Field::Discrete("level", ValueType::kInt64),
+       Field::Discrete("reading", ValueType::kDouble),
+       Field::Numerical("age", ValueType::kInt64),
+       Field::Numerical("income", ValueType::kDouble)});
+  TableBuilder builder(schema);
+  Rng rng(2027);
+  const std::vector<double> readings = {-0.0, 0.0, 1.5, 2.5};
+  for (size_t r = 0; r < rows; ++r) {
+    Value city = r % 13 == 7 ? Value::Null()
+                             : Value("c" + std::to_string(rng.UniformInt(30)));
+    const auto level = static_cast<int64_t>(
+        r % 245 == 17 ? 1000 + r / 245 : rng.UniformInt(620));
+    Value reading = r % 19 == 2 ? Value::Null()
+                    : r % 16001 == 5
+                        ? Value(std::nan(""))
+                        : Value(readings[rng.UniformInt(readings.size())]);
+    builder.Row({city, Value(level), reading,
+                 Value(static_cast<int64_t>(18 + rng.UniformInt(73))),
+                 Value(rng.UniformRealRange(1000.0, 90000.0))});
+  }
+  return *builder.Finish();
+}
+
+/// CRC32C of every file of the release `ApplyGrr` + `WriteRelease` make
+/// of PinnedReleaseInput at `threads`, by file name; `regenerations`
+/// receives the GRR's coverage retries.
+std::map<std::string, uint32_t> PinnedReleaseCrcs(const Table& input,
+                                                  size_t threads,
+                                                  size_t* regenerations) {
+  GrrParams params;
+  params.discrete_p = {{"city", 0.25}, {"level", 0.05}, {"reading", 0.3}};
+  params.numeric_b = {{"age", 2.0}, {"income", 500.0}};
+  GrrOptions options;
+  options.exec.num_threads = threads;
+  Rng rng(4711);
+  GrrOutput out = *ApplyGrr(input, params, options, rng);
+  *regenerations = out.total_regenerations;
+  const std::string dir = ::testing::TempDir() + "/pinned_release_" +
+                          std::to_string(threads) + "_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(WriteRelease(out, dir, options.exec).ok());
+  std::map<std::string, uint32_t> crcs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    crcs[entry.path().filename().string()] = io::Crc32c(bytes.str());
+  }
+  std::filesystem::remove_all(dir);
+  return crcs;
+}
+
+TEST(ParallelDeterminismTest, MultiShardReleaseBytesArePinned) {
+  // The golden pipeline's 400 rows fit in one shard; these constants pin
+  // the bytes of a release whose every column spans four shards (forked
+  // streams, per-shard coverage, a regeneration) across commits, at 1, 2
+  // and 8 threads.
+  const std::map<std::string, uint32_t> pinned = {
+      {"MANIFEST", 0xf1885b75u},     {"column_0.bin", 0x8004185au},
+      {"column_1.bin", 0x61598a6fu}, {"column_2.bin", 0x369eba8du},
+      {"column_3.bin", 0x3ed66267u}, {"column_4.bin", 0x51d98885u},
+      {"domain_0.bin", 0xc2a1f1ceu}, {"domain_1.bin", 0x9cdf3b26u},
+      {"domain_2.bin", 0x529a32ebu},
+  };
+  const Table input = PinnedReleaseInput();
+  for (size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    size_t regenerations = 0;
+    const std::map<std::string, uint32_t> crcs =
+        PinnedReleaseCrcs(input, threads, &regenerations);
+    EXPECT_GE(regenerations, 1u);
+    std::string actual;
+    for (const auto& [file, crc] : crcs) {
+      actual += "{\"" + file + "\", 0x" + io::Crc32cToHex(crc) + "u},\n";
+    }
+    EXPECT_TRUE(crcs == pinned) << actual;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace privateclean {
 namespace {
@@ -59,6 +60,18 @@ TEST(LaplaceEpsilonTest, ScaleInverseRoundTrips) {
   EXPECT_DOUBLE_EQ(*EpsilonForLaplace(100.0, b), 2.0);
   EXPECT_FALSE(LaplaceScaleForEpsilon(1.0, 0.0).ok());
   EXPECT_FALSE(LaplaceScaleForEpsilon(-1.0, 1.0).ok());
+}
+
+TEST(LaplaceEpsilonTest, NonFiniteSensitivityIsInvalidArgument) {
+  // A NaN or infinite Δ would report a NaN or infinite ε.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double delta : {std::nan(""), inf}) {
+    EXPECT_TRUE(
+        LaplaceScaleForEpsilon(delta, 1.0).status().IsInvalidArgument())
+        << delta;
+    EXPECT_TRUE(EpsilonForLaplace(delta, 1.0).status().IsInvalidArgument())
+        << delta;
+  }
 }
 
 TEST(GrrParamsTest, UniformSetsDefaults) {

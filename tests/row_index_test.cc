@@ -79,7 +79,9 @@ TEST(RowIndexTest, HoldsEveryRowOnceGroupedBySlotAtEveryThreadCount) {
           ASSERT_LT(r, rows);
           EXPECT_EQ(seen[r]++, 0) << "row " << r << " twice";
           EXPECT_EQ(std::min(codes.codes()[r], codes.null_slot()), s);
-          if (k > index.offsets[s]) EXPECT_LT(index.rows[k - 1], r);
+          if (k > index.offsets[s]) {
+            EXPECT_LT(index.rows[k - 1], r);
+          }
         }
       }
       for (size_t threads : {2u, 8u}) {
